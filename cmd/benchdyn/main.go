@@ -136,7 +136,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchdyn", flag.ContinueOnError)
 	checkpoints := fs.Int("checkpoints", 12, "checkpoints per measured round (the §VII-E timeline has 12)")
-	rounds := fs.Int("rounds", 4, "measured rounds per phase; the fastest round is reported")
+	rounds := fs.Int("rounds", 4, "measured rounds per phase; the fastest round is reported (under -smoke, 5 or more also enforce the blocked-measurement speed gate)")
 	smoke := fs.Bool("smoke", false, "run a toy-scale timeline in seconds to validate the benchmark plumbing and the emitted JSON schema (numbers are not comparable to full runs)")
 	out := fs.String("out", "BENCH_dynamics.json", "output JSON path, - for stdout")
 	shardBench := fs.Bool("shard", false, "run the shard scale benchmark instead (sharded multi-cell engine vs unsharded), writing -shardout")
@@ -370,10 +370,10 @@ func run(args []string, stdout io.Writer) error {
 // per-realization sweeps (SetBlockSize(1)), and the two-pass reference, on
 // the incremental engine's live instance — the instance every timeline
 // measurement actually sees, threshold rank index included. All three
-// paths produce bit-identical hit ratios (cross-checked here). Under
-// -smoke the blocked path must also not fall behind the per-realization
-// path (with a ×1.25 margin for toy-dimension jitter): that is the CI
-// guard keeping the blocked sweep honest.
+// paths produce bit-identical hit ratios (cross-checked here, in every
+// run). Under -smoke with at least speedGateRounds rounds the blocked path
+// must also not fall behind the per-realization path (blockedSpeedGate):
+// that is the CI guard keeping the blocked sweep honest.
 func benchMeasurement(out *kernelPhase, warmEngine func(dynamics.Mode) (*dynamics.Engine, error), realizations, ops, rounds int, smoke bool) error {
 	e, err := warmEngine(dynamics.Incremental)
 	if err != nil {
@@ -456,10 +456,27 @@ func benchMeasurement(out *kernelPhase, warmEngine func(dynamics.Mode) (*dynamic
 		out.Speedup = float64(fastU) / float64(fastF)
 		out.BlockedSpeedup = float64(fastP) / float64(fastF)
 	}
-	if smoke && fastF > fastP+fastP/4 {
-		return fmt.Errorf("blocked measurement path (%v) fell behind the per-realization path (%v) beyond the smoke margin", fastF, fastP)
+	if smoke {
+		return blockedSpeedGate(fastF, fastP, rounds)
 	}
 	return nil
+}
+
+// speedGateRounds is the fewest measured rounds the smoke speed gate
+// trusts. The gate compares the fastest round of each path, and a single
+// round of toy-dimension timings (about 0.1 ms) on a shared host is noise:
+// one-round smoke runs, as go test drives them, skip it, and the CI smoke
+// step passes -rounds 5.
+const speedGateRounds = 5
+
+// blockedSpeedGate fails when the blocked measurement path, at its fastest
+// of rounds rounds, took more than ×1.25 the per-realization path's
+// fastest; with fewer than speedGateRounds rounds it always passes.
+func blockedSpeedGate(blocked, perRealization time.Duration, rounds int) error {
+	if rounds < speedGateRounds || blocked <= perRealization+perRealization/4 {
+		return nil
+	}
+	return fmt.Errorf("blocked measurement path (%v) fell behind the per-realization path (%v) beyond the smoke margin (fastest of %d rounds)", blocked, perRealization, rounds)
 }
 
 // smallDeltaStride is the resolve section's small-delta move rate: one

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestSmokeRunEmitsValidReport drives the whole benchmark pipeline at toy
@@ -38,6 +39,30 @@ func TestSmokeRunEmitsValidReport(t *testing.T) {
 	}
 	if rep.Scenario.Models <= 0 || rep.Measurement.Realizations <= 0 {
 		t.Fatalf("degenerate smoke report: %+v", rep)
+	}
+}
+
+// TestBlockedSpeedGate pins when the smoke speed gate may fail a run: only
+// on the fastest of at least speedGateRounds rounds, and only beyond the
+// ×1.25 margin.
+func TestBlockedSpeedGate(t *testing.T) {
+	const us = time.Microsecond
+	cases := []struct {
+		blocked, perReal time.Duration
+		rounds           int
+		fail             bool
+	}{
+		{135 * us, 107 * us, 1, false}, // one round is noise
+		{135 * us, 107 * us, speedGateRounds - 1, false},
+		{135 * us, 107 * us, speedGateRounds, true},
+		{125 * us, 100 * us, speedGateRounds, false}, // at the margin
+		{80 * us, 100 * us, speedGateRounds, false},
+	}
+	for _, c := range cases {
+		err := blockedSpeedGate(c.blocked, c.perReal, c.rounds)
+		if (err != nil) != c.fail {
+			t.Errorf("blockedSpeedGate(%v, %v, %d) = %v, want failure %v", c.blocked, c.perReal, c.rounds, err, c.fail)
+		}
 	}
 }
 

@@ -114,6 +114,17 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
+// SubsetOf reports whether s ⊆ t: no word of s \ t has a bit set. The sets
+// must have equal length.
+func (s Set) SubsetOf(t Set) bool {
+	for w, v := range s {
+		if v&^t[w] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Intersects reports whether a ∩ b is non-empty. The sets must have equal
 // length.
 func Intersects(a, b Set) bool {

@@ -99,6 +99,12 @@ func TestBooleanOps(t *testing.T) {
 	if !only64.Equal(only64.Clone()) || only64.Equal(only65) {
 		t.Fatal("Equal misbehaves")
 	}
+	if !inter.SubsetOf(a) || !inter.SubsetOf(b) || !a.SubsetOf(union) || !New(150).SubsetOf(b) {
+		t.Fatal("SubsetOf rejects a subset")
+	}
+	if a.SubsetOf(b) || union.SubsetOf(a) || only64.SubsetOf(only65) {
+		t.Fatal("SubsetOf accepts a non-subset")
+	}
 }
 
 func TestForEach(t *testing.T) {

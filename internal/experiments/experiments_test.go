@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"trimcaching/internal/stats"
 )
 
 // tinyOptions returns the smallest options that still exercise the full
@@ -141,21 +143,45 @@ func TestFig5aShape(t *testing.T) {
 	}
 }
 
+// timingRuns is how many times the runtime-ordering tests repeat an
+// experiment before comparing solver times.
+const timingRuns = 5
+
+// fastestTimes runs a two-series (hit ratio, runtime) experiment timingRuns
+// times at tinyOptions and returns the hit series of the first run and, per
+// algorithm, the fastest mean runtime over the runs. Hit ratios are seeded
+// and repeat exactly; solver times of tens of microseconds do not, since one
+// preemption on a shared host can invert an ordering, and the minimum
+// filters that out.
+func fastestTimes(t *testing.T, experiment func(Options) (*stats.Table, error)) (hits, times stats.Series) {
+	t.Helper()
+	for r := 0; r < timingRuns; r++ {
+		tbl, err := experiment(tinyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Series) != 2 {
+			t.Fatalf("%d series", len(tbl.Series))
+		}
+		if r == 0 {
+			hits, times = tbl.Series[0], tbl.Series[1]
+			continue
+		}
+		for a, p := range tbl.Series[1].Points {
+			if p.Mean < times.Points[a].Mean {
+				times.Points[a] = p
+			}
+		}
+	}
+	return hits, times
+}
+
 func TestFig6aOrdering(t *testing.T) {
-	opt := tinyOptions()
-	tbl, err := Fig6a(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Series) != 2 {
-		t.Fatalf("%d series", len(tbl.Series))
-	}
-	times := tbl.Series[1]
+	hits, times := fastestTimes(t, Fig6a)
 	// Runtime ordering: Gen < Spec < exhaustive.
 	if !(times.Points[0].Mean < times.Points[1].Mean && times.Points[1].Mean < times.Points[2].Mean) {
 		t.Fatalf("runtime ordering violated: %v", times.Points)
 	}
-	hits := tbl.Series[0]
 	// The optimum bounds both heuristics under the average channel, but
 	// fading evaluation adds noise; allow small slack.
 	for a := 0; a < 2; a++ {
@@ -166,12 +192,7 @@ func TestFig6aOrdering(t *testing.T) {
 }
 
 func TestFig6bGenMuchFaster(t *testing.T) {
-	opt := tinyOptions()
-	tbl, err := Fig6b(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := tbl.Series[1]
+	hits, times := fastestTimes(t, Fig6b)
 	genTime, specTime := times.Points[0].Mean, times.Points[1].Mean
 	// The paper reports Gen ~3,900x faster in the general case; require at
 	// least two orders of magnitude.
@@ -179,7 +200,6 @@ func TestFig6bGenMuchFaster(t *testing.T) {
 		t.Fatalf("general case: Spec %vs only %.0fx slower than Gen %vs",
 			specTime, specTime/genTime, genTime)
 	}
-	hits := tbl.Series[0]
 	if diff := hits.Points[0].Mean - hits.Points[1].Mean; diff > 0.1 || diff < -0.1 {
 		t.Fatalf("Gen and Spec hit ratios far apart: %v", hits.Points)
 	}
@@ -277,11 +297,7 @@ func TestAblationSharingGainGrowsWithSharing(t *testing.T) {
 }
 
 func TestAblationLazyMatchesAndFaster(t *testing.T) {
-	tbl, err := AblationLazy(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, times := tbl.Series[0], tbl.Series[1]
+	hits, times := fastestTimes(t, AblationLazy)
 	if diff := hits.Points[0].Mean - hits.Points[1].Mean; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("lazy and naive hit ratios differ: %v", hits.Points)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"trimcaching/internal/libgen"
+	"trimcaching/internal/modellib"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/scenario"
 	"trimcaching/internal/topology"
@@ -85,16 +86,73 @@ func BenchmarkBranchAndBound(b *testing.B) {
 	}
 }
 
-func BenchmarkComboEnumeration(b *testing.B) {
-	e := benchEval(b)
-	lib := e.Instance().Library()
-	models := make([]int, lib.NumModels())
-	for i := range models {
-		models[i] = i
+// The place-paper operating point (cmd/bench, §VII-A): 30 models drawn
+// stratified from a 3×100 ResNet pool with library seed 1, M = 10, K = 30,
+// 1 GB caps, 1 Gb/s backhaul. placePaperEval is the topology of the
+// workload's first trial at seed 1.
+const placePaperCapacity = 1_000_000_000
+
+func placePaperLib(t testing.TB) *modellib.Library {
+	t.Helper()
+	pool, err := libgen.GenerateSpecial(libgen.DefaultSpecialConfig(100), rng.New(1).Split("special-pool"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	lib, err := libgen.TakeStratified(pool, 30, rng.New(1).Split("special-take"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib
+}
+
+func placePaperEval(t testing.TB) *Evaluator {
+	t.Helper()
+	w := wireless.DefaultConfig()
+	w.BackhaulBps = 1e9
+	cfg := scenario.GenConfig{
+		Topology: topology.Config{AreaSideM: 1000, NumServers: 10, NumUsers: 30, CoverageRadiusM: w.CoverageRadiusM},
+		Wireless: w,
+		Workload: workload.DefaultConfig(),
+	}
+	src := rng.New(1).Split("trials").SplitIndex("trial", 0).Split("instance")
+	ins, err := scenario.Generate(placePaperLib(t), cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkComboEnumeration builds A over every model of the place-paper
+// library at its 1 GB cap. The shared-block index is per Spec call, not
+// per enumeration, so it is built outside the timed loop.
+func BenchmarkComboEnumeration(b *testing.B) {
+	lib := placePaperLib(b)
+	x := newSharedIndex(lib)
+	models := allModels(lib)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := enumerateCombos(lib, models, 1<<40, 1<<20); err != nil {
+		if _, err := enumerateCombos(x, models, placePaperCapacity, 1<<20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSpecPlacePaper is one Spec solve of a place-paper trial (ε =
+// 0.1, MaxCombos 2^20): cmd/bench's per-layer placement.spec_ms_p50,
+// reproduced with go test alone.
+func BenchmarkSpecPlacePaper(b *testing.B) {
+	e := placePaperEval(b)
+	caps := UniformCapacities(10, placePaperCapacity)
+	opts := SpecOptions{Epsilon: 0.1, MaxCombos: 1 << 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := TrimCachingSpec(e, caps, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,6 +48,7 @@ func TrimCachingSpec(e *Evaluator, capacities []int64, opts SpecOptions) (*Place
 	}
 
 	lib := ins.Library()
+	shared := newSharedIndex(lib)
 	M, I := ins.NumServers(), ins.NumModels()
 	uw := ins.UserMaskWords()
 	placed := NewPlacement(M, I)
@@ -79,7 +80,7 @@ func TrimCachingSpec(e *Evaluator, capacities []int64, opts SpecOptions) (*Place
 			continue
 		}
 
-		combos, err := enumerateCombos(lib, eligible, capacities[m], maxCombos)
+		combos, err := enumerateCombos(shared, eligible, capacities[m], maxCombos)
 		if err != nil {
 			return nil, fmt.Errorf("placement: server %d: %w", m, err)
 		}
@@ -94,7 +95,7 @@ func TrimCachingSpec(e *Evaluator, capacities []int64, opts SpecOptions) (*Place
 			items = items[:0]
 			var ubValue float64
 			for _, i := range eligible {
-				if isSubsetSorted(lib.SharedFootprint(i), c.blocks) {
+				if shared.footprint(i).SubsetOf(c.blocks) {
 					items = append(items, knapsackItem{id: i, value: u[i], weight: lib.SpecificSize(i)})
 					ubValue += u[i]
 				}
