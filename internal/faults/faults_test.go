@@ -1,7 +1,10 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"trimcaching/internal/dynamics"
@@ -125,28 +128,35 @@ func soakBase(checkpoints int) func() (dynamics.Config, error) {
 	}
 }
 
+// chaosCheckpoints is the chaos soak's timeline length.
+const chaosCheckpoints = 8
+
+// chaosSoak is TestChaosSoak's configuration at the given schedule count.
+func chaosSoak(schedules int) SoakConfig {
+	return SoakConfig{
+		NewBase:   soakBase(chaosCheckpoints),
+		Process:   testProcess(chaosCheckpoints),
+		Schedules: schedules,
+		Shards:    2,
+		Seed:      9,
+	}
+}
+
 // TestChaosSoak is the CI chaos harness: randomized regional fault
 // schedules replayed through five engine variants with every checkpoint's
 // invariants asserted and all timelines pinned bit-identical. Short mode
 // (the CI default, plain and under -race) runs two schedules.
 func TestChaosSoak(t *testing.T) {
-	const checkpoints = 8
 	schedules := 5
 	if testing.Short() {
 		schedules = 2
 	}
-	rep, err := RunSoak(SoakConfig{
-		NewBase:   soakBase(checkpoints),
-		Process:   testProcess(checkpoints),
-		Schedules: schedules,
-		Shards:    2,
-		Seed:      9,
-	})
+	rep, err := RunSoak(chaosSoak(schedules))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.CheckedCheckpoints != schedules*checkpoints {
-		t.Errorf("checked %d checkpoints, want %d", rep.CheckedCheckpoints, schedules*checkpoints)
+	if rep.CheckedCheckpoints != schedules*chaosCheckpoints {
+		t.Errorf("checked %d checkpoints, want %d", rep.CheckedCheckpoints, schedules*chaosCheckpoints)
 	}
 	if rep.Blackouts+rep.Brownouts == 0 {
 		t.Error("soak replayed no fault events; pick a busier process or seed")
@@ -176,5 +186,53 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 	if *a != *b {
 		t.Fatalf("soak reports diverged: %+v vs %+v", a, b)
+	}
+}
+
+// soakTimeline is one variant's replay of one schedule in the soak golden.
+type soakTimeline struct {
+	Schedule  int         `json:"schedule"`
+	Variant   string      `json:"variant"`
+	HitRatios [][]float64 `json:"hitRatios"`
+}
+
+// TestSoakGolden pins the values the chaos soak replays, not only their
+// agreement across variants: every variant's per-checkpoint hit ratios for
+// TestChaosSoak's full configuration, byte-compared against the checked-in
+// golden. Refresh with UPDATE_GOLDENS=1 go test ./internal/faults -run
+// TestSoakGolden.
+func TestSoakGolden(t *testing.T) {
+	const schedules = 5
+	var timelines []soakTimeline
+	if _, err := runSoak(chaosSoak(schedules), func(n int, variant string, timeline [][]float64) {
+		timelines = append(timelines, soakTimeline{Schedule: n, Variant: variant, HitRatios: timeline})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(timelines) != 5*schedules {
+		t.Fatalf("recorded %d timelines, want %d", len(timelines), 5*schedules)
+	}
+	got, err := json.MarshalIndent(timelines, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "soak.golden.json")
+	if os.Getenv("UPDATE_GOLDENS") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with UPDATE_GOLDENS=1): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("soak golden drift in %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }

@@ -54,6 +54,16 @@ type SoakReport struct {
 // timelines must be bit-identical; any invariant violation or divergence
 // is an error naming the schedule and checkpoint.
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
+	return runSoak(cfg, nil)
+}
+
+// runSoak is RunSoak with an optional record hook, called with every
+// variant's hit-ratio timeline (per checkpoint, per track, t = 0 included)
+// as it completes; the soak golden test pins those timelines.
+func runSoak(cfg SoakConfig, record func(schedule int, variant string, timeline [][]float64)) (*SoakReport, error) {
+	if record == nil {
+		record = func(int, string, [][]float64) {}
+	}
 	if cfg.NewBase == nil {
 		return nil, fmt.Errorf("faults: NewBase is required")
 	}
@@ -87,10 +97,12 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
 		}
+		record(n, "incremental/1-worker", primary)
 		rebuild, err := replayDynamics(cfg.NewBase, engSeed, tl, dynamics.Rebuild, 4, nil)
 		if err != nil {
 			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
 		}
+		record(n, "rebuild/4-worker", rebuild)
 		if err := sameTimelines("rebuild/4-worker vs primary", rebuild, primary); err != nil {
 			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
 		}
@@ -98,6 +110,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
 		}
+		record(n, "shards=1", single)
 		if err := sameTimelines("shards=1 vs primary", single, primary); err != nil {
 			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
 		}
@@ -105,10 +118,12 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
 		}
+		record(n, fmt.Sprintf("shards=%d 1-worker", shards), multi1)
 		multi4, err := replayShard(cfg.NewBase, engSeed, tl, shards, 4)
 		if err != nil {
 			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
 		}
+		record(n, fmt.Sprintf("shards=%d 4-worker", shards), multi4)
 		if err := sameTimelines(fmt.Sprintf("shards=%d 4-worker vs 1-worker", shards), multi4, multi1); err != nil {
 			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
 		}
