@@ -297,11 +297,7 @@ func runGallery(stdout io.Writer, name string, base experiments.GalleryConfig, j
 		return err
 	}
 	if jsonOut != "" {
-		artifact := struct {
-			Config    experiments.GalleryConfig  `json:"config"`
-			Unsharded *experiments.GalleryResult `json:"unsharded"`
-			Sharded   *experiments.GalleryResult `json:"sharded"`
-		}{cfg, unsharded, sharded}
+		artifact := experiments.GalleryArtifact{Config: cfg, Unsharded: unsharded, Sharded: sharded}
 		buf, err := json.MarshalIndent(artifact, "", "  ")
 		if err != nil {
 			return err

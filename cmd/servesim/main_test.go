@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"trimcaching/internal/experiments"
 )
 
 func TestRunGenerateAndServe(t *testing.T) {
@@ -178,5 +180,33 @@ func TestRunGalleryRegionalFamily(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("regional gallery output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRunGalleryMatchesGoldens is the CLI half of the gallery goldens: for
+// every family, a bare -gallery run (flag defaults only) must write the
+// exact artifact internal/experiments pins in its testdata.
+func TestRunGalleryMatchesGoldens(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range experiments.GalleryNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".json")
+			var out bytes.Buffer
+			if err := run([]string{"-gallery", name, "-gallery-json", path}, &out); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", name+".golden.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("servesim -gallery %s artifact differs from the golden\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
+			}
+		})
 	}
 }

@@ -563,17 +563,11 @@ func (e *Engine) ServerCapacityBytes(m int) int64 { return e.caps[m] }
 // ServersInRegion returns the ascending list of servers whose position the
 // region contains — the failure domain of a correlated regional event.
 func (e *Engine) ServersInRegion(r geom.Region) ([]int, error) {
-	if err := r.Validate(); err != nil {
+	servers, err := e.ins.Topology().ServersIn(r)
+	if err != nil {
 		return nil, fmt.Errorf("dynamics: %w", err)
 	}
-	topo := e.ins.Topology()
-	var list []int
-	for m := 0; m < topo.NumServers(); m++ {
-		if r.Contains(topo.ServerPos(m)) {
-			list = append(list, m)
-		}
-	}
-	return list, nil
+	return servers, nil
 }
 
 // SetRegionDown takes every server in the region out of (or back into)

@@ -17,7 +17,6 @@ import (
 	"trimcaching/internal/dynamics"
 	"trimcaching/internal/geom"
 	"trimcaching/internal/libgen"
-	"trimcaching/internal/mobility"
 	"trimcaching/internal/modellib"
 	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
@@ -197,7 +196,7 @@ func (c GalleryConfig) Validate() error {
 			return fmt.Errorf("gallery: event %d at checkpoint %d outside [1, %d]", e, ev.Checkpoint, checkpoints)
 		}
 		switch ev.Kind {
-		case EventOutage, EventRecovery:
+		case EventOutage, EventRecovery, EventDegrade:
 			if len(ev.Servers) == 0 {
 				return fmt.Errorf("gallery: event %d (%s) names no servers", e, ev.Kind)
 			}
@@ -205,6 +204,9 @@ func (c GalleryConfig) Validate() error {
 				if m < 0 || m >= c.Servers {
 					return fmt.Errorf("gallery: event %d: server %d out of range [0,%d)", e, m, c.Servers)
 				}
+			}
+			if ev.Kind == EventDegrade && ev.CapacityBytes == 0 {
+				return fmt.Errorf("gallery: event %d (degrade) names no budget; use > 0 to shrink or < 0 to restore", e)
 			}
 		case EventDemand:
 			if ev.HotModel < -1 || ev.HotModel >= c.Models {
@@ -221,18 +223,6 @@ func (c GalleryConfig) Validate() error {
 				return fmt.Errorf("gallery: event %d grows by %d models", e, ev.Models)
 			}
 			grown += ev.Models
-		case EventDegrade:
-			if len(ev.Servers) == 0 {
-				return fmt.Errorf("gallery: event %d (%s) names no servers", e, ev.Kind)
-			}
-			for _, m := range ev.Servers {
-				if m < 0 || m >= c.Servers {
-					return fmt.Errorf("gallery: event %d: server %d out of range [0,%d)", e, m, c.Servers)
-				}
-			}
-			if ev.CapacityBytes == 0 {
-				return fmt.Errorf("gallery: event %d (degrade) names no budget; use > 0 to shrink or < 0 to restore", e)
-			}
 		case EventRegional:
 			if ev.Region == nil {
 				return fmt.Errorf("gallery: event %d (regional) names no region", e)
@@ -372,6 +362,15 @@ type GalleryResult struct {
 	Grows    int `json:"grows,omitempty"`
 }
 
+// GalleryArtifact is one scenario's gallery artifact: the configuration and
+// the timelines through both engines. It is the shape of the checked-in
+// goldens and of servesim's -gallery-json output.
+type GalleryArtifact struct {
+	Config    GalleryConfig  `json:"config"`
+	Unsharded *GalleryResult `json:"unsharded"`
+	Sharded   *GalleryResult `json:"sharded"`
+}
+
 // galleryFoundationParams sizes the shared foundation model (1B parameters,
 // 2 GB at fp16), as in the shard benchmark deployment.
 const galleryFoundationParams = 1_000_000_000
@@ -389,24 +388,40 @@ func gallerySideM(servers int) float64 {
 	return 1000 * math.Sqrt(float64(servers)/10)
 }
 
-// gallerySetup is the state shared by both gallery legs: the master
-// library and workload (Models+ReserveModels wide), the fixed topology
-// draw, and the wireless/placement configuration.
-type gallerySetup struct {
+// gallery is one gallery leg: the deployment — the master library and
+// workload (Models+ReserveModels wide), the fixed topology draw, and the
+// wireless/placement configuration — plus the library state its demand and
+// grow events mutate. Targets never hold this state: replay hands it to
+// them through ReviseUserMass and GrowLibrary.
+type gallery struct {
 	cfg    GalleryConfig
-	itot   int
 	lib    *modellib.Library
 	topo   *topology.Topology
 	w      wireless.Config
 	master *workload.Workload
 	caps   []int64
 	tracks []dynamics.Track
+
+	active int                // active library width: a prefix of the master
+	work   *workload.Workload // the live instance's workload, aliasing rows
+	users  []int              // every user id: a demand wave revises them all
+
+	// The demand blend: every live probability row is its master prefix
+	// blended by weight toward a target profile (all mass on model hot, or
+	// the row reversed when hot is -1) and scaled by mass. Blended rows are
+	// written into ping-ponged arenas, so a revision always rebinds to fresh
+	// memory: consumers holding the previous rows (aliased cell slot tables
+	// in the sharded leg) keep reading stable values until their own revise.
+	hot          int
+	weight, mass float64
+	arenas       [2][]float64
+	flip         int
 }
 
-// newGallerySetup validates cfg and draws the deployment. The topology and
+// newGallery validates cfg and draws the deployment. The topology and
 // master workload come from the same "instance" sub-streams Generate uses,
 // so the draw is stable in (config, seed) alone.
-func newGallerySetup(cfg GalleryConfig) (*gallerySetup, error) {
+func newGallery(cfg GalleryConfig) (*gallery, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -434,10 +449,9 @@ func newGallerySetup(cfg GalleryConfig) (*gallerySetup, error) {
 	wl := workload.DefaultConfig()
 	wl.DeadlineMinS, wl.DeadlineMaxS = 60, 180
 	wl.InferMinS, wl.InferMaxS = 1, 5
-	side := gallerySideM(cfg.Servers)
 	src := rng.New(cfg.Seed).Split("instance")
 	topo, err := topology.Generate(topology.Config{
-		AreaSideM:       side,
+		AreaSideM:       gallerySideM(cfg.Servers),
 		NumServers:      cfg.Servers,
 		NumUsers:        cfg.Users,
 		CoverageRadiusM: w.CoverageRadiusM,
@@ -450,9 +464,8 @@ func newGallerySetup(cfg GalleryConfig) (*gallerySetup, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gallery: %w", err)
 	}
-	return &gallerySetup{
+	g := &gallery{
 		cfg:    cfg,
-		itot:   itot,
 		lib:    lib,
 		topo:   topo,
 		w:      w,
@@ -462,108 +475,101 @@ func newGallerySetup(cfg GalleryConfig) (*gallerySetup, error) {
 			Algorithm: placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
 			Trigger:   dynamics.ThresholdTrigger{Degradation: 0.05},
 		}},
-	}, nil
+		active: cfg.Models,
+		users:  make([]int, cfg.Users),
+		mass:   1,
+	}
+	for k := range g.users {
+		g.users[k] = k
+	}
+	return g, nil
 }
 
-// activeInstance assembles an instance over the first active models of the
-// master library, with an aliased workload whose rows are prefixes of the
-// master rows — growing the library is then a pure prefix extension, and
-// the shared foundation blocks keep their identity across grows.
-func (s *gallerySetup) activeInstance(topo *topology.Topology, active int, coordinator bool) (*scenario.Instance, *workload.Workload, error) {
-	ids := make([]int, active)
+// instance is the leg's InstanceBuilder: an instance over the active
+// library prefix at the given user positions, with an aliased workload
+// whose rows are prefixes of the master rows — growing the library is then
+// a pure prefix extension, and the shared foundation blocks keep their
+// identity across grows. The new workload becomes the live one and takes
+// the current demand blend.
+func (g *gallery) instance(positions []geom.Point, coordinator bool) (*scenario.Instance, error) {
+	ids := make([]int, g.active)
 	for i := range ids {
 		ids[i] = i
 	}
-	alib, err := libgen.Subset(s.lib, ids)
+	alib, err := libgen.Subset(g.lib, ids)
 	if err != nil {
-		return nil, nil, fmt.Errorf("gallery: %w", err)
+		return nil, fmt.Errorf("gallery: %w", err)
 	}
-	awork, err := workload.NewAliased(s.cfg.Users, active)
+	work, err := workload.NewAliased(g.cfg.Users, g.active)
 	if err != nil {
-		return nil, nil, fmt.Errorf("gallery: %w", err)
+		return nil, fmt.Errorf("gallery: %w", err)
 	}
-	for k := 0; k < s.cfg.Users; k++ {
-		if err := awork.SetUserRows(k, s.master.ProbRow(k)[:active], s.master.DeadlineRow(k)[:active], s.master.InferRow(k)[:active]); err != nil {
-			return nil, nil, fmt.Errorf("gallery: %w", err)
+	for k := 0; k < g.cfg.Users; k++ {
+		if err := work.SetUserRows(k, g.master.ProbRow(k)[:g.active], g.master.DeadlineRow(k)[:g.active], g.master.InferRow(k)[:g.active]); err != nil {
+			return nil, fmt.Errorf("gallery: %w", err)
 		}
+	}
+	topo, err := g.topo.WithUserPositions(positions)
+	if err != nil {
+		return nil, fmt.Errorf("gallery: %w", err)
 	}
 	var ins *scenario.Instance
 	if coordinator {
-		ins, err = scenario.NewCoordinator(topo, alib, awork, s.w)
+		ins, err = scenario.NewCoordinator(topo, alib, work, g.w)
 	} else {
-		ins, err = scenario.New(topo, alib, awork, s.w)
+		ins, err = scenario.New(topo, alib, work, g.w)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("gallery: %w", err)
+		return nil, fmt.Errorf("gallery: %w", err)
 	}
-	return ins, awork, nil
+	g.work = work
+	return ins, g.applyDemand()
 }
 
-// demandState is the current demand blend: every user's live probability
-// row is base (the master prefix) blended toward a target profile and
-// scaled. Rows are written into ping-ponged arenas so a demand revision
-// always rebinds to fresh memory — consumers holding the previous rows
-// (aliased cell slot tables in the sharded leg) keep reading stable values
-// until their own revise rebinding.
-type demandState struct {
-	itot   int
-	master *workload.Workload
-	hot    int
-	weight float64
-	mass   float64
-	arenas [2][]float64
-	flip   int
-}
-
-func newDemandState(master *workload.Workload, itot int) *demandState {
-	return &demandState{itot: itot, master: master, mass: 1}
-}
-
-// set records a demand event's blend parameters.
-func (d *demandState) set(ev Event) {
-	d.hot, d.weight, d.mass = ev.HotModel, ev.Weight, ev.MassScale
-	if d.mass == 0 {
-		d.mass = 1
+// setDemand records a demand event's blend and rebinds the live rows to it.
+func (g *gallery) setDemand(ev Event) error {
+	g.hot, g.weight, g.mass = ev.HotModel, ev.Weight, ev.MassScale
+	if g.mass == 0 {
+		g.mass = 1
 	}
+	return g.applyDemand()
 }
 
-// active reports whether the live rows differ from the base profile.
-func (d *demandState) active() bool { return d.weight != 0 || d.mass != 1 }
-
-// apply rebinds every user's probability row in work to the current blend
-// at the given active library width. With no blend in effect the rows go
-// back to the master prefixes.
-func (d *demandState) apply(work *workload.Workload, active int) error {
-	K := work.NumUsers()
-	if !d.active() {
+// applyDemand rebinds every user's probability row in the live workload to
+// the current blend at the active library width. With no blend in effect
+// the rows go back to the master prefixes.
+func (g *gallery) applyDemand() error {
+	K, active := g.cfg.Users, g.active
+	if g.weight == 0 && g.mass == 1 {
 		for k := 0; k < K; k++ {
-			if err := work.SetUserProbRow(k, d.master.ProbRow(k)[:active]); err != nil {
+			if err := g.work.SetUserProbRow(k, g.master.ProbRow(k)[:active]); err != nil {
 				return fmt.Errorf("gallery: %w", err)
 			}
 		}
 		return nil
 	}
-	if d.arenas[d.flip] == nil {
-		d.arenas[d.flip] = make([]float64, K*d.itot)
+	itot := g.master.NumModels()
+	if g.arenas[g.flip] == nil {
+		g.arenas[g.flip] = make([]float64, K*itot)
 	}
-	arena := d.arenas[d.flip]
-	d.flip ^= 1
+	arena := g.arenas[g.flip]
+	g.flip ^= 1
 	for k := 0; k < K; k++ {
-		base := d.master.ProbRow(k)
-		row := arena[k*d.itot : k*d.itot+active]
+		base := g.master.ProbRow(k)
+		row := arena[k*itot : k*itot+active]
 		for i := 0; i < active; i++ {
 			target := 0.0
 			switch {
-			case d.hot >= 0:
-				if i == d.hot {
+			case g.hot >= 0:
+				if i == g.hot {
 					target = 1
 				}
 			default:
 				target = base[active-1-i]
 			}
-			row[i] = d.mass * ((1-d.weight)*base[i] + d.weight*target)
+			row[i] = g.mass * ((1-g.weight)*base[i] + g.weight*target)
 		}
-		if err := work.SetUserProbRow(k, row); err != nil {
+		if err := g.work.SetUserProbRow(k, row); err != nil {
 			return fmt.Errorf("gallery: %w", err)
 		}
 	}
@@ -602,391 +608,102 @@ func eventLabel(ev Event, active int) string {
 	}
 }
 
-// finishGallery computes the recovery latency and trims the result.
-func finishGallery(res *GalleryResult, cfg GalleryConfig, recoveryCp int) {
-	res.RecoveryCheckpoints = -1
-	if recoveryCp < 0 || res.PreOutageHit <= 0 {
-		return
+// RunGallery runs one gallery scenario through the unsharded dynamics
+// engine, driven as a DynamicsTarget: the target owns the walk so events
+// land at checkpoint boundaries, demand revisions flow through
+// ApplyExternal's mass-only path, and library grows rebuild the engine over
+// the widened instance at the current positions.
+func RunGallery(cfg GalleryConfig) (*GalleryResult, error) { return runGallery(cfg, false) }
+
+// RunGallerySharded runs the same gallery scenario through the sharded
+// engine, driven as a ShardTarget over a coordinator instance: outages and
+// budgets map onto the owning cells, demand revisions queue through
+// ReviseUserMass, and library grows rebuild every cell (GrowLibrary).
+func RunGallerySharded(cfg GalleryConfig) (*GalleryResult, error) { return runGallery(cfg, true) }
+
+// runGallery builds one leg's t = 0 instance and engine, replays the
+// timeline through it, and annotates the steps: event labels, forced
+// re-solves (every event but a demand wave forces one; see dispatch), the
+// pre-fault hit ratio, and the recovery latency.
+func runGallery(cfg GalleryConfig, sharded bool) (*GalleryResult, error) {
+	g, err := newGallery(cfg)
+	if err != nil {
+		return nil, err
 	}
-	target := cfg.RecoveryFrac * res.PreOutageHit
+	ins, err := g.instance(g.topo.UserPositions(), sharded)
+	if err != nil {
+		return nil, err
+	}
+	dcfg := dynamics.Config{
+		Instance:      ins,
+		Capacities:    g.caps,
+		Tracks:        g.tracks,
+		DurationMin:   g.cfg.DurationMin,
+		CheckpointMin: g.cfg.CheckpointMin,
+		SlotS:         g.cfg.SlotS,
+		Realizations:  g.cfg.Realizations,
+		Workers:       g.cfg.Workers,
+		Mode:          g.cfg.Mode,
+	}
+	var t Target
+	var se *shard.Engine
+	if sharded {
+		scfg, err := shard.FromDynamics(dcfg, g.cfg.Shards)
+		if err != nil {
+			return nil, err
+		}
+		scfg.Workers = g.cfg.Workers
+		if se, err = shard.NewEngine(scfg, rng.New(g.cfg.Seed)); err != nil {
+			return nil, err
+		}
+		t = ShardTarget{se}
+	} else if t, err = NewDynamicsTarget(dcfg, rng.New(g.cfg.Seed)); err != nil {
+		return nil, err
+	}
+	steps, err := replay(t, g.cfg.Timeline, g.topo, g)
+	if err != nil {
+		return nil, err
+	}
+	res := &GalleryResult{
+		Scenario:            g.cfg.Name,
+		Sharded:             sharded,
+		Steps:               make([]GalleryStep, 0, len(steps)),
+		Replacements:        t.Replacements(0),
+		FinalModels:         g.active,
+		RecoveryCheckpoints: -1,
+	}
+	if se != nil {
+		res.Handoffs, res.Grows = se.Handoffs(), se.Grows()
+	}
+	active, recoveryCp := g.cfg.Models, -1
+	for cp, st := range steps {
+		gs := GalleryStep{TimeMin: st.TimeMin, HitRatio: st.HitRatio[0], Replaced: st.Replaced[0]}
+		for _, ev := range g.cfg.Timeline.at(cp) {
+			if ev.Kind == EventGrow {
+				active += ev.Models
+			}
+			gs.Events = append(gs.Events, eventLabel(ev, active))
+			gs.Replaced = gs.Replaced || ev.Kind != EventDemand
+			// Recoveries and restores give capacity back; every other
+			// non-demand, non-grow event is a fault.
+			switch {
+			case ev.Kind == EventRecovery || ev.CapacityBytes < 0 && (ev.Kind == EventDegrade || ev.Kind == EventRegional):
+				recoveryCp = cp
+			case ev.Kind != EventDemand && ev.Kind != EventGrow && res.PreOutageHit == 0:
+				res.PreOutageHit = res.Steps[cp-1].HitRatio
+			}
+		}
+		res.Steps = append(res.Steps, gs)
+	}
+	if recoveryCp < 0 || res.PreOutageHit <= 0 {
+		return res, nil
+	}
+	target := g.cfg.RecoveryFrac * res.PreOutageHit
 	for cp := recoveryCp; cp < len(res.Steps); cp++ {
 		if res.Steps[cp].HitRatio >= target {
 			res.RecoveryCheckpoints = cp - recoveryCp
-			return
+			break
 		}
 	}
-}
-
-// RunGallery runs one gallery scenario through the unsharded dynamics
-// engine. The driver owns the mobility population (the engine runs in
-// ExternalMobility mode, exactly as the shard layer drives its cells) so
-// that scenario events can be injected at checkpoint boundaries: outages
-// and recoveries thread SetServersDown deltas through the evaluator and
-// force a Replace, demand revisions rebind probability rows and flow
-// through ApplyExternal's mass-only path, and library grows rebuild the
-// engine over the widened instance at the current user positions — with
-// the current down set re-applied first, so the grown t = 0 solve is over
-// the reduced server set too.
-func RunGallery(cfg GalleryConfig) (*GalleryResult, error) {
-	s, err := newGallerySetup(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = s.cfg // defaults filled
-	root := rng.New(cfg.Seed)
-	active := cfg.Models
-	ins, awork, err := s.activeInstance(s.topo, active, false)
-	if err != nil {
-		return nil, err
-	}
-	// liveCaps tracks per-server live storage budgets across degrade and
-	// regional events. It doubles as the engine's Capacities (copied at
-	// construction), so a grow-rebuilt engine solves its t = 0 placement
-	// over the degraded budgets while BaselineCapacities keeps the pristine
-	// restore targets — mirroring the shard layer's cell rebuild.
-	liveCaps := append([]int64(nil), s.caps...)
-	dcfg := dynamics.Config{
-		Instance:           ins,
-		Capacities:         liveCaps,
-		BaselineCapacities: s.caps,
-		Tracks:             s.tracks,
-		DurationMin:        cfg.DurationMin,
-		CheckpointMin:      cfg.CheckpointMin,
-		SlotS:              cfg.SlotS,
-		Realizations:       cfg.Realizations,
-		Workers:            cfg.Workers,
-		Mode:               cfg.Mode,
-		ExternalMobility:   true,
-	}
-	eng, err := dynamics.NewEngine(dcfg, root)
-	if err != nil {
-		return nil, err
-	}
-	pop, err := mobility.NewPopulation(s.topo.Area(), s.topo.UserPositions(), root.Split("mobility"))
-	if err != nil {
-		return nil, err
-	}
-	walkSrc := root.Split("walk")
-	K := cfg.Users
-	allUsers := make([]int, K)
-	for k := range allUsers {
-		allUsers[k] = k
-	}
-	positions := make([]geom.Point, K)
-	pop.PositionsInto(positions)
-	demand := newDemandState(s.master, s.itot)
-	var currentDown []int
-
-	checkpoints := cfg.DurationMin / cfg.CheckpointMin
-	slots := int(float64(cfg.CheckpointMin*60)/cfg.SlotS + 0.5)
-	res := &GalleryResult{Scenario: cfg.Name, Steps: make([]GalleryStep, 0, checkpoints+1)}
-	res.Steps = append(res.Steps, GalleryStep{TimeMin: 0, HitRatio: eng.Baseline(0)})
-	replacements := 0
-	recoveryCp := -1
-
-	for cp := 1; cp <= checkpoints; cp++ {
-		var labels []string
-		var massRev []int
-		forced := false
-		for _, ev := range cfg.Timeline.at(cp) {
-			switch ev.Kind {
-			case EventOutage, EventRecovery:
-				down := ev.Kind == EventOutage
-				if down && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if !down {
-					recoveryCp = cp
-				}
-				if err := eng.SetServersDown(ev.Servers, down); err != nil {
-					return nil, err
-				}
-				currentDown = eng.Instance().DownServers()
-				if _, err := eng.Replace(0, cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			case EventDemand:
-				demand.set(ev)
-				if err := demand.apply(awork, active); err != nil {
-					return nil, err
-				}
-				massRev = allUsers
-			case EventGrow:
-				active += ev.Models
-				topoNow, err := s.topo.WithUserPositions(positions)
-				if err != nil {
-					return nil, err
-				}
-				grown, gwork, err := s.activeInstance(topoNow, active, false)
-				if err != nil {
-					return nil, err
-				}
-				if err := demand.apply(gwork, active); err != nil {
-					return nil, err
-				}
-				if len(currentDown) > 0 {
-					if _, err := grown.SetServersDown(currentDown, true); err != nil {
-						return nil, err
-					}
-				}
-				// Re-apply live degradations so the grown t = 0 solve is over
-				// the reduced budgets too (capacities are bits at the
-				// scenario seam, bytes everywhere above).
-				for m, b := range liveCaps {
-					if b != s.caps[m] {
-						if _, err := grown.SetServerCapacity(m, 8*b); err != nil {
-							return nil, err
-						}
-					}
-				}
-				replacements += eng.Replacements(0) + 1
-				dcfg.Instance = grown
-				eng, err = dynamics.NewEngine(dcfg, root.SplitIndex("grow", cp))
-				if err != nil {
-					return nil, err
-				}
-				awork = gwork
-				forced = true
-			case EventDegrade:
-				if ev.CapacityBytes > 0 && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if ev.CapacityBytes < 0 {
-					recoveryCp = cp
-				}
-				for _, m := range ev.Servers {
-					if err := eng.SetServerCapacity(m, ev.CapacityBytes); err != nil {
-						return nil, err
-					}
-					liveCaps[m] = eng.ServerCapacityBytes(m)
-				}
-				if _, err := eng.Replace(0, cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			case EventRegional:
-				servers, err := eng.ServersInRegion(*ev.Region)
-				if err != nil {
-					return nil, err
-				}
-				if ev.CapacityBytes >= 0 && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if ev.CapacityBytes < 0 {
-					recoveryCp = cp
-				}
-				switch {
-				case ev.CapacityBytes == 0:
-					if err := eng.SetServersDown(servers, true); err != nil {
-						return nil, err
-					}
-				case ev.CapacityBytes < 0:
-					if err := eng.SetServersDown(servers, false); err != nil {
-						return nil, err
-					}
-					for _, m := range servers {
-						if err := eng.SetServerCapacity(m, -1); err != nil {
-							return nil, err
-						}
-						liveCaps[m] = eng.ServerCapacityBytes(m)
-					}
-				default:
-					for _, m := range servers {
-						if err := eng.SetServerCapacity(m, ev.CapacityBytes); err != nil {
-							return nil, err
-						}
-						liveCaps[m] = ev.CapacityBytes
-					}
-				}
-				currentDown = eng.Instance().DownServers()
-				if _, err := eng.Replace(0, cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			}
-			labels = append(labels, eventLabel(ev, active))
-		}
-		for sl := 0; sl < slots; sl++ {
-			if err := pop.Step(cfg.SlotS, walkSrc); err != nil {
-				return nil, err
-			}
-		}
-		pop.PositionsInto(positions)
-		if err := eng.ApplyExternal(nil, massRev, allUsers, positions); err != nil {
-			return nil, err
-		}
-		st, err := eng.Step(cp)
-		if err != nil {
-			return nil, err
-		}
-		res.Steps = append(res.Steps, GalleryStep{
-			TimeMin:  st.TimeMin,
-			HitRatio: st.HitRatio[0],
-			Replaced: st.Replaced[0] || forced,
-			Events:   labels,
-		})
-	}
-	res.Replacements = replacements + eng.Replacements(0)
-	res.FinalModels = active
-	finishGallery(res, cfg, recoveryCp)
-	return res, nil
-}
-
-// RunGallerySharded runs the same gallery scenario through the sharded
-// engine: the global instance is a coordinator over the active library
-// prefix, outages map onto cell-local SetServersDown with a forced
-// all-cell replace, demand revisions swap global rows and queue through
-// ReviseUserMass, and library grows hand the engine a widened coordinator
-// instance (GrowLibrary) rebuilt at the engine's current positions.
-func RunGallerySharded(cfg GalleryConfig) (*GalleryResult, error) {
-	s, err := newGallerySetup(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = s.cfg
-	active := cfg.Models
-	ins, awork, err := s.activeInstance(s.topo, active, true)
-	if err != nil {
-		return nil, err
-	}
-	scfg := shard.Config{
-		Instance:      ins,
-		Capacities:    s.caps,
-		Tracks:        s.tracks,
-		DurationMin:   cfg.DurationMin,
-		CheckpointMin: cfg.CheckpointMin,
-		SlotS:         cfg.SlotS,
-		Realizations:  cfg.Realizations,
-		Mode:          cfg.Mode,
-		Shards:        cfg.Shards,
-		Workers:       cfg.Workers,
-	}
-	se, err := shard.NewEngine(scfg, rng.New(cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	K := cfg.Users
-	allUsers := make([]int, K)
-	for k := range allUsers {
-		allUsers[k] = k
-	}
-	demand := newDemandState(s.master, s.itot)
-
-	checkpoints := cfg.DurationMin / cfg.CheckpointMin
-	res := &GalleryResult{Scenario: cfg.Name, Sharded: true, Steps: make([]GalleryStep, 0, checkpoints+1)}
-	step0 := se.InitialStep()
-	res.Steps = append(res.Steps, GalleryStep{TimeMin: 0, HitRatio: step0.HitRatio[0]})
-	recoveryCp := -1
-
-	for cp := 1; cp <= checkpoints; cp++ {
-		var labels []string
-		forced := false
-		for _, ev := range cfg.Timeline.at(cp) {
-			switch ev.Kind {
-			case EventOutage, EventRecovery:
-				down := ev.Kind == EventOutage
-				if down && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if !down {
-					recoveryCp = cp
-				}
-				if err := se.SetServersDown(ev.Servers, down); err != nil {
-					return nil, err
-				}
-				if err := se.ForceReplace(cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			case EventDemand:
-				demand.set(ev)
-				if err := demand.apply(awork, active); err != nil {
-					return nil, err
-				}
-				if err := se.ReviseUserMass(allUsers); err != nil {
-					return nil, err
-				}
-			case EventGrow:
-				active += ev.Models
-				topoNow, err := s.topo.WithUserPositions(se.Positions())
-				if err != nil {
-					return nil, err
-				}
-				grown, gwork, err := s.activeInstance(topoNow, active, true)
-				if err != nil {
-					return nil, err
-				}
-				if err := demand.apply(gwork, active); err != nil {
-					return nil, err
-				}
-				if err := se.GrowLibrary(grown); err != nil {
-					return nil, err
-				}
-				awork = gwork
-				forced = true
-			case EventDegrade:
-				if ev.CapacityBytes > 0 && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if ev.CapacityBytes < 0 {
-					recoveryCp = cp
-				}
-				for _, m := range ev.Servers {
-					if err := se.SetServerCapacity(m, ev.CapacityBytes); err != nil {
-						return nil, err
-					}
-				}
-				if err := se.ForceReplace(cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			case EventRegional:
-				if ev.CapacityBytes >= 0 && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if ev.CapacityBytes < 0 {
-					recoveryCp = cp
-				}
-				switch {
-				case ev.CapacityBytes == 0:
-					if err := se.SetRegionDown(*ev.Region, true); err != nil {
-						return nil, err
-					}
-				case ev.CapacityBytes < 0:
-					if err := se.SetRegionDown(*ev.Region, false); err != nil {
-						return nil, err
-					}
-					if err := se.DegradeRegion(*ev.Region, -1); err != nil {
-						return nil, err
-					}
-				default:
-					if err := se.DegradeRegion(*ev.Region, ev.CapacityBytes); err != nil {
-						return nil, err
-					}
-				}
-				if err := se.ForceReplace(cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			}
-			labels = append(labels, eventLabel(ev, active))
-		}
-		st, err := se.Checkpoint(cp)
-		if err != nil {
-			return nil, err
-		}
-		res.Steps = append(res.Steps, GalleryStep{
-			TimeMin:  st.TimeMin,
-			HitRatio: st.HitRatio[0],
-			Replaced: st.Replaced[0] || forced,
-			Events:   labels,
-		})
-	}
-	res.Replacements = se.Replacements(0)
-	res.FinalModels = active
-	res.Handoffs = se.Handoffs()
-	res.Grows = se.Grows()
-	finishGallery(res, cfg, recoveryCp)
 	return res, nil
 }

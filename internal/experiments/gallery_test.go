@@ -10,15 +10,6 @@ import (
 	"trimcaching/internal/dynamics"
 )
 
-// galleryGolden is the checked-in artifact for one scenario: the full
-// timeline through both engines. Byte-compared against testdata; refresh
-// with UPDATE_GOLDENS=1 go test ./internal/experiments -run TestGalleryGoldens.
-type galleryGolden struct {
-	Config    GalleryConfig  `json:"config"`
-	Unsharded *GalleryResult `json:"unsharded"`
-	Sharded   *GalleryResult `json:"sharded"`
-}
-
 func runGalleryPair(t *testing.T, cfg GalleryConfig) (*GalleryResult, *GalleryResult) {
 	t.Helper()
 	un, err := RunGallery(cfg)
@@ -34,8 +25,9 @@ func runGalleryPair(t *testing.T, cfg GalleryConfig) (*GalleryResult, *GalleryRe
 
 // TestGalleryGoldens runs every built-in scenario through both engines at
 // the reduced scale and pins the complete timelines — hit ratios to the
-// last bit, event placement, replacement counts, recovery latency —
-// against the checked-in goldens.
+// last bit, event placement, replacement counts, recovery latency — as a
+// GalleryArtifact byte-compared against the checked-in goldens. Refresh
+// with UPDATE_GOLDENS=1 go test ./internal/experiments -run TestGalleryGoldens.
 func TestGalleryGoldens(t *testing.T) {
 	for _, name := range GalleryNames() {
 		name := name
@@ -48,7 +40,7 @@ func TestGalleryGoldens(t *testing.T) {
 			assertGalleryShape(t, cfg, un)
 			assertGalleryShape(t, cfg, sh)
 
-			got, err := json.MarshalIndent(galleryGolden{Config: cfg, Unsharded: un, Sharded: sh}, "", "  ")
+			got, err := json.MarshalIndent(GalleryArtifact{Config: cfg, Unsharded: un, Sharded: sh}, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -166,6 +166,25 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
+// TestSoakRejectsCheckpointMismatch pins the process/deployment contract:
+// a fault process spanning more checkpoints than the base timeline draws
+// events no replay reaches, and one spanning fewer leaves the timeline's
+// tail fault-free, so RunSoak refuses both instead of miscounting.
+func TestSoakRejectsCheckpointMismatch(t *testing.T) {
+	for _, checkpoints := range []int{16, 2} {
+		_, err := RunSoak(SoakConfig{
+			NewBase:   soakBase(4),
+			Process:   testProcess(checkpoints),
+			Schedules: 2,
+			Shards:    2,
+			Seed:      9,
+		})
+		if err == nil {
+			t.Errorf("a %d-checkpoint process over a 4-checkpoint deployment was accepted", checkpoints)
+		}
+	}
+}
+
 // TestSoakDeterministic pins the soak itself: two runs of the same config
 // produce the identical report.
 func TestSoakDeterministic(t *testing.T) {
@@ -204,8 +223,12 @@ type soakTimeline struct {
 func TestSoakGolden(t *testing.T) {
 	const schedules = 5
 	var timelines []soakTimeline
-	if _, err := runSoak(chaosSoak(schedules), func(n int, variant string, timeline [][]float64) {
-		timelines = append(timelines, soakTimeline{Schedule: n, Variant: variant, HitRatios: timeline})
+	if _, err := runSoak(chaosSoak(schedules), func(n int, variant string, steps []dynamics.Step) {
+		hits := make([][]float64, len(steps))
+		for cp, st := range steps {
+			hits[cp] = st.HitRatio
+		}
+		timelines = append(timelines, soakTimeline{Schedule: n, Variant: variant, HitRatios: hits})
 	}); err != nil {
 		t.Fatal(err)
 	}

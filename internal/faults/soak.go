@@ -1,8 +1,9 @@
 // This file is the chaos soak: randomized fault schedules replayed through
-// the unsharded engine (where per-checkpoint engine invariants are
-// asserted) and cross-checked bit-identical against a Rebuild-mode /
-// multi-worker replica, the Shards = 1 sharded engine, and a multi-cell
-// sharded engine at two worker counts.
+// the gallery's experiments.Replay loop on the unsharded engine (where
+// per-checkpoint engine invariants are asserted) and cross-checked
+// bit-identical against a Rebuild-mode / multi-worker replica, the
+// Shards = 1 sharded engine, and a multi-cell sharded engine at two worker
+// counts.
 package faults
 
 import (
@@ -20,7 +21,8 @@ type SoakConfig struct {
 	// NewBase builds a fresh base deployment per engine replay. A factory
 	// rather than a value: every replay mutates its instance through fault
 	// events, so replays must not share one. The returned config's
-	// DurationMin / CheckpointMin must match Process.Checkpoints.
+	// DurationMin / CheckpointMin must equal Process.Checkpoints; RunSoak
+	// rejects a mismatch.
 	NewBase func() (dynamics.Config, error)
 	// Process is the fault process every schedule is drawn from.
 	Process Config
@@ -47,34 +49,62 @@ type SoakReport struct {
 	CheckedCheckpoints int `json:"checkedCheckpoints"`
 }
 
+// soakVariant is one engine configuration every schedule replays through:
+// the unsharded engine in mode when shards is 0, else a shards-cell engine
+// in the base's mode. same indexes the variant it must match, or is -1;
+// check, set on the primary, receives its per-checkpoint invariant checks.
+type soakVariant struct {
+	label                 string
+	shards, workers, same int
+	mode                  dynamics.Mode
+	check                 *SoakReport
+}
+
 // RunSoak draws Schedules fault schedules and replays each through five
 // engines: the invariant-checked primary (Incremental, one worker), a
 // Rebuild-mode four-worker replica, the Shards = 1 sharded engine, and a
-// multi-cell sharded engine at one and four workers. All five hit-ratio
-// timelines must be bit-identical; any invariant violation or divergence
-// is an error naming the schedule and checkpoint.
+// multi-cell sharded engine at one and four workers. Every replay runs
+// through experiments.Replay, with one forced re-place per fault event. The
+// first three timelines must be bit-identical, and so must the two
+// multi-cell ones; any invariant violation or divergence is an error naming
+// the schedule and checkpoint.
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	return runSoak(cfg, nil)
 }
 
 // runSoak is RunSoak with an optional record hook, called with every
-// variant's hit-ratio timeline (per checkpoint, per track, t = 0 included)
-// as it completes; the soak golden test pins those timelines.
-func runSoak(cfg SoakConfig, record func(schedule int, variant string, timeline [][]float64)) (*SoakReport, error) {
-	if record == nil {
-		record = func(int, string, [][]float64) {}
-	}
+// variant's steps (t = 0 included) as they complete; the soak golden test
+// pins their hit ratios.
+func runSoak(cfg SoakConfig, record func(schedule int, variant string, steps []dynamics.Step)) (*SoakReport, error) {
 	if cfg.NewBase == nil {
 		return nil, fmt.Errorf("faults: NewBase is required")
 	}
 	if cfg.Schedules <= 0 {
 		return nil, fmt.Errorf("faults: Schedules must be positive, got %d", cfg.Schedules)
 	}
+	// A process spanning more checkpoints than the deployment would draw
+	// events no replay reaches (and count them); fewer would leave the
+	// tail of every timeline fault-free.
+	base, err := cfg.NewBase()
+	if err != nil {
+		return nil, err
+	}
+	if base.CheckpointMin <= 0 || base.DurationMin/base.CheckpointMin != cfg.Process.Checkpoints {
+		return nil, fmt.Errorf("faults: Process.Checkpoints = %d does not match the base timeline of %d/%d min",
+			cfg.Process.Checkpoints, base.DurationMin, base.CheckpointMin)
+	}
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = 2
 	}
 	rep := &SoakReport{Schedules: cfg.Schedules}
+	variants := []soakVariant{
+		{label: "incremental/1-worker", workers: 1, same: -1, mode: dynamics.Incremental, check: rep},
+		{label: "rebuild/4-worker", workers: 4, same: 0, mode: dynamics.Rebuild},
+		{label: "shards=1", shards: 1, workers: 1, same: 0},
+		{label: fmt.Sprintf("shards=%d 1-worker", shards), shards: shards, workers: 1, same: -1},
+		{label: fmt.Sprintf("shards=%d 4-worker", shards), shards: shards, workers: 4, same: 3},
+	}
 	for n := 0; n < cfg.Schedules; n++ {
 		src := rng.New(cfg.Seed).SplitIndex("schedule", n)
 		tl, err := Schedule(cfg.Process, src.Split("process"))
@@ -92,232 +122,121 @@ func runSoak(cfg SoakConfig, record func(schedule int, variant string, timeline 
 			}
 		}
 		engSeed := src.Split("engine").Uint64()
-
-		primary, err := replayDynamics(cfg.NewBase, engSeed, tl, dynamics.Incremental, 1, rep)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		record(n, "incremental/1-worker", primary)
-		rebuild, err := replayDynamics(cfg.NewBase, engSeed, tl, dynamics.Rebuild, 4, nil)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		record(n, "rebuild/4-worker", rebuild)
-		if err := sameTimelines("rebuild/4-worker vs primary", rebuild, primary); err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		single, err := replayShard(cfg.NewBase, engSeed, tl, 1, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		record(n, "shards=1", single)
-		if err := sameTimelines("shards=1 vs primary", single, primary); err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		multi1, err := replayShard(cfg.NewBase, engSeed, tl, shards, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		record(n, fmt.Sprintf("shards=%d 1-worker", shards), multi1)
-		multi4, err := replayShard(cfg.NewBase, engSeed, tl, shards, 4)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		record(n, fmt.Sprintf("shards=%d 4-worker", shards), multi4)
-		if err := sameTimelines(fmt.Sprintf("shards=%d 4-worker vs 1-worker", shards), multi4, multi1); err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
+		timelines := make([][]dynamics.Step, len(variants))
+		for i, v := range variants {
+			steps, err := v.replay(cfg.NewBase, engSeed, tl)
+			if err != nil {
+				return nil, fmt.Errorf("faults: schedule %d: %s: %w", n, v.label, err)
+			}
+			if record != nil {
+				record(n, v.label, steps)
+			}
+			timelines[i] = steps
+			if v.same < 0 {
+				continue
+			}
+			if err := sameTimelines(v.label+" vs "+variants[v.same].label, steps, timelines[v.same]); err != nil {
+				return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
+			}
 		}
 	}
 	return rep, nil
 }
 
-// eventsAt returns the schedule's events firing at checkpoint cp, in
-// schedule order (mirroring the gallery's replay order).
-func eventsAt(tl experiments.Timeline, cp int) []experiments.Event {
-	var evs []experiments.Event
-	for _, ev := range tl.Events {
-		if ev.Checkpoint == cp {
-			evs = append(evs, ev)
-		}
-	}
-	return evs
-}
-
-// replayDynamics drives one unsharded engine through the schedule and
-// returns its per-checkpoint hit ratios (per track, including t = 0). A
-// non-nil report enables the per-checkpoint invariant suite.
-func replayDynamics(newBase func() (dynamics.Config, error), seed uint64, tl experiments.Timeline, mode dynamics.Mode, workers int, rep *SoakReport) ([][]float64, error) {
+// replay drives a fresh base deployment through the schedule on this
+// variant's engine.
+func (v soakVariant) replay(newBase func() (dynamics.Config, error), seed uint64, tl experiments.Timeline) ([]dynamics.Step, error) {
 	base, err := newBase()
 	if err != nil {
 		return nil, err
 	}
-	base.Mode = mode
-	base.Workers = workers
-	eng, err := dynamics.NewEngine(base, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	tracks := len(base.Tracks)
-	var eval *placement.Evaluator
-	var mass0 float64
-	if rep != nil {
-		if eval, err = placement.NewEvaluator(eng.Instance()); err != nil {
-			return nil, err
-		}
-		mass0 = eng.Instance().TotalMass()
-	}
-	t0 := make([]float64, tracks)
-	for a := range t0 {
-		t0[a] = eng.Baseline(a)
-	}
-	steps := [][]float64{t0}
-	for cp := 1; cp <= eng.Checkpoints(); cp++ {
-		faulted := false
-		for _, ev := range eventsAt(tl, cp) {
-			if err := applyDynamics(eng, ev); err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
-			}
-			faulted = true
-		}
-		if faulted {
-			for a := 0; a < tracks; a++ {
-				if _, err := eng.Replace(a, cp); err != nil {
-					return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
-				}
-			}
-		}
-		if err := eng.Advance(); err != nil {
-			return nil, err
-		}
-		if err := eng.Refresh(); err != nil {
-			return nil, err
-		}
-		st, err := eng.Step(cp)
+	base.Workers = v.workers
+	var t experiments.Target
+	if v.shards == 0 {
+		base.Mode = v.mode
+		dt, err := experiments.NewDynamicsTarget(base, rng.New(seed))
 		if err != nil {
 			return nil, err
 		}
-		steps = append(steps, append([]float64(nil), st.HitRatio...))
-		if rep != nil {
-			if err := verifyInvariants(eng, eval, tracks, mass0); err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
+		t = dt
+		if v.check != nil {
+			eval, err := placement.NewEvaluator(dt.Instance())
+			if err != nil {
+				return nil, err
 			}
-			rep.CheckedCheckpoints++
+			t = checkedTarget{DynamicsTarget: dt, eval: eval, mass0: dt.Instance().TotalMass(), rep: v.check}
 		}
-	}
-	return steps, nil
-}
-
-// replayShard drives one sharded engine through the same schedule.
-func replayShard(newBase func() (dynamics.Config, error), seed uint64, tl experiments.Timeline, shards, workers int) ([][]float64, error) {
-	base, err := newBase()
-	if err != nil {
-		return nil, err
-	}
-	scfg, err := shard.FromDynamics(base, shards)
-	if err != nil {
-		return nil, err
-	}
-	scfg.Workers = workers
-	scfg.MeasureWorkers = workers
-	se, err := shard.NewEngine(scfg, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	steps := [][]float64{append([]float64(nil), se.InitialStep().HitRatio...)}
-	for cp := 1; cp <= se.Checkpoints(); cp++ {
-		faulted := false
-		for _, ev := range eventsAt(tl, cp) {
-			if err := applyShard(se, ev); err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
-			}
-			faulted = true
-		}
-		if faulted {
-			if err := se.ForceReplace(cp); err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
-			}
-		}
-		st, err := se.Checkpoint(cp)
+	} else {
+		scfg, err := shard.FromDynamics(base, v.shards)
 		if err != nil {
 			return nil, err
 		}
-		steps = append(steps, append([]float64(nil), st.HitRatio...))
-	}
-	return steps, nil
-}
-
-// applyDynamics replays one regional event on the unsharded engine, with
-// the gallery's semantics: 0 is a blackout, negative recovers and restores,
-// positive is a brownout budget.
-func applyDynamics(eng *dynamics.Engine, ev experiments.Event) error {
-	switch {
-	case ev.CapacityBytes == 0:
-		return eng.SetRegionDown(*ev.Region, true)
-	case ev.CapacityBytes < 0:
-		if err := eng.SetRegionDown(*ev.Region, false); err != nil {
-			return err
+		// FromDynamics maps Workers to MeasureWorkers only; the cell pool
+		// runs at the variant's worker count too.
+		scfg.Workers = v.workers
+		se, err := shard.NewEngine(scfg, rng.New(seed))
+		if err != nil {
+			return nil, err
 		}
-		return eng.DegradeRegion(*ev.Region, -1)
-	default:
-		return eng.DegradeRegion(*ev.Region, ev.CapacityBytes)
+		t = experiments.ShardTarget{Engine: se}
 	}
+	return experiments.Replay(t, tl, base.Instance.Topology())
 }
 
-// applyShard replays one regional event on the sharded engine.
-func applyShard(se *shard.Engine, ev experiments.Event) error {
-	switch {
-	case ev.CapacityBytes == 0:
-		return se.SetRegionDown(*ev.Region, true)
-	case ev.CapacityBytes < 0:
-		if err := se.SetRegionDown(*ev.Region, false); err != nil {
-			return err
-		}
-		return se.DegradeRegion(*ev.Region, -1)
-	default:
-		return se.DegradeRegion(*ev.Region, ev.CapacityBytes)
-	}
+// checkedTarget is the primary replica: the unsharded target with the
+// engine invariants asserted after every checkpoint — request mass is
+// conserved, no placement occupies a dark server, and every track's
+// placement is feasible under the live (possibly degraded) budgets.
+type checkedTarget struct {
+	*experiments.DynamicsTarget
+	eval  *placement.Evaluator
+	mass0 float64
+	rep   *SoakReport
 }
 
-// verifyInvariants asserts the engine invariants on the primary replica at
-// one checkpoint: request mass is conserved, no placement occupies a dark
-// server, and every track's placement is feasible under the live (possibly
-// degraded) budgets.
-func verifyInvariants(eng *dynamics.Engine, eval *placement.Evaluator, tracks int, mass0 float64) error {
-	ins := eng.Instance()
-	if got := ins.TotalMass(); got != mass0 {
-		return fmt.Errorf("request mass drifted: %v, want %v", got, mass0)
+// Checkpoint implements experiments.Target.
+func (t checkedTarget) Checkpoint(cp int) (dynamics.Step, error) {
+	st, err := t.DynamicsTarget.Checkpoint(cp)
+	if err != nil {
+		return st, err
+	}
+	ins := t.Instance()
+	if got := ins.TotalMass(); got != t.mass0 {
+		return st, fmt.Errorf("request mass drifted: %v, want %v", got, t.mass0)
 	}
 	caps := make([]int64, ins.NumServers())
 	for m := range caps {
-		caps[m] = eng.ServerCapacityBytes(m)
+		caps[m] = t.ServerCapacityBytes(m)
 	}
 	down := ins.DownServers()
-	for a := 0; a < tracks; a++ {
-		p := eng.Placement(a)
+	for a := range st.HitRatio {
+		p := t.Placement(a)
 		for _, m := range down {
 			if n := p.Models(m).Count(); n != 0 {
-				return fmt.Errorf("track %d: %d models placed on dark server %d", a, n, m)
+				return st, fmt.Errorf("track %d: %d models placed on dark server %d", a, n, m)
 			}
 		}
-		if err := eval.CheckFeasible(p, caps); err != nil {
-			return fmt.Errorf("track %d: %w", a, err)
+		if err := t.eval.CheckFeasible(p, caps); err != nil {
+			return st, fmt.Errorf("track %d: %w", a, err)
 		}
 	}
-	return nil
+	t.rep.CheckedCheckpoints++
+	return st, nil
 }
 
-// sameTimelines compares two hit-ratio timelines bit-for-bit.
-func sameTimelines(label string, got, want [][]float64) error {
+// sameTimelines compares two replays' hit ratios bit-for-bit.
+func sameTimelines(label string, got, want []dynamics.Step) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: %d steps, want %d", label, len(got), len(want))
 	}
 	for cp := range want {
-		if len(got[cp]) != len(want[cp]) {
-			return fmt.Errorf("%s: checkpoint %d has %d tracks, want %d", label, cp, len(got[cp]), len(want[cp]))
+		g, w := got[cp].HitRatio, want[cp].HitRatio
+		if len(g) != len(w) {
+			return fmt.Errorf("%s: checkpoint %d has %d tracks, want %d", label, cp, len(g), len(w))
 		}
-		for a := range want[cp] {
-			if got[cp][a] != want[cp][a] {
-				return fmt.Errorf("%s: checkpoint %d track %d hit ratio %v, want %v", label, cp, a, got[cp][a], want[cp][a])
+		for a := range w {
+			if g[a] != w[a] {
+				return fmt.Errorf("%s: checkpoint %d track %d hit ratio %v, want %v", label, cp, a, g[a], w[a])
 			}
 		}
 	}

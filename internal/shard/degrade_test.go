@@ -11,11 +11,16 @@ import (
 )
 
 // driveDegradeTimeline runs a sharded smoke timeline with a regional
-// degradation before checkpoint 1 and a restore before checkpoint 2,
-// forcing replaces on both edges, and returns the aggregated steps.
+// degradation (every server the region contains) before checkpoint 1 and a
+// restore before checkpoint 2, forcing replaces on both edges, and returns
+// the aggregated steps.
 func driveDegradeTimeline(t *testing.T, cfg Config, seed uint64, region geom.Region, bytes int64) []Step {
 	t.Helper()
 	se, err := NewEngine(cfg, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers, err := cfg.Instance.Topology().ServersIn(region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +38,10 @@ func driveDegradeTimeline(t *testing.T, cfg Config, seed uint64, region geom.Reg
 			if cp == 2 {
 				budget = -1
 			}
-			if err := se.DegradeRegion(region, budget); err != nil {
-				t.Fatal(err)
+			for _, m := range servers {
+				if err := se.SetServerCapacity(m, budget); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := se.ForceReplace(cp); err != nil {
 				t.Fatal(err)
@@ -51,8 +58,9 @@ func driveDegradeTimeline(t *testing.T, cfg Config, seed uint64, region geom.Reg
 
 // TestShardDegradeSingleShardMatchesDynamics pins the sharded degradation
 // seam at Shards = 1 against the unsharded engine driving the identical
-// event schedule: DegradeRegion + ForceReplace through the single cell
-// must be bit-identical to dynamics.Engine.DegradeRegion + Replace.
+// event schedule: per-server SetServerCapacity over the region's servers
+// plus ForceReplace through the single cell must be bit-identical to
+// dynamics.Engine.DegradeRegion + Replace.
 func TestShardDegradeSingleShardMatchesDynamics(t *testing.T) {
 	region := geom.RectRegion(0, 0, 300, 600)
 	const budget = 4 << 30

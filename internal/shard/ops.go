@@ -1,7 +1,7 @@
 // This file is the sharded engine's scenario-event surface: server outages
 // mapped onto cell-local server indices, forced re-placements, queued
-// global popularity revisions, and mid-timeline library growth — the same
-// operations the scenario gallery drives on the unsharded engine, expressed
+// global popularity revisions, and mid-timeline library growth — the
+// operations experiments.Target replays scenario events through, expressed
 // against cell ownership.
 package shard
 
@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"sort"
 
-	"trimcaching/internal/geom"
 	"trimcaching/internal/scenario"
-	"trimcaching/internal/workload"
 )
 
 // SetServersDown takes the given global servers out of (or back into)
@@ -99,51 +97,6 @@ func (e *Engine) SetServerCapacity(m int, bytes int64) error {
 		return nil
 	}
 	return fmt.Errorf("shard: server %d owned by no cell", m)
-}
-
-// ServersInRegion returns the ascending list of global servers whose
-// position the region contains — the failure domain of a correlated
-// regional event, identical to the unsharded engine's selector.
-func (e *Engine) ServersInRegion(r geom.Region) ([]int, error) {
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	topo := e.cfg.Instance.Topology()
-	var list []int
-	for m := 0; m < topo.NumServers(); m++ {
-		if r.Contains(topo.ServerPos(m)) {
-			list = append(list, m)
-		}
-	}
-	return list, nil
-}
-
-// SetRegionDown takes every server in the region out of (or back into)
-// service in one correlated event. An empty region is a no-op.
-func (e *Engine) SetRegionDown(r geom.Region, down bool) error {
-	servers, err := e.ServersInRegion(r)
-	if err != nil {
-		return err
-	}
-	if len(servers) == 0 {
-		return nil
-	}
-	return e.SetServersDown(servers, down)
-}
-
-// DegradeRegion applies one storage budget to every server in the region
-// (negative restores each server's configured capacity).
-func (e *Engine) DegradeRegion(r geom.Region, bytes int64) error {
-	servers, err := e.ServersInRegion(r)
-	if err != nil {
-		return err
-	}
-	for _, m := range servers {
-		if err := e.SetServerCapacity(m, bytes); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // dedupInts removes adjacent duplicates from a sorted slice, in place.
@@ -269,7 +222,3 @@ func (e *Engine) Replacements(a int) int {
 	}
 	return n
 }
-
-// GlobalWorkload returns the global workload the engine reads demand from —
-// the one callers swap rows in before ReviseUserMass.
-func (e *Engine) GlobalWorkload() *workload.Workload { return e.cfg.Instance.Workload() }

@@ -222,3 +222,43 @@ func TestAssociationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServersIn pins the region scan behind every regional event:
+// ascending server ids, closed boundaries, an empty list for a region
+// holding no server, and an error for an invalid region.
+func TestServersIn(t *testing.T) {
+	area, err := geom.NewArea(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := []geom.Point{{X: 10, Y: 10}, {X: 50, Y: 50}, {X: 90, Y: 90}, {X: 50, Y: 10}}
+	topo, err := New(area, servers, []geom.Point{{X: 0, Y: 0}}, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		region geom.Region
+		want   []int
+	}{
+		{geom.RectRegion(0, 0, 50, 50), []int{0, 1, 3}},
+		{geom.DiskRegion(90, 90, 0), []int{2}},
+		{geom.RectRegion(60, 0, 80, 5), nil},
+	}
+	for _, tc := range cases {
+		got, err := topo.ServersIn(tc.region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("%+v: servers %v, want %v", tc.region, got, tc.want)
+		}
+		for j := range got {
+			if got[j] != tc.want[j] {
+				t.Fatalf("%+v: servers %v, want %v", tc.region, got, tc.want)
+			}
+		}
+	}
+	if _, err := topo.ServersIn(geom.Region{Kind: "hex"}); err == nil {
+		t.Fatal("an invalid region was scanned")
+	}
+}
