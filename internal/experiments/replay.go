@@ -93,6 +93,9 @@ func replay(t Target, tl Timeline, topo *topology.Topology, g *gallery) ([]dynam
 // trigger never fires when capacity returns; a grow's rebuild re-solves by
 // itself, and a demand wave is left to the triggers.
 func dispatch(t Target, ev Event, cp int, topo *topology.Topology, g *gallery) error {
+	if g == nil && (ev.Kind == EventDemand || ev.Kind == EventGrow) {
+		return fmt.Errorf("experiments: %s events need the gallery's model library", ev.Kind)
+	}
 	var err error
 	switch ev.Kind {
 	case EventOutage, EventRecovery:
@@ -114,18 +117,14 @@ func dispatch(t Target, ev Event, cp int, topo *topology.Topology, g *gallery) e
 		default:
 			err = setCapacity(t, servers, ev.CapacityBytes)
 		}
-	case EventDemand, EventGrow:
-		if g == nil {
-			return fmt.Errorf("experiments: %s events need the gallery's model library", ev.Kind)
-		}
-		if ev.Kind == EventGrow {
-			g.active += ev.Models
-			return t.GrowLibrary(cp, g.instance)
-		}
+	case EventDemand:
 		if err := g.setDemand(ev); err != nil {
 			return err
 		}
 		return t.ReviseUserMass(g.users)
+	case EventGrow:
+		g.active += ev.Models
+		return t.GrowLibrary(cp, g.instance)
 	default:
 		return fmt.Errorf("experiments: unknown event kind %q", ev.Kind)
 	}
