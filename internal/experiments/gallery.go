@@ -490,7 +490,8 @@ func newGallery(cfg GalleryConfig) (*gallery, error) {
 // whose rows are prefixes of the master rows — growing the library is then
 // a pure prefix extension, and the shared foundation blocks keep their
 // identity across grows. The new workload becomes the live one and takes
-// the current demand blend.
+// the current demand blend before the instance is built over it, so the
+// instance's request masses match the rows it reads.
 func (g *gallery) instance(positions []geom.Point, coordinator bool) (*scenario.Instance, error) {
 	ids := make([]int, g.active)
 	for i := range ids {
@@ -509,6 +510,10 @@ func (g *gallery) instance(positions []geom.Point, coordinator bool) (*scenario.
 			return nil, fmt.Errorf("gallery: %w", err)
 		}
 	}
+	g.work = work
+	if err := g.applyDemand(); err != nil {
+		return nil, err
+	}
 	topo, err := g.topo.WithUserPositions(positions)
 	if err != nil {
 		return nil, fmt.Errorf("gallery: %w", err)
@@ -522,8 +527,7 @@ func (g *gallery) instance(positions []geom.Point, coordinator bool) (*scenario.
 	if err != nil {
 		return nil, fmt.Errorf("gallery: %w", err)
 	}
-	g.work = work
-	return ins, g.applyDemand()
+	return ins, nil
 }
 
 // setDemand records a demand event's blend and rebinds the live rows to it.

@@ -183,3 +183,32 @@ func TestGalleryTargetsAgree(t *testing.T) {
 		})
 	}
 }
+
+// TestGalleryDemandThenGrow pins a library grow under an active demand
+// blend: the grown instance is built over the blended rows, so the
+// unsharded leg stays Incremental == Rebuild and every hit ratio stays in
+// (0, 1].
+func TestGalleryDemandThenGrow(t *testing.T) {
+	cfg := DefaultGalleryConfig()
+	cfg.Name, cfg.DurationMin = "demand-grow", 60
+	cfg.Timeline = Timeline{Events: []Event{
+		{Checkpoint: 1, Kind: EventDemand, HotModel: 0, Weight: 0.8, MassScale: 1.5},
+		{Checkpoint: 3, Kind: EventGrow, Models: 4},
+	}}
+	inc, err := RunGallery(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range inc.Steps {
+		if st.HitRatio <= 0 || st.HitRatio > 1 {
+			t.Fatalf("step %d hit ratio %v outside (0, 1]", i, st.HitRatio)
+		}
+	}
+	rebuild := cfg
+	rebuild.Mode = dynamics.Rebuild
+	reb, err := RunGallery(rebuild)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGalleryEqual(t, "rebuild vs incremental", reb, inc)
+}
