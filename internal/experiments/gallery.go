@@ -3,11 +3,12 @@
 // and recovery, partial-capacity degradations and correlated regional
 // failures over geometric failure domains, flash-crowd and diurnal demand
 // revisions through the mass-only revise path, and rolling model-library
-// churn via mid-timeline instance rebuilds — executed identically through
-// the unsharded engine (RunGallery, externally-driven mobility) and the
-// sharded engine (RunGallerySharded). Each run emits a golden-pinnable GalleryResult: the
-// hit-ratio trajectory per checkpoint, which events landed where, the
-// re-placement count, and the measured recovery latency after an outage.
+// churn via mid-timeline instance rebuilds — replayed by the one loop in
+// replay.go through the unsharded engine (RunGallery, a DynamicsTarget) and
+// the sharded engine (RunGallerySharded, a ShardTarget). Each run emits a
+// golden-pinnable GalleryResult: the hit-ratio trajectory per checkpoint,
+// which events landed where, the re-placement count, and the measured
+// recovery latency after an outage.
 package experiments
 
 import (

@@ -103,6 +103,9 @@ func dispatch(t Target, ev Event, cp int, topo *topology.Topology, g *gallery) e
 	case EventDegrade:
 		err = setCapacity(t, ev.Servers, ev.CapacityBytes)
 	case EventRegional:
+		if ev.Region == nil {
+			return fmt.Errorf("experiments: regional event names no region")
+		}
 		var servers []int
 		if servers, err = topo.ServersIn(*ev.Region); err != nil {
 			return err

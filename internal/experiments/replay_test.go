@@ -46,15 +46,20 @@ func TestDynamicsTargetMatchesEngineLoop(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsLibraryEvents pins Replay's contract for callers
-// without the gallery's master library (the chaos soak): demand and grow
-// events are errors, not silently skipped.
-func TestReplayRejectsLibraryEvents(t *testing.T) {
-	for _, kind := range []EventKind{EventDemand, EventGrow} {
+// TestReplayRejectsBadEvents pins Replay's errors on events it cannot
+// apply: demand and grow events without the gallery's master library (the
+// chaos soak has none), a regional event without a region, and an unknown
+// kind are errors, never skipped or a panic.
+func TestReplayRejectsBadEvents(t *testing.T) {
+	for _, ev := range []Event{
+		{Checkpoint: 1, Kind: EventDemand},
+		{Checkpoint: 1, Kind: EventGrow, Models: 1},
+		{Checkpoint: 1, Kind: EventRegional},
+		{Checkpoint: 1, Kind: "hex"},
+	} {
 		target, dc := smokeTarget(t, 1)
-		tl := Timeline{Events: []Event{{Checkpoint: 1, Kind: kind, Models: 1}}}
-		if _, err := Replay(target, tl, dc.Instance.Topology()); err == nil {
-			t.Errorf("Replay accepted a %s event without a library", kind)
+		if _, err := Replay(target, Timeline{Events: []Event{ev}}, dc.Instance.Topology()); err == nil {
+			t.Errorf("Replay accepted %+v", ev)
 		}
 	}
 }

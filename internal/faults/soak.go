@@ -8,6 +8,7 @@ package faults
 
 import (
 	"fmt"
+	"reflect"
 
 	"trimcaching/internal/dynamics"
 	"trimcaching/internal/experiments"
@@ -224,20 +225,15 @@ func (t checkedTarget) Checkpoint(cp int) (dynamics.Step, error) {
 	return st, nil
 }
 
-// sameTimelines compares two replays' hit ratios bit-for-bit.
+// sameTimelines compares two replays' hit ratios bit-for-bit and names the
+// first checkpoint where they differ.
 func sameTimelines(label string, got, want []dynamics.Step) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: %d steps, want %d", label, len(got), len(want))
 	}
 	for cp := range want {
-		g, w := got[cp].HitRatio, want[cp].HitRatio
-		if len(g) != len(w) {
-			return fmt.Errorf("%s: checkpoint %d has %d tracks, want %d", label, cp, len(g), len(w))
-		}
-		for a := range w {
-			if g[a] != w[a] {
-				return fmt.Errorf("%s: checkpoint %d track %d hit ratio %v, want %v", label, cp, a, g[a], w[a])
-			}
+		if !reflect.DeepEqual(got[cp].HitRatio, want[cp].HitRatio) {
+			return fmt.Errorf("%s: checkpoint %d hit ratios %v, want %v", label, cp, got[cp].HitRatio, want[cp].HitRatio)
 		}
 	}
 	return nil
