@@ -486,7 +486,7 @@ func newGallery(cfg GalleryConfig) (*gallery, error) {
 	return g, nil
 }
 
-// instance is the leg's InstanceBuilder: an instance over the active
+// instance is the leg's InstanceFunc: an instance over the active
 // library prefix at the given user positions, with an aliased workload
 // whose rows are prefixes of the master rows — growing the library is then
 // a pure prefix extension, and the shared foundation blocks keep their

@@ -38,7 +38,7 @@ type Target interface {
 	ReviseUserMass(users []int) error
 	// GrowLibrary rebuilds the engine over the instance build returns at
 	// the engine's current user positions, before checkpoint cp.
-	GrowLibrary(cp int, build InstanceBuilder) error
+	GrowLibrary(cp int, build InstanceFunc) error
 	// Checkpoint walks the users through checkpoint cp, refreshes, measures,
 	// and fires the triggers. The step's slices are valid until the next call.
 	Checkpoint(cp int) (dynamics.Step, error)
@@ -47,11 +47,11 @@ type Target interface {
 	Replacements(a int) int
 }
 
-// InstanceBuilder assembles the instance a library grow rebuilds over, at
+// InstanceFunc assembles the instance a library grow rebuilds over, at
 // the given user positions: a coordinator instance (scenario.NewCoordinator,
 // the sharded engine's global shape) when coordinator is set, a full one
 // (scenario.New) otherwise.
-type InstanceBuilder func(positions []geom.Point, coordinator bool) (*scenario.Instance, error)
+type InstanceFunc func(positions []geom.Point, coordinator bool) (*scenario.Instance, error)
 
 // Replay drives t through every checkpoint of its timeline, firing tl's
 // events at the start of their checkpoint in schedule order, and returns the
@@ -160,7 +160,7 @@ func (t ShardTarget) Checkpoint(cp int) (dynamics.Step, error) {
 }
 
 // GrowLibrary implements Target over a coordinator instance.
-func (t ShardTarget) GrowLibrary(_ int, build InstanceBuilder) error {
+func (t ShardTarget) GrowLibrary(_ int, build InstanceFunc) error {
 	ins, err := build(t.Positions(), true)
 	if err != nil {
 		return err
@@ -249,7 +249,7 @@ func (t *DynamicsTarget) ReviseUserMass(users []int) error {
 }
 
 // GrowLibrary implements Target over a full instance.
-func (t *DynamicsTarget) GrowLibrary(cp int, build InstanceBuilder) error {
+func (t *DynamicsTarget) GrowLibrary(cp int, build InstanceFunc) error {
 	ins, err := build(t.positions, false)
 	if err != nil {
 		return err
