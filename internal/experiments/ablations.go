@@ -23,7 +23,7 @@ func AblationEpsilon(opt Options) (*stats.Table, error) {
 	}
 	epsilons := []float64{0.05, 0.1, 0.2, 0.5, 1.0}
 	hit := stats.Series{Label: "Spec hit ratio"}
-	secs := stats.Series{Label: "Spec time (s)"}
+	secs := stats.Series{Label: "Spec time (s)", Timing: true}
 	for _, eps := range epsilons {
 		trial := sim.TrialConfig{
 			Library:       lib,
@@ -203,7 +203,7 @@ func AblationLazy(opt Options) (*stats.Table, error) {
 		return nil, fmt.Errorf("experiments: ablate-lazy: %w", err)
 	}
 	hit := stats.Series{Label: "hit ratio"}
-	secs := stats.Series{Label: "time (s)"}
+	secs := stats.Series{Label: "time (s)", Timing: true}
 	labels := []string{"lazy", "naive"}
 	notes := make([]string, 0, 3)
 	for a, r := range results {

@@ -305,22 +305,3 @@ func TestAblationLazyMatchesAndFaster(t *testing.T) {
 		t.Fatalf("lazy %v not faster than naive %v", times.Points[0].Mean, times.Points[1].Mean)
 	}
 }
-
-func TestExperimentsDeterministic(t *testing.T) {
-	opt := tinyOptions()
-	a, err := Fig4b(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig4b(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si := range a.Series {
-		for pi := range a.Series[si].Points {
-			if a.Series[si].Points[pi].Mean != b.Series[si].Points[pi].Mean {
-				t.Fatal("same options produced different results")
-			}
-		}
-	}
-}

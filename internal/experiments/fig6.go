@@ -25,7 +25,7 @@ func runAlgoComparison(title string, trial sim.TrialConfig) (*stats.Table, error
 		return nil, fmt.Errorf("experiments: %s: %w", title, err)
 	}
 	hit := stats.Series{Label: "cache hit ratio"}
-	secs := stats.Series{Label: "avg running time (s)"}
+	secs := stats.Series{Label: "avg running time (s)", Timing: true}
 	notes := make([]string, 0, len(results)+1)
 	for a, r := range results {
 		x := float64(a + 1)

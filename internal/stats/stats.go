@@ -139,11 +139,14 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 }
 
 // Series is a labelled sequence of (x, summary) points: one curve in a paper
-// figure, e.g. "TrimCaching Spec" in Fig. 4(a).
+// figure, e.g. "TrimCaching Spec" in Fig. 4(a). Timing marks a series of
+// wall-clock measurements (running times), which vary run to run and are
+// left out of any result comparison.
 type Series struct {
 	Label  string    `json:"label"`
 	X      []float64 `json:"x"`
 	Points []Summary `json:"points"`
+	Timing bool      `json:"timing,omitempty"`
 }
 
 // Append adds one point to the series.
