@@ -107,8 +107,8 @@ func (ins *Instance) MakeFadeScratch() *FadeScratch {
 // table from the current topology (user movement re-shapes it, so it is
 // O(K)-refreshed per call), and sizes the per-block tables.
 func (s *FadeScratch) prep(ins *Instance, block int) error {
-	K, I := ins.NumUsers(), ins.NumModels()
-	if len(s.linkStart) != K+1 || len(s.hits) != bitset.Words(I) || len(s.covMask) != ins.serverWords {
+	M, K, I := ins.NumServers(), ins.NumUsers(), ins.NumModels()
+	if len(s.linkStart) != K+1 || len(s.hits) != bitset.Words(I) || len(s.covMask) != ins.serverWords || len(s.dirCuts) != M {
 		return fmt.Errorf("scenario: fade scratch dims do not match instance")
 	}
 	n := int32(0)

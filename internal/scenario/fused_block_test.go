@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"trimcaching/internal/libgen"
 	"trimcaching/internal/rng"
 )
 
@@ -97,6 +98,40 @@ func TestFadedHitMassBlockValidation(t *testing.T) {
 	}
 	if err := ins.FadedHitMassBlock(srcs, views, make([]float64, 2*len(views)), nil); err != nil {
 		t.Fatalf("valid call failed: %v", err)
+	}
+}
+
+// TestFadeScratchRejectsOtherServerCount pins the scratch dims check on M:
+// a scratch built for an M=10 instance must be refused by an M=12 instance
+// with the same K, I and server words, not index past its per-link buffers.
+// The small area puts every user in reach of every server, so each user
+// has more covering links than the smaller instance has servers.
+func TestFadeScratchRejectsOtherServerCount(t *testing.T) {
+	build := func(m int) *Instance {
+		lib, err := libgen.GenerateSpecial(libgen.DefaultSpecialConfig(3), rng.New(90))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := paperGenConfig(m, 8)
+		cfg.Topology.AreaSideM = 150
+		ins, err := Generate(lib, cfg, rng.New(91))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ins
+	}
+	small, big := build(10), build(12)
+	if n := len(big.Topology().ServersCovering(0)); n != 12 {
+		t.Fatalf("user 0 has %d covering servers, want all 12", n)
+	}
+	scratch := small.MakeFadeScratch()
+	views := randomViews(big, 2, rng.New(92))
+	gains := SampleGains(big.NumServers(), big.NumUsers(), rng.New(93))
+	if err := big.FadedHitMass(gains, views, make([]float64, 2), scratch); err == nil {
+		t.Fatal("FadedHitMass accepted a scratch built for M=10")
+	}
+	if err := big.FadedHitMassBlock([]*rng.Source{rng.New(94)}, views, make([]float64, 2), scratch); err == nil {
+		t.Fatal("FadedHitMassBlock accepted a scratch built for M=10")
 	}
 }
 
