@@ -34,8 +34,10 @@ func denseFadedHitRatio(e *Evaluator, p *Placement, reach *scenario.Reach) float
 // fusedVsUnfused pins the tentpole equivalence on one instance: for every
 // realization, FadedReach + HitRatioWithReach must equal the fused
 // FadedHitRatios exactly — same word ops, same float add order — and both
-// must equal the dense scalar reference.
-func fusedVsUnfused(t *testing.T, e *Evaluator, placements []*Placement, seed uint64, realizations int) {
+// must equal the dense scalar reference. zeroShare sets about that share of
+// each realization's gains to exactly 0, so some covering links of up
+// servers have rate 0 and relay instead of serving directly.
+func fusedVsUnfused(t *testing.T, e *Evaluator, placements []*Placement, seed uint64, realizations int, zeroShare float64) {
 	t.Helper()
 	ins := e.Instance()
 	src := rng.New(seed)
@@ -44,6 +46,16 @@ func fusedVsUnfused(t *testing.T, e *Evaluator, placements []*Placement, seed ui
 	fused := make([]float64, len(placements))
 	for r := 0; r < realizations; r++ {
 		gains := scenario.SampleGains(ins.NumServers(), ins.NumUsers(), src.SplitIndex("real", r))
+		if zeroShare > 0 {
+			zero := src.SplitIndex("zero", r)
+			for m := range gains {
+				for k := range gains[m] {
+					if zero.Float64() < zeroShare {
+						gains[m][k] = 0
+					}
+				}
+			}
+		}
 		reach, err := ins.FadedReach(gains, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -66,41 +78,76 @@ func fusedVsUnfused(t *testing.T, e *Evaluator, placements []*Placement, seed ui
 	}
 }
 
+// paperPlacements places Gen and Independent at half a gigabyte per server
+// and adds the empty placement.
+func paperPlacements(t testing.TB, e *Evaluator) []*Placement {
+	t.Helper()
+	ins := e.Instance()
+	caps := UniformCapacities(ins.NumServers(), gb/2)
+	gen, err := TrimCachingGen(e, caps, GenOptions{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ind, err := IndependentCaching(e, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*Placement{gen, ind, NewPlacement(ins.NumServers(), ins.NumModels())}
+}
+
 // TestFusedMatchesUnfusedProperty pins fused == unfused == dense exactly
 // over random instances, placements, and fading realizations — first on
 // fresh instances (whose rank index is built at construction), then after
-// an in-place update has revised thresholds through the update path.
+// an in-place update has revised thresholds through the update path. The
+// fixtures span one and two model words (I = 9 and I = 75), each with the
+// drawn gains and with 30% of them zeroed.
 func TestFusedMatchesUnfusedProperty(t *testing.T) {
-	for seed := uint64(60); seed < 64; seed++ {
-		e := buildEval(t, 5, 14, 3, seed)
-		ins := e.Instance()
-		caps := UniformCapacities(ins.NumServers(), gb/2)
-		gen, err := TrimCachingGen(e, caps, GenOptions{Lazy: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ind, err := IndependentCaching(e, caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		placements := []*Placement{gen, ind, NewPlacement(ins.NumServers(), ins.NumModels())}
-		fusedVsUnfused(t, e, placements, seed+100, 4)
+	for _, fx := range []struct {
+		perFamily int
+		zeroShare float64
+	}{{3, 0}, {3, 0.3}, {25, 0}, {25, 0.3}} {
+		for seed := uint64(60); seed < 64; seed++ {
+			e := buildEval(t, 5, 14, fx.perFamily, seed)
+			ins := e.Instance()
+			placements := paperPlacements(t, e)
+			fusedVsUnfused(t, e, placements, seed+100, 4, fx.zeroShare)
 
-		// A no-op move revises thresholds without changing any verdict;
-		// the rank prefixes must survive the update path.
-		all := make([]int, ins.NumUsers())
-		for k := range all {
-			all[k] = k
+			// A no-op move revises thresholds without changing any verdict;
+			// the rank prefixes must survive the update path.
+			all := make([]int, ins.NumUsers())
+			for k := range all {
+				all[k] = k
+			}
+			delta, err := ins.UpdateUsers(all, ins.Topology().UserPositions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.ApplyDelta(delta); err != nil {
+				t.Fatal(err)
+			}
+			fusedVsUnfused(t, e, placements, seed+100, 4, fx.zeroShare)
 		}
-		delta, err := ins.UpdateUsers(all, ins.Topology().UserPositions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.ApplyDelta(delta); err != nil {
-			t.Fatal(err)
-		}
-		fusedVsUnfused(t, e, placements, seed+100, 4)
 	}
+}
+
+// FuzzFadedHitRatios draws whole instances — server count, user count,
+// models per family, and the share of zeroed gains — and requires the
+// fused kernel, the two-pass path, and the dense reference to agree
+// exactly on Gen, Independent, and empty placements. The seeds are the
+// fixtures of the tests above. Run it with
+// go test -run '^$' -fuzz FuzzFadedHitRatios -fuzztime 10s ./internal/placement.
+func FuzzFadedHitRatios(f *testing.F) {
+	f.Add(uint64(60), uint8(5), uint8(14), uint8(3), uint8(0))
+	f.Add(uint64(61), uint8(5), uint8(14), uint8(3), uint8(30))
+	f.Add(uint64(62), uint8(5), uint8(14), uint8(25), uint8(0))
+	f.Add(uint64(63), uint8(5), uint8(14), uint8(25), uint8(30))
+	f.Add(uint64(71), uint8(70), uint8(20), uint8(3), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, m, k, perFamily, zeroPct uint8) {
+		M := 1 + int(m)%80
+		K := 1 + int(k)%40
+		e := buildEval(t, M, K, 1+int(perFamily)%30, seed)
+		fusedVsUnfused(t, e, paperPlacements(t, e), seed+100, 3, float64(zeroPct%101)/100)
+	})
 }
 
 // TestFusedMultiWordServers is the M > 64 fixture: with 70 servers the
@@ -139,7 +186,7 @@ func TestFusedMultiWordServers(t *testing.T) {
 	if p.CountPlacements() == 0 {
 		t.Fatal("fixture placed nothing; equivalence would be vacuous")
 	}
-	fusedVsUnfused(t, e, []*Placement{p}, 73, 5)
+	fusedVsUnfused(t, e, []*Placement{p}, 73, 5, 0)
 }
 
 // TestFadedCandidateRatios pins the candidate-batch certification path:

@@ -213,6 +213,15 @@ func (r *Source) Exp() float64 {
 	}
 }
 
+// SkipExp advances the source past one Exp draw without computing it:
+// Exp rejects the uniform draws that are exactly 0 and takes the log of
+// the first positive one, so SkipExp consumes the same Uint64 words and
+// leaves the source in the same state as one Exp call.
+func (r *Source) SkipExp() {
+	for r.Uint64()>>11 == 0 {
+	}
+}
+
 // Norm returns a normally distributed float64 with mean 0 and stddev 1,
 // using the Marsaglia polar method.
 func (r *Source) Norm() float64 {

@@ -142,6 +142,36 @@ func TestIntRange(t *testing.T) {
 	}
 }
 
+// TestSkipExpMatchesExp pins SkipExp to Exp's stream consumption: n calls
+// of either leave a source in the same state, also from a crafted state
+// whose first word is the zero draw Exp rejects.
+func TestSkipExpMatchesExp(t *testing.T) {
+	for _, n := range []int{1, 7, 1000} {
+		a, b := New(29), New(29)
+		for i := 0; i < n; i++ {
+			a.Exp()
+			b.SkipExp()
+		}
+		if a.s != b.s {
+			t.Fatalf("n=%d: SkipExp state %x != Exp state %x", n, b.s, a.s)
+		}
+	}
+	// With s[1] = 0 the next xoshiro output is exactly 0.
+	crafted := Source{s: [4]uint64{1, 0, 0, 0}}
+	probe := crafted
+	if probe.Uint64()>>11 != 0 || probe.Uint64()>>11 == 0 {
+		t.Fatal("crafted state must yield one rejected draw, then an accepted one")
+	}
+	a, b := crafted, crafted
+	if v := a.Exp(); v <= 0 {
+		t.Fatalf("Exp after a rejected draw = %v, want > 0", v)
+	}
+	b.SkipExp()
+	if a.s != probe.s || b.s != probe.s {
+		t.Fatalf("after one rejected and one accepted word: Exp %x, SkipExp %x, want %x", a.s, b.s, probe.s)
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	r := New(23)
 	const n = 200000

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"trimcaching/internal/libgen"
@@ -32,29 +34,117 @@ func randomViews(ins *Instance, n int, src *rng.Source) []ServerColumns {
 	return views
 }
 
+// denseHitMass is the kernel-level scalar reference: the two-pass
+// reachability indicator from FadedReach, scanned server by server per
+// (user, model) request in ascending order, so its float adds land in the
+// kernel's order.
+func denseHitMass(t *testing.T, ins *Instance, gains [][]float64, views []ServerColumns) []float64 {
+	t.Helper()
+	reach, err := ins.FadedReach(gains, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	M, K, I, sw := ins.NumServers(), ins.NumUsers(), ins.NumModels(), ins.ServerMaskWords()
+	out := make([]float64, len(views))
+	for a, v := range views {
+		cols := v.PackedServerColumns()
+		for k := 0; k < K; k++ {
+			for i := 0; i < I; i++ {
+				for m := 0; m < M; m++ {
+					if cols[i*sw+m>>6]&(1<<uint(m&63)) != 0 && reach.Has(m, k, i) {
+						out[a] += ins.Prob(k, i)
+						break
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// zeroGains sets about share of the gain entries to exactly 0: a covering
+// link of an up server then has rate 0, and its user relays through that
+// server instead of being served by it directly.
+func zeroGains(gains [][]float64, share float64, src *rng.Source) {
+	for m := range gains {
+		for k := range gains[m] {
+			if src.Float64() < share {
+				gains[m][k] = 0
+			}
+		}
+	}
+}
+
+// blockFixtures are the kernel-level inputs: one model word (I = 9), two
+// server words (M = 70), two model words (I = 75), and each again with a
+// down server and a storage budget that blocks about half the models.
+var blockFixtures = []struct {
+	m, k, perFamily int
+	faults          bool
+}{
+	{6, 15, 3, false}, {70, 20, 3, false}, {10, 20, 25, false},
+	{6, 15, 3, true}, {70, 20, 3, true}, {10, 20, 25, true},
+}
+
+// applyFixtureFaults takes server 1 down and sets server 2's budget to the
+// median model size.
+func applyFixtureFaults(t *testing.T, ins *Instance) {
+	t.Helper()
+	if _, err := ins.SetServersDown([]int{1}, true); err != nil {
+		t.Fatal(err)
+	}
+	sizes := append([]float64(nil), ins.sizeBits...)
+	sort.Float64s(sizes)
+	if _, err := ins.SetServerCapacity(2, int64(sizes[len(sizes)/2])); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFadedHitMassBlockMatchesPerRealization pins the kernel-level half of
 // the realization-blocking contract: for any block partition of the
 // realizations, FadedHitMassBlock must equal a per-realization loop of
 // SampleGains + FadedHitMass exactly — same draws (realization r always
 // consumes the full M×K gain matrix of its own source), same word ops,
-// same float add order.
+// same float add order. Every per-realization result must also equal the
+// dense scalar reference, both on the drawn gains and with 30% of them
+// zeroed — the blocked path never draws an exact 0, so zero-rate covering
+// links reach the kernel only through explicit gains.
 func TestFadedHitMassBlockMatchesPerRealization(t *testing.T) {
-	for _, dims := range []struct{ m, k int }{{6, 15}, {70, 20}} {
-		ins := buildInstance(t, dims.m, dims.k, 3, 40)
+	for _, fx := range blockFixtures {
+		ins := buildInstance(t, fx.m, fx.k, fx.perFamily, 40)
+		if fx.faults {
+			applyFixtureFaults(t, ins)
+		}
 		views := randomViews(ins, 3, rng.New(41))
 		P := len(views)
 		const R = 7
 		root := rng.New(42)
+		name := fmt.Sprintf("M=%d I=%d faults=%v", fx.m, ins.NumModels(), fx.faults)
 
 		// Reference: one realization at a time through the gains-based entry
 		// point, each drawing its full gain matrix from its own source.
 		gains := SampleGains(ins.NumServers(), ins.NumUsers(), rng.New(0))
 		want := make([]float64, R*P)
+		zeroed := make([]float64, P)
 		scratch := ins.MakeFadeScratch()
 		for r := 0; r < R; r++ {
 			SampleGainsInto(gains, root.SplitIndex("real", r))
 			if err := ins.FadedHitMass(gains, views, want[r*P:(r+1)*P], scratch); err != nil {
 				t.Fatal(err)
+			}
+			for a, d := range denseHitMass(t, ins, gains, views) {
+				if want[r*P+a] != d {
+					t.Fatalf("%s r=%d view=%d: fused %.17g != dense %.17g", name, r, a, want[r*P+a], d)
+				}
+			}
+			zeroGains(gains, 0.3, root.SplitIndex("zero", r))
+			if err := ins.FadedHitMass(gains, views, zeroed, scratch); err != nil {
+				t.Fatal(err)
+			}
+			for a, d := range denseHitMass(t, ins, gains, views) {
+				if zeroed[a] != d {
+					t.Fatalf("%s r=%d view=%d, zeroed gains: fused %.17g != dense %.17g", name, r, a, zeroed[a], d)
+				}
 			}
 		}
 
@@ -76,8 +166,8 @@ func TestFadedHitMassBlockMatchesPerRealization(t *testing.T) {
 			}
 			for x := range got {
 				if got[x] != want[x] {
-					t.Fatalf("M=%d block=%d: entry %d (r=%d view=%d): blocked %.17g != per-realization %.17g",
-						dims.m, block, x, x/P, x%P, got[x], want[x])
+					t.Fatalf("%s block=%d: entry %d (r=%d view=%d): blocked %.17g != per-realization %.17g",
+						name, block, x, x/P, x%P, got[x], want[x])
 				}
 			}
 		}
