@@ -152,10 +152,11 @@ func FuzzFadedHitRatios(f *testing.F) {
 
 // TestFusedMultiWordServers is the M > 64 fixture: with 70 servers the
 // packed masks span two words, exercising the generic HitRatioWithReach
-// branch and the multi-word fused kernel on a fresh instance — whose rank
-// index exists from construction, so the rank-prefix enumeration is what
-// runs here, pinned against a full scan. All three evaluators — two-pass
-// packed, fused, and the dense scalar reference — must agree bit-for-bit.
+// branch and the fused kernel's transpose of multi-word server columns on a
+// fresh instance — whose rank index exists from construction, so the
+// rank-prefix masks are what run here, pinned against a full scan. All
+// three evaluators — two-pass packed, fused, and the dense scalar
+// reference — must agree bit-for-bit.
 func TestFusedMultiWordServers(t *testing.T) {
 	lib, err := libgen.GenerateSpecial(libgen.DefaultSpecialConfig(3), rng.New(71))
 	if err != nil {

@@ -6,15 +6,16 @@
 // (checkpoint measurement in both dynamics engine modes) goes through
 // FadedHitMass or FadedHitMassBlock.
 //
-// The kernel is realization-blocked and multi-placement: one pass over
-// the requests gathers each user's link data — covering rates in a CSR
-// link table, relay rates, server bit positions, threshold rank cutoffs
-// — exactly once per block, then scores all R realizations against all
-// P placement columns before moving to the next user. The gather and
-// rank work that a per-realization sweep redoes R×P times is paid once.
-// Hit masses accumulate per (realization, placement) in ascending
-// (k, model) order, so results are bit-identical to the two-pass path
-// and independent of block size: same word ops, same float add order.
+// The kernel is realization-blocked, multi-placement and word-parallel.
+// Once per call it transposes every placement view into per-server model
+// rows; once per user and block it gathers the user's link data — covering
+// rates in a CSR link table, relay rates — and ORs the relay-source rows;
+// once per (user, realization) it turns the threshold rank cutoffs into
+// model bit masks. Each view's hits are then a handful of word ANDs and ORs
+// over those masks, for any server or model count. Hit masses accumulate
+// per (realization, placement) in ascending (k, model) order, so results
+// are bit-identical to the two-pass path and independent of block size:
+// the same hit sets, the same float add order.
 package scenario
 
 import (
@@ -39,35 +40,35 @@ type ServerColumns interface {
 
 // FadeScratch owns the reusable state of the fused measurement kernel: the
 // CSR link table (per-user covering links in ascending server order), the
-// per-link rate and per-user relay tables for one realization block, and
-// the per-user gather buffers. Allocate once per goroutine with
-// MakeFadeScratch and reuse across calls; the per-block tables grow on
-// demand, so steady-state calls perform no allocation.
+// per-link rate and per-user relay tables for one realization block, the
+// per-server placement rows, and the per-user mask buffers. Allocate once
+// per goroutine with MakeFadeScratch and reuse across calls; the per-block
+// and per-view tables grow on demand, so steady-state calls perform no
+// allocation.
 type FadeScratch struct {
 	linkStart []int32   // linkStart[k]..linkStart[k+1]: user k's link slots
 	cursor    []int32   // per-user fill cursor (m-major rate fill)
 	rates     []float64 // rates[slot*block + r]
 	relay     []float64 // relay[k*block + r]
-	rowBuf    []float64 // sampled gains, one server row × block realizations
-	hits      []uint64  // per-(user, realization, view) hit mask over models
-	covMask   []uint64  // positive-rate covering servers, serverWords
-	dirRates  []float64 // gathered covering rates for one (user, realization)
-	dirWords  []int32   // matching column word offsets (m >> 6)
-	dirBits   []uint64  // matching in-word bit masks (1 << (m & 63))
-	dirCuts   []int32   // matching threshold rank cutoffs
+	rowBuf    []float64 // sampled gains of one server's users × block realizations
+	hits      []uint64  // one view's hit mask over models, Words(I)
+	dirSrv    []int32   // positive-rate covering links' servers, M
+	dirCuts   []int32   // matching direct rank cutoffs, M
+	zeroSrv   []int32   // zero-rate covering links' servers, M
+	prefix    []uint64  // rank-prefix masks: one per direct link, then relay; (M+1)*Words(I)
+	srvRows   []uint64  // per-server model rows, [(a*M + m)*Words(I) + w]
+	relayRows []uint64  // one user's relay-source union per view, [a*Words(I) + w]
 	cols      [][]uint64
 	views     []ServerColumns
-	maskedBuf []uint64   // capacity-masked column copies (see maskCapCols)
-	masked    [][]uint64 // per-view slices into maskedBuf
 }
 
 // MemoryBytes returns the heap bytes the scratch owns at its current
 // grown-to capacity.
 func (s *FadeScratch) MemoryBytes() int64 {
-	n := int64(cap(s.linkStart)+cap(s.cursor)+cap(s.dirWords)+cap(s.dirCuts)) * 4
-	n += int64(cap(s.rates)+cap(s.relay)+cap(s.rowBuf)+cap(s.dirRates)) * 8
-	n += int64(cap(s.hits)+cap(s.covMask)+cap(s.dirBits)+cap(s.maskedBuf)) * 8
-	n += int64(cap(s.cols)+cap(s.views)+cap(s.masked)) * 24
+	n := int64(cap(s.linkStart)+cap(s.cursor)+cap(s.dirSrv)+cap(s.dirCuts)+cap(s.zeroSrv)) * 4
+	n += int64(cap(s.rates)+cap(s.relay)+cap(s.rowBuf)) * 8
+	n += int64(cap(s.hits)+cap(s.prefix)+cap(s.srvRows)+cap(s.relayRows)) * 8
+	n += int64(cap(s.cols)+cap(s.views)) * 24
 	return n
 }
 
@@ -95,11 +96,10 @@ func (ins *Instance) MakeFadeScratch() *FadeScratch {
 		rates:     make([]float64, links),
 		relay:     make([]float64, K),
 		hits:      make([]uint64, bitset.Words(I)),
-		covMask:   make([]uint64, ins.serverWords),
-		dirRates:  make([]float64, M),
-		dirWords:  make([]int32, M),
-		dirBits:   make([]uint64, M),
+		dirSrv:    make([]int32, M),
 		dirCuts:   make([]int32, M),
+		zeroSrv:   make([]int32, M),
+		prefix:    make([]uint64, (M+1)*bitset.Words(I)),
 	}
 }
 
@@ -108,7 +108,7 @@ func (ins *Instance) MakeFadeScratch() *FadeScratch {
 // O(K)-refreshed per call), and sizes the per-block tables.
 func (s *FadeScratch) prep(ins *Instance, block int) error {
 	M, K, I := ins.NumServers(), ins.NumUsers(), ins.NumModels()
-	if len(s.linkStart) != K+1 || len(s.hits) != bitset.Words(I) || len(s.covMask) != ins.serverWords || len(s.dirCuts) != M {
+	if len(s.linkStart) != K+1 || len(s.hits) != bitset.Words(I) || len(s.dirCuts) != M {
 		return fmt.Errorf("scenario: fade scratch dims do not match instance")
 	}
 	n := int32(0)
@@ -145,33 +145,45 @@ func (s *FadeScratch) gatherCols(views []ServerColumns, words int) ([][]uint64, 
 	return cols, nil
 }
 
-// maskCapCols substitutes capacity-masked copies for the gathered
-// placement columns when any server carries a finite storage budget: a
-// blocked (server, model) bit must not score as a direct or relay hit,
-// exactly as its reachability bits are cleared on the two-pass path. The
-// caller's columns are read-only (they alias live placements), so the
-// masked copies live in scratch-owned memory — grown once, then reused —
-// and the common unconstrained case returns the input untouched.
-func (ins *Instance) maskCapCols(cols [][]uint64, s *FadeScratch) [][]uint64 {
-	if ins.capBlock == nil {
-		return cols
+// fillServerRows transposes the placement columns into per-server model
+// rows: row (a, m) has bit i set iff view a caches model i on server m, m
+// is up, and m's storage budget admits i — exactly the (server, model)
+// bits the two-pass path can leave set in a reachability mask. Down
+// servers keep empty rows, so they serve neither directly nor as a relay
+// source. The caller's columns are read-only (they alias live
+// placements), so the rows live in scratch-owned memory, grown once and
+// then reused; the per-view relay-union buffer is sized here too.
+func (ins *Instance) fillServerRows(cols [][]uint64, s *FadeScratch) {
+	M, I, sw := ins.NumServers(), ins.NumModels(), ins.serverWords
+	wi := bitset.Words(I)
+	if need := len(cols) * M * wi; cap(s.srvRows) < need {
+		s.srvRows = make([]uint64, need)
+	} else {
+		s.srvRows = s.srvRows[:need]
+		clear(s.srvRows)
 	}
-	words := len(ins.capBlock)
-	if need := len(cols) * words; cap(s.maskedBuf) < need {
-		s.maskedBuf = make([]uint64, need)
+	if need := len(cols) * wi; cap(s.relayRows) < need {
+		s.relayRows = make([]uint64, need)
+	} else {
+		s.relayRows = s.relayRows[:need]
 	}
-	if cap(s.masked) < len(cols) {
-		s.masked = make([][]uint64, len(cols))
-	}
-	masked := s.masked[:len(cols)]
+	up, capBlock := ins.updFullRow, ins.capBlock
 	for a, col := range cols {
-		dst := s.maskedBuf[a*words : (a+1)*words]
-		for x, w := range col {
-			dst[x] = w &^ ins.capBlock[x]
+		rows := s.srvRows[a*M*wi : (a+1)*M*wi]
+		for i := 0; i < I; i++ {
+			iw, bit := i>>6, uint64(1)<<uint(i&63)
+			for w := 0; w < sw; w++ {
+				v := col[i*sw+w] & up[w]
+				if capBlock != nil {
+					v &^= capBlock[i*sw+w]
+				}
+				for ; v != 0; v &= v - 1 {
+					m := w<<6 | mbits.TrailingZeros64(v)
+					rows[m*wi+iw] |= bit
+				}
+			}
 		}
-		masked[a] = dst
 	}
-	return masked
 }
 
 // fadeRates fills the per-link faded rates (covering pairs only) and the
@@ -243,11 +255,12 @@ func (ins *Instance) fillLinkRatesGains(gains [][]float64, s *FadeScratch) error
 // fillLinkRatesSampled draws one realization block's gains inline and fills
 // the CSR rate table. Realization j consumes srcs[j] exactly as
 // SampleGainsInto would — every server row's K draws in ascending user
-// order, non-covering draws discarded — so the rates are bit-identical to
-// sampling a full gain matrix and feeding it through the per-realization
-// path. The (distance, load)-dependent SNR and bandwidth factors are
-// hoisted per link across the block (wireless.Config.LinkRate), leaving
-// one log2 per (link, realization).
+// order — so the rates are bit-identical to sampling a full gain matrix and
+// feeding it through the per-realization path. Only covering links of up
+// servers are read, so every other draw advances the stream without its
+// logarithm (rng.Source.SkipExp). The (distance, load)-dependent SNR and
+// bandwidth factors are hoisted per link across the block
+// (wireless.Config.LinkRate), leaving one log2 per (link, realization).
 func (ins *Instance) fillLinkRatesSampled(srcs []*rng.Source, s *FadeScratch) error {
 	M, K := ins.NumServers(), ins.NumUsers()
 	block := len(srcs)
@@ -256,22 +269,16 @@ func (ins *Instance) fillLinkRatesSampled(srcs []*rng.Source, s *FadeScratch) er
 	}
 	copy(s.cursor, s.linkStart[:K])
 	for m := 0; m < M; m++ {
-		for j := 0; j < block; j++ {
-			row := s.rowBuf[j*K : (j+1)*K]
-			src := srcs[j]
-			for k := range row {
-				row[k] = src.Exp()
-			}
-		}
 		users := ins.topo.UsersOf(m)
-		if len(users) == 0 {
-			continue
-		}
 		if ins.serverDown(m) {
-			// The row draws above already consumed this server's gains —
-			// outages must not shift the fading stream — so only the rate
-			// writes are replaced with zeros (the CSR scratch is reused
-			// across calls and cannot be left stale).
+			// An outage must not shift the fading stream, so the server's
+			// draws are still consumed; its rates are written as 0 (the CSR
+			// scratch is reused across calls and cannot be left stale).
+			for _, src := range srcs {
+				for k := 0; k < K; k++ {
+					src.SkipExp()
+				}
+			}
 			for _, k := range users {
 				slot := int(s.cursor[k])
 				s.cursor[k]++
@@ -282,8 +289,26 @@ func (ins *Instance) fillLinkRatesSampled(srcs []*rng.Source, s *FadeScratch) er
 			}
 			continue
 		}
+		n := len(users)
+		for j, src := range srcs {
+			row := s.rowBuf[j*n : (j+1)*n]
+			k := 0
+			for x, u := range users {
+				for ; k < u; k++ {
+					src.SkipExp()
+				}
+				row[x] = src.Exp()
+				k++
+			}
+			for ; k < K; k++ {
+				src.SkipExp()
+			}
+		}
+		if n == 0 {
+			continue
+		}
 		load := ins.topo.Load(m)
-		for _, k := range users {
+		for x, k := range users {
 			slot := int(s.cursor[k])
 			s.cursor[k]++
 			lr, err := ins.wcfg.LinkRate(ins.topo.Distance(m, k), load)
@@ -293,7 +318,7 @@ func (ins *Instance) fillLinkRatesSampled(srcs []*rng.Source, s *FadeScratch) er
 			sg := ins.shadowGain(m, k)
 			base := slot * block
 			for j := 0; j < block; j++ {
-				r, err := lr.RateBps(sg * s.rowBuf[j*K+k])
+				r, err := lr.RateBps(sg * s.rowBuf[j*n+x])
 				if err != nil {
 					return fmt.Errorf("scenario: faded rate m=%d k=%d: %w", m, k, err)
 				}
@@ -346,11 +371,12 @@ func (ins *Instance) checkGains(gains [][]float64) error {
 //
 // Per (k,i) the kernel reproduces the verdict fillReachRows would store —
 // relay verdict broadcast, covering servers patched with their direct
-// verdicts — but enumerates only the qualifying requests through the
-// instance's threshold rank index. Each view's accumulator sees additions
-// in ascending (k, model) order, exactly the order of the two-pass
-// evaluator, so the paths agree bit-for-bit (pinned by the
-// fused-equivalence tests).
+// verdicts — but decides whole model words at once: the instance's
+// threshold rank index gives each verdict set as a rank prefix, turned
+// into a model bit mask and ANDed with per-server placement rows. Each
+// view's accumulator sees additions in ascending (k, model) order, exactly
+// the order of the two-pass evaluator, so the paths agree bit-for-bit
+// (pinned by the fused-equivalence tests).
 func (ins *Instance) FadedHitMass(gains [][]float64, views []ServerColumns, dst []float64, scratch *FadeScratch) error {
 	if err := ins.checkGains(gains); err != nil {
 		return err
@@ -368,7 +394,6 @@ func (ins *Instance) FadedHitMass(gains [][]float64, views []ServerColumns, dst 
 	if err != nil {
 		return err
 	}
-	cols = ins.maskCapCols(cols, scratch)
 	if err := ins.fillLinkRatesGains(gains, scratch); err != nil {
 		return err
 	}
@@ -388,7 +413,8 @@ func (ins *Instance) FadedHitMass(gains [][]float64, views []ServerColumns, dst 
 // dst[j*len(views)+a] receives views[a]'s unnormalized hit mass under
 // realization j. Results are bit-identical to len(srcs) FadedHitMass
 // calls over sampled gain matrices — realizations never interact — while
-// the per-user gather, rank, and column work is paid once per block.
+// the placement transpose is paid once per call and the per-user gather
+// and relay-source union once per block.
 // scratch may be nil (a fresh one is allocated).
 func (ins *Instance) FadedHitMassBlock(srcs []*rng.Source, views []ServerColumns, dst []float64, scratch *FadeScratch) error {
 	block := len(srcs)
@@ -408,7 +434,6 @@ func (ins *Instance) FadedHitMassBlock(srcs []*rng.Source, views []ServerColumns
 	if err != nil {
 		return err
 	}
-	cols = ins.maskCapCols(cols, scratch)
 	if err := ins.fillLinkRatesSampled(srcs, scratch); err != nil {
 		return err
 	}
@@ -441,35 +466,37 @@ func searchGreater(vals []float64, x float64) int {
 
 // fusedHitMassBlocked is the realization-blocked multi-placement kernel.
 // For user k a request (k,i) can hit only through two sources: the relay
-// verdict (minRel[k,i] ≤ relay rate) reaching a cached server outside the
-// positive-rate covering set, or a positive-rate covering server m's
-// direct verdict (minDir[k,i] ≤ rate_mk) with m cached. Both verdict sets
-// are rank prefixes of the instance's construction-time threshold index,
-// found by binary search, so the kernel touches exactly the qualifying
-// requests instead of comparing all I thresholds per source. Qualifying
-// hits are collected into a model bit mask per (realization, view) and
-// the probability sum sweeps that mask in ascending model order — the
-// same additions, in the same order, as a dense per-realization sweep.
+// verdict (minRel[k,i] ≤ relay rate) reaching a cached up server outside
+// the positive-rate covering set, or a positive-rate covering server m's
+// direct verdict (minDir[k,i] ≤ rate_mk) with m caching i. Both verdict
+// sets are rank prefixes of the instance's construction-time threshold
+// index, found by binary search. Per (user, realization) the kernel turns
+// them into model bit masks: one pass over the direct rank order up to the
+// largest cutoff snapshots the prefix at each positive link's cutoff, in
+// ascending order, and one pass builds the relay prefix. Each view's hit
+// mask is then, word by word, the OR over direct links of (link prefix ∧
+// the link server's row) and (relay prefix ∧ relay-source union). The
+// probability sum sweeps that mask in ascending model order — the same
+// additions, in the same order, as a dense per-realization sweep.
 //
-// The per-user state that fading does not change — covering list, rank
-// row slices, probability row — is fetched once per user and shared by
-// all block realizations; only the per-realization gather (positive-rate
-// links, cutoffs) runs R times.
+// Fading changes the relay-source set only through covering links of rate
+// exactly 0, which relay like any up server outside the covering set (the
+// two-pass fill's direct > 0 guard). So the union over up servers outside
+// the covering set is built once per user and block, and the zero-rate
+// links' rows join it per realization. The other per-user state fading
+// does not change — covering list, rank rows, probability row — is also
+// fetched once per user and shared by all block realizations.
 func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float64, scratch *FadeScratch) {
-	K, I := ins.NumUsers(), ins.NumModels()
-	sw := ins.serverWords
+	ins.fillServerRows(cols, scratch)
+	M, K, I := ins.NumServers(), ins.NumUsers(), ins.NumModels()
+	wi := bitset.Words(I)
 	P := len(cols)
 	rates, relay := scratch.rates, scratch.relay
 	linkStart := scratch.linkStart
-	hits := scratch.hits
-	for w := range hits {
-		hits[w] = 0
-	}
-	covMask := scratch.covMask
-	// Relay sources are restricted to up servers: a cached down server has
-	// its reachability bits cleared in the two-pass path, so the fused path
-	// masks placement columns with the same up-servers word(s).
-	up := ins.updFullRow
+	srvRows, relayRows := scratch.srvRows, scratch.relayRows
+	hits, prefix := scratch.hits, scratch.prefix
+	dirSrv, dirCuts, zeroSrv := scratch.dirSrv, scratch.dirCuts, scratch.zeroSrv
+	relPrefix := prefix[M*wi : (M+1)*wi]
 	for k := 0; k < K; k++ {
 		if !ins.userHasMass[k] {
 			// Zero-mass users (shard ghosts, parked slots) add exactly 0.0
@@ -478,92 +505,90 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 			continue
 		}
 		covering := ins.topo.ServersCovering(k)
+		if len(covering) == 0 {
+			continue // no link, so no direct or relay verdict in any realization
+		}
 		lo := int(linkStart[k])
 		relVals := ins.flipRelVals[k*I : (k+1)*I]
 		relOrder := ins.flipRelOrder[k*I : (k+1)*I]
 		dirVals := ins.flipDirVals[k*I : (k+1)*I]
 		dirOrder := ins.flipDirOrder[k*I : (k+1)*I]
 		probs := ins.work.ProbRow(k)
-		for r := 0; r < block; r++ {
-			// Covering servers with positive rate keep their direct verdict;
-			// covering servers with zero rate fall through to the relay
-			// verdict exactly like non-covering ones (fillReachRows'
-			// direct > 0 guard), so the covered mask is built from
-			// positive-rate links.
-			nd := 0
-			for w := 0; w < sw; w++ {
-				covMask[w] = 0
+		for a := 0; a < P; a++ {
+			union := relayRows[a*wi : (a+1)*wi]
+			clear(union)
+			rows := srvRows[a*M*wi : (a+1)*M*wi]
+			c := 0
+			for m := 0; m < M; m++ {
+				if c < len(covering) && covering[c] == m {
+					c++
+					continue
+				}
+				for w, v := range rows[m*wi : (m+1)*wi] {
+					union[w] |= v
+				}
 			}
+		}
+		for r := 0; r < block; r++ {
+			// Positive-rate covering links keep their direct verdict, kept
+			// in ascending cutoff order; zero-rate ones relay instead.
+			nd, nz := 0, 0
 			for j, m := range covering {
 				if rate := rates[(lo+j)*block+r]; rate > 0 {
-					scratch.dirRates[nd] = rate
-					scratch.dirWords[nd] = int32(m >> 6)
-					scratch.dirBits[nd] = 1 << uint(m&63)
-					covMask[m>>6] |= 1 << uint(m&63)
+					cut := int32(searchGreater(dirVals, rate))
+					x := nd
+					for ; x > 0 && dirCuts[x-1] > cut; x-- {
+						dirCuts[x], dirSrv[x] = dirCuts[x-1], dirSrv[x-1]
+					}
+					dirCuts[x], dirSrv[x] = cut, int32(m)
 					nd++
+				} else {
+					zeroSrv[nz] = int32(m)
+					nz++
 				}
 			}
 			relayRate := relay[k*block+r]
 			if relayRate <= 0 && nd == 0 {
 				continue // every indicator word is zero: nothing to add
 			}
+			next := int32(0)
+			for j := 0; j < nd; j++ {
+				snap := prefix[j*wi : (j+1)*wi]
+				if j == 0 {
+					clear(snap)
+				} else {
+					copy(snap, prefix[(j-1)*wi:j*wi])
+				}
+				for ; next < dirCuts[j]; next++ {
+					i := dirOrder[next]
+					snap[i>>6] |= 1 << uint(i&63)
+				}
+			}
 			relCut := 0
 			if relayRate > 0 {
 				relCut = searchGreater(relVals, relayRate)
 			}
-			// One cutoff per positive covering link, shared by every view.
-			for j := 0; j < nd; j++ {
-				scratch.dirCuts[j] = int32(searchGreater(dirVals, scratch.dirRates[j]))
+			clear(relPrefix)
+			for _, i := range relOrder[:relCut] {
+				relPrefix[i>>6] |= 1 << uint(i&63)
 			}
 			out := dst[r*P : (r+1)*P]
-			if sw == 1 {
-				cm := covMask[0]
-				upWord := up[0]
-				for a, col := range cols {
-					// Relay source: any cached up server outside the
-					// positive-rate covering set serves i.
-					for j := 0; j < relCut; j++ {
-						i := int(relOrder[j])
-						if col[i]&upWord&^cm != 0 {
-							hits[i>>6] |= 1 << (uint(i) & 63)
+			for a := range out {
+				rows := srvRows[a*M*wi : (a+1)*M*wi]
+				union := relayRows[a*wi : (a+1)*wi]
+				for w := range hits {
+					var h uint64
+					if relCut > 0 {
+						src := union[w]
+						for _, m := range zeroSrv[:nz] {
+							src |= rows[int(m)*wi+w]
 						}
+						h = relPrefix[w] & src
 					}
-					// Direct source: covering server m serves i when cached.
-					for j := 0; j < nd; j++ {
-						bit := scratch.dirBits[j]
-						cut := scratch.dirCuts[j]
-						for x := int32(0); x < cut; x++ {
-							i := int(dirOrder[x])
-							if col[i]&bit != 0 {
-								hits[i>>6] |= 1 << (uint(i) & 63)
-							}
-						}
+					for j, m := range dirSrv[:nd] {
+						h |= prefix[j*wi+w] & rows[int(m)*wi+w]
 					}
-					out[a] = sweepHits(hits, probs, out[a])
-				}
-				continue
-			}
-			for a, col := range cols {
-				for j := 0; j < relCut; j++ {
-					i := int(relOrder[j])
-					off := i * sw
-					for w := 0; w < sw; w++ {
-						if col[off+w]&up[w]&^covMask[w] != 0 {
-							hits[i>>6] |= 1 << (uint(i) & 63)
-							break
-						}
-					}
-				}
-				for j := 0; j < nd; j++ {
-					dw := int(scratch.dirWords[j])
-					bit := scratch.dirBits[j]
-					cut := scratch.dirCuts[j]
-					for x := int32(0); x < cut; x++ {
-						i := int(dirOrder[x])
-						if col[i*sw+dw]&bit != 0 {
-							hits[i>>6] |= 1 << (uint(i) & 63)
-						}
-					}
+					hits[w] = h
 				}
 				out[a] = sweepHits(hits, probs, out[a])
 			}

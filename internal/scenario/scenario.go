@@ -275,7 +275,7 @@ func newInstance(topo *topology.Topology, lib *modellib.Library, work *workload.
 		ins.userHasMass[k] = rowHasMass(work.ProbRow(k))
 	}
 	// The threshold rank index is position-independent, and every fused
-	// measurement sweep now enumerates verdicts through its rank prefixes,
+	// measurement sweep now reads its verdict sets as rank prefixes,
 	// so it is built here rather than lazily on the first delta update —
 	// fresh instances, rebuild-mode engines, and newly sliced shard cells
 	// all measure through it from their first realization. An installed

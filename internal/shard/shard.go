@@ -604,7 +604,7 @@ func (e *Engine) buildCell(sh *cell, locals []int) error {
 	// A bound slot's QoS thresholds equal its global user's, so its rank
 	// rows are a copy of the global rank index rather than an O(I log I)
 	// sort — both at construction, where the rank index is now built
-	// eagerly for the fused kernel's rank-prefix enumeration, and on slot
+	// eagerly for the fused kernel's rank-prefix masks, and on slot
 	// rebinds, the handoff path's hot spot. The provider is threaded
 	// through NewRanked so it serves the construction-time build too; it
 	// reads only immutable global rows and this cell's own slot table
