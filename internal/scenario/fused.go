@@ -270,30 +270,18 @@ func (ins *Instance) fillLinkRatesSampled(srcs []*rng.Source, s *FadeScratch) er
 	copy(s.cursor, s.linkStart[:K])
 	for m := 0; m < M; m++ {
 		users := ins.topo.UsersOf(m)
-		if ins.serverDown(m) {
-			// An outage must not shift the fading stream, so the server's
-			// draws are still consumed; its rates are written as 0 (the CSR
-			// scratch is reused across calls and cannot be left stale).
-			for _, src := range srcs {
-				for k := 0; k < K; k++ {
-					src.SkipExp()
-				}
-			}
-			for _, k := range users {
-				slot := int(s.cursor[k])
-				s.cursor[k]++
-				base := slot * block
-				for j := 0; j < block; j++ {
-					s.rates[base+j] = 0
-				}
-			}
-			continue
+		// An outage must not shift the fading stream, so a down server's
+		// draws are all consumed, none read.
+		down := ins.serverDown(m)
+		read := users
+		if down {
+			read = nil
 		}
-		n := len(users)
+		n := len(read)
 		for j, src := range srcs {
 			row := s.rowBuf[j*n : (j+1)*n]
 			k := 0
-			for x, u := range users {
+			for x, u := range read {
 				for ; k < u; k++ {
 					src.SkipExp()
 				}
@@ -304,25 +292,28 @@ func (ins *Instance) fillLinkRatesSampled(srcs []*rng.Source, s *FadeScratch) er
 				src.SkipExp()
 			}
 		}
-		if n == 0 {
-			continue
-		}
 		load := ins.topo.Load(m)
 		for x, k := range users {
 			slot := int(s.cursor[k])
 			s.cursor[k]++
+			rates := s.rates[slot*block : (slot+1)*block]
+			if down {
+				// The CSR scratch is reused across calls, so down links are
+				// written as 0, not skipped.
+				clear(rates)
+				continue
+			}
 			lr, err := ins.wcfg.LinkRate(ins.topo.Distance(m, k), load)
 			if err != nil {
 				return fmt.Errorf("scenario: faded rate m=%d k=%d: %w", m, k, err)
 			}
 			sg := ins.shadowGain(m, k)
-			base := slot * block
-			for j := 0; j < block; j++ {
+			for j := range rates {
 				r, err := lr.RateBps(sg * s.rowBuf[j*n+x])
 				if err != nil {
 					return fmt.Errorf("scenario: faded rate m=%d k=%d: %w", m, k, err)
 				}
-				s.rates[base+j] = r
+				rates[j] = r
 			}
 		}
 	}
@@ -577,14 +568,11 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 				rows := srvRows[a*M*wi : (a+1)*M*wi]
 				union := relayRows[a*wi : (a+1)*wi]
 				for w := range hits {
-					var h uint64
-					if relCut > 0 {
-						src := union[w]
-						for _, m := range zeroSrv[:nz] {
-							src |= rows[int(m)*wi+w]
-						}
-						h = relPrefix[w] & src
+					src := union[w]
+					for _, m := range zeroSrv[:nz] {
+						src |= rows[int(m)*wi+w]
 					}
+					h := relPrefix[w] & src
 					for j, m := range dirSrv[:nd] {
 						h |= prefix[j*wi+w] & rows[int(m)*wi+w]
 					}
