@@ -34,32 +34,34 @@ func randomViews(ins *Instance, n int, src *rng.Source) []ServerColumns {
 	return views
 }
 
-// denseHitMass is the kernel-level scalar reference: the two-pass
-// reachability indicator from FadedReach, scanned server by server per
-// (user, model) request in ascending order, so its float adds land in the
-// kernel's order.
-func denseHitMass(t *testing.T, ins *Instance, gains [][]float64, views []ServerColumns) []float64 {
+// assertMatchesDense compares the fused masses got against the
+// kernel-level scalar reference: the two-pass reachability indicator from
+// FadedReach, scanned server by server per (user, model) request in
+// ascending order, so its float adds land in the kernel's order.
+func assertMatchesDense(t *testing.T, label string, ins *Instance, gains [][]float64, views []ServerColumns, got []float64) {
 	t.Helper()
 	reach, err := ins.FadedReach(gains, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	M, K, I, sw := ins.NumServers(), ins.NumUsers(), ins.NumModels(), ins.ServerMaskWords()
-	out := make([]float64, len(views))
 	for a, v := range views {
 		cols := v.PackedServerColumns()
+		dense := 0.0
 		for k := 0; k < K; k++ {
 			for i := 0; i < I; i++ {
 				for m := 0; m < M; m++ {
 					if cols[i*sw+m>>6]&(1<<uint(m&63)) != 0 && reach.Has(m, k, i) {
-						out[a] += ins.Prob(k, i)
+						dense += ins.Prob(k, i)
 						break
 					}
 				}
 			}
 		}
+		if got[a] != dense {
+			t.Fatalf("%s view=%d: fused %.17g != dense %.17g", label, a, got[a], dense)
+		}
 	}
-	return out
 }
 
 // zeroGains sets about share of the gain entries to exactly 0: a covering
@@ -132,20 +134,12 @@ func TestFadedHitMassBlockMatchesPerRealization(t *testing.T) {
 			if err := ins.FadedHitMass(gains, views, want[r*P:(r+1)*P], scratch); err != nil {
 				t.Fatal(err)
 			}
-			for a, d := range denseHitMass(t, ins, gains, views) {
-				if want[r*P+a] != d {
-					t.Fatalf("%s r=%d view=%d: fused %.17g != dense %.17g", name, r, a, want[r*P+a], d)
-				}
-			}
+			assertMatchesDense(t, fmt.Sprintf("%s r=%d", name, r), ins, gains, views, want[r*P:(r+1)*P])
 			zeroGains(gains, 0.3, root.SplitIndex("zero", r))
 			if err := ins.FadedHitMass(gains, views, zeroed, scratch); err != nil {
 				t.Fatal(err)
 			}
-			for a, d := range denseHitMass(t, ins, gains, views) {
-				if zeroed[a] != d {
-					t.Fatalf("%s r=%d view=%d, zeroed gains: fused %.17g != dense %.17g", name, r, a, zeroed[a], d)
-				}
-			}
+			assertMatchesDense(t, fmt.Sprintf("%s r=%d zeroed gains", name, r), ins, gains, views, zeroed)
 		}
 
 		for _, block := range []int{1, 2, 3, 7} {
