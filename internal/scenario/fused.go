@@ -521,8 +521,8 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 			}
 		}
 		for r := 0; r < block; r++ {
-			// Positive-rate covering links keep their direct verdict, kept
-			// in ascending cutoff order; zero-rate ones relay instead.
+			// Positive-rate covering links keep their direct verdict and are
+			// listed in ascending cutoff order; zero-rate ones relay instead.
 			nd, nz := 0, 0
 			for j, m := range covering {
 				if rate := rates[(lo+j)*block+r]; rate > 0 {
