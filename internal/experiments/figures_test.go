@@ -11,20 +11,25 @@ import (
 )
 
 // figuresArtifact is the checked-in record of the paper's own results:
-// every registered experiment's non-timing series at one set of options.
+// every registered experiment's non-timing series, and the notes of those
+// without timing series, at one set of options.
 type figuresArtifact struct {
 	Options Options        `json:"options"`
 	Figures []figureRecord `json:"figures"`
 }
 
-// figureRecord is one experiment's series, timing series left out.
+// figureRecord is one experiment's series, timing series left out. Notes
+// are kept only for tables without timing series: the others' notes quote
+// runtimes.
 type figureRecord struct {
 	Name   string         `json:"name"`
 	Series []stats.Series `json:"series"`
+	Notes  []string       `json:"notes,omitempty"`
 }
 
 // runFigures runs every registered experiment at opt and keeps the series
-// that do not measure wall-clock time.
+// that do not measure wall-clock time, plus the notes of tables that have
+// no such series.
 func runFigures(t *testing.T, opt Options) []figureRecord {
 	t.Helper()
 	var recs []figureRecord
@@ -33,9 +38,11 @@ func runFigures(t *testing.T, opt Options) []figureRecord {
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
-		rec := figureRecord{Name: r.Name, Series: []stats.Series{}}
+		rec := figureRecord{Name: r.Name, Series: []stats.Series{}, Notes: tbl.Notes}
 		for _, s := range tbl.Series {
-			if !s.Timing {
+			if s.Timing {
+				rec.Notes = nil
+			} else {
 				rec.Series = append(rec.Series, s)
 			}
 		}
@@ -55,7 +62,9 @@ func marshalFigures(t *testing.T, art figuresArtifact) []byte {
 
 // TestFigureGoldens pins every figure and ablation of the paper's
 // evaluation to the last bit: the non-timing series of all registered
-// experiments at tinyOptions, byte-compared against the checked-in golden.
+// experiments at tinyOptions, and the notes of tables without timing
+// series (replacement counts, degradations), byte-compared against the
+// checked-in golden.
 // A second run at one worker must reproduce the same bytes, so the pin
 // also covers run-to-run determinism and independence from the trial
 // schedule. Refresh with
