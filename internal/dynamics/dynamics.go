@@ -1,8 +1,10 @@
 // Package dynamics is the time axis of the reproduction: one engine for
 // the "walk users → refresh the instance → measure → maybe re-place"
-// control loop that §IV sketches and §VII-E measures. The replacement
-// study (internal/replacement), the Fig. 7 experiment, and the mobility
-// examples all run on this engine instead of hand-rolling the loop.
+// control loop that §IV sketches and §VII-E measures. Fig. 7, its
+// replacement extension, the scenario gallery, the shard layer's cells and
+// the mobility examples all run on this engine instead of hand-rolling the
+// loop. Users walk on a mobility.Walk: Run drives the engine's own, and
+// callers that own theirs report its moves through ApplyExternal.
 //
 // The engine runs in one of two modes. Rebuild is the historical path: a
 // fresh scenario.Instance and placement.Evaluator every checkpoint, with
@@ -155,12 +157,6 @@ type Config struct {
 	// are stateful (they keep reusable sessions): pass a fresh value per
 	// engine.
 	Measurement Measurement
-	// ExternalMobility hands user movement to the caller: the engine builds
-	// no mobility population, Advance and Refresh error, and the caller
-	// drives the instance through ApplyExternal (movement plus workload-row
-	// revisions) and Step. This is how the shard layer runs one engine per
-	// cell under a single global walk.
-	ExternalMobility bool
 }
 
 // Validate reports the first invalid field, if any.
@@ -185,8 +181,8 @@ func (c Config) Validate() error {
 	if c.DurationMin <= 0 || c.CheckpointMin <= 0 || c.DurationMin < c.CheckpointMin {
 		return fmt.Errorf("dynamics: bad timeline %d/%d min", c.DurationMin, c.CheckpointMin)
 	}
-	if c.SlotS <= 0 {
-		return fmt.Errorf("dynamics: SlotS must be positive")
+	if _, err := mobility.SlotsPerCheckpoint(c.CheckpointMin, c.SlotS); err != nil {
+		return fmt.Errorf("dynamics: %w", err)
 	}
 	if c.Measurement == nil && c.Realizations <= 0 {
 		return fmt.Errorf("dynamics: Realizations must be positive")
@@ -216,19 +212,19 @@ type Result struct {
 	Replacements []int
 }
 
-// Engine is a running timeline. Callers either drive the whole loop with
-// Run or step it manually (Advance → Refresh → Measure/Replace), which is
-// how the benchmarks time each phase in isolation.
+// Engine is a running timeline. Run drives the whole loop on the engine's
+// own walk. Callers that walk the users themselves (the shard layer's
+// cells, the replay targets) report each checkpoint's moves through
+// ApplyExternal and then call Step.
 type Engine struct {
-	cfg     Config
-	src     *rng.Source
-	walkSrc *rng.Source
+	cfg Config
+	src *rng.Source
 
 	ins       *scenario.Instance
 	eval      *placement.Evaluator
 	measure   Measurement
 	traceMeas *TraceMeasurement // non-nil when measure is the trace track
-	pop       *mobility.Population
+	walk      *mobility.Walk    // Advance/Refresh's own walk, built on first use
 
 	allUsers  []int
 	positions []geom.Point
@@ -245,30 +241,21 @@ type Engine struct {
 	stepHit      []float64  // reused Step buffers; valid until the next Step
 	stepReplaced []bool
 
-	slotsPerCheckpoint int
-	checkpoints        int // excluding t = 0
-	replacements       []int
+	checkpoints  int // excluding t = 0
+	replacements []int
 }
 
-// NewEngine validates the configuration, wires the mobility population,
-// and computes the initial placements and their fading baselines (the
-// t = 0 step). The random source fuels three independent streams —
-// "mobility" (walker initialization), "walk" (per-slot dynamics), and
-// "fading"/"refade" (per-checkpoint measurement) — so timelines are
+// NewEngine validates the configuration and computes the initial
+// placements and their fading baselines (the t = 0 step). The random source
+// fuels independent streams — "fading"/"refade" (per-checkpoint
+// measurement) and, for the engine's own walk, "mobility" (walker
+// initialization) and "walk" (per-slot dynamics) — so timelines are
 // deterministic in (config, seed) and independent of Workers.
 func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ins := cfg.Instance
-	var pop *mobility.Population
-	if !cfg.ExternalMobility {
-		var err error
-		pop, err = mobility.NewPopulation(ins.Topology().Area(), ins.Topology().UserPositions(), src.Split("mobility"))
-		if err != nil {
-			return nil, fmt.Errorf("dynamics: %w", err)
-		}
-	}
 	eval, err := placement.NewEvaluator(ins)
 	if err != nil {
 		return nil, fmt.Errorf("dynamics: %w", err)
@@ -283,35 +270,30 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		measure = &FadingMeasurement{Realizations: cfg.Realizations, Workers: cfg.Workers}
 	}
 	e := &Engine{
-		cfg:                cfg,
-		src:                src,
-		walkSrc:            src.Split("walk"),
-		ins:                ins,
-		eval:               eval,
-		measure:            measure,
-		pop:                pop,
-		allUsers:           make([]int, K),
-		positions:          make([]geom.Point, K),
-		placements:         make([]*placement.Placement, len(cfg.Tracks)),
-		baselines:          make([]float64, len(cfg.Tracks)),
-		accPairs:           make([]bitset.Set, len(cfg.Tracks)),
-		caps:               append([]int64(nil), cfg.Capacities...),
-		caps0:              append([]int64(nil), caps0(cfg)...),
-		stepHit:            make([]float64, len(cfg.Tracks)),
-		stepReplaced:       make([]bool, len(cfg.Tracks)),
-		slotsPerCheckpoint: int(float64(cfg.CheckpointMin*60)/cfg.SlotS + 0.5),
-		checkpoints:        cfg.DurationMin / cfg.CheckpointMin,
-		replacements:       make([]int, len(cfg.Tracks)),
+		cfg:          cfg,
+		src:          src,
+		ins:          ins,
+		eval:         eval,
+		measure:      measure,
+		allUsers:     make([]int, K),
+		positions:    make([]geom.Point, K),
+		placements:   make([]*placement.Placement, len(cfg.Tracks)),
+		baselines:    make([]float64, len(cfg.Tracks)),
+		accPairs:     make([]bitset.Set, len(cfg.Tracks)),
+		caps:         append([]int64(nil), cfg.Capacities...),
+		caps0:        append([]int64(nil), caps0(cfg)...),
+		stepHit:      make([]float64, len(cfg.Tracks)),
+		stepReplaced: make([]bool, len(cfg.Tracks)),
+		checkpoints:  cfg.DurationMin / cfg.CheckpointMin,
+		replacements: make([]int, len(cfg.Tracks)),
 	}
 	e.traceMeas, _ = measure.(*TraceMeasurement)
 	for k := range e.allUsers {
 		e.allUsers[k] = k
 	}
-	if cfg.ExternalMobility {
-		// Externally driven rebuilds need the authoritative position vector
-		// the caller's moves accumulate into.
-		copy(e.positions, ins.Topology().UserPositions())
-	}
+	// Rebuild-mode refreshes need the authoritative position vector the
+	// moves accumulate into.
+	copy(e.positions, ins.Topology().UserPositions())
 	for a, tr := range cfg.Tracks {
 		e.accPairs[a] = bitset.New(ins.NumServers() * ins.NumModels())
 		p, err := tr.Algorithm.Place(eval, e.caps)
@@ -349,42 +331,53 @@ func (e *Engine) Baseline(a int) float64 { return e.baselines[a] }
 // Checkpoints returns the number of checkpoints after t = 0.
 func (e *Engine) Checkpoints() int { return e.checkpoints }
 
-// Advance walks every user through one checkpoint worth of mobility slots.
-func (e *Engine) Advance() error {
-	if e.pop == nil {
-		return fmt.Errorf("dynamics: engine is externally driven (ExternalMobility); use ApplyExternal")
-	}
-	for s := 0; s < e.slotsPerCheckpoint; s++ {
-		if err := e.pop.Step(e.cfg.SlotS, e.walkSrc); err != nil {
-			return fmt.Errorf("dynamics: %w", err)
+// ownWalk returns the engine's own walk, built on first use at the
+// instance's current user positions on the seed's "mobility" and "walk"
+// streams.
+func (e *Engine) ownWalk() (*mobility.Walk, error) {
+	if e.walk == nil {
+		topo := e.ins.Topology()
+		w, err := mobility.NewWalk(topo.Area(), topo.UserPositions(), e.src, e.cfg.CheckpointMin, e.cfg.SlotS)
+		if err != nil {
+			return nil, fmt.Errorf("dynamics: %w", err)
 		}
+		e.walk = w
+	}
+	return e.walk, nil
+}
+
+// Advance walks every user through one checkpoint on the engine's own
+// walk.
+func (e *Engine) Advance() error {
+	w, err := e.ownWalk()
+	if err != nil {
+		return err
+	}
+	if _, err := w.Checkpoint(); err != nil {
+		return fmt.Errorf("dynamics: %w", err)
 	}
 	return nil
 }
 
-// Refresh brings the instance (and evaluator) up to date with the walkers'
-// current positions: a delta update in Incremental mode, a fresh instance
-// in Rebuild mode.
+// Refresh brings the instance (and evaluator) up to date with the own
+// walk's current positions, as ApplyExternal of every user.
 func (e *Engine) Refresh() error {
-	if e.pop == nil {
-		return fmt.Errorf("dynamics: engine is externally driven (ExternalMobility); use ApplyExternal")
+	w, err := e.ownWalk()
+	if err != nil {
+		return err
 	}
-	e.pop.PositionsInto(e.positions)
-	return e.refresh(nil, nil, e.allUsers, e.positions)
+	return e.refresh(nil, nil, e.allUsers, w.Positions())
 }
 
-// ApplyExternal is the externally-driven engine's Refresh: the caller
-// reports which users' workload rows it swapped (revised: all three rows
-// via workload.SetUserRows; massOnly: the probability row alone via
-// SetUserProbRow — both before this call) and which users moved to where.
-// In Incremental mode this becomes one scenario.Instance.ReviseUsers
+// ApplyExternal brings the instance up to date with a checkpoint's changes:
+// the caller reports which users' workload rows it swapped (revised: all
+// three rows via workload.SetUserRows; massOnly: the probability row alone
+// via SetUserProbRow — both before this call) and which users moved to
+// where. In Incremental mode this becomes one scenario.Instance.ReviseUsers
 // delta; in Rebuild mode the tracked position vector is patched and a
-// fresh instance built over the live workload — the same rebuild-vs-delta
-// reference pair the internal loop has.
+// fresh instance built over the live workload — the reference the deltas
+// are pinned against.
 func (e *Engine) ApplyExternal(revised, massOnly []int, moved []int, pos []geom.Point) error {
-	if !e.cfg.ExternalMobility {
-		return fmt.Errorf("dynamics: engine owns its mobility; ApplyExternal requires ExternalMobility")
-	}
 	return e.refresh(revised, massOnly, moved, pos)
 }
 
@@ -420,8 +413,7 @@ func (e *Engine) refresh(revised, massOnly []int, moved []int, pos []geom.Point)
 			return fmt.Errorf("dynamics: user %d moved twice", dup)
 		}
 		// Element-wise on purpose: moved is in caller batch order, not slot
-		// order (the internal loop's all-users refresh passes the identity,
-		// where this degenerates to self-assignment).
+		// order (Refresh passes the identity, where this is a plain copy).
 		for j, k := range moved {
 			e.positions[k] = pos[j]
 		}
@@ -689,12 +681,12 @@ func (e *Engine) ProfileResolvesSubset(n, stride int, rebuildHeap bool) (time.Du
 		if err := e.Advance(); err != nil {
 			return 0, err
 		}
-		e.pop.PositionsInto(e.positions)
+		pos := e.walk.Positions()
 		subset = subset[:0]
 		subsetPos = subsetPos[:0]
-		for k := cp % stride; k < len(e.positions); k += stride {
+		for k := cp % stride; k < len(pos); k += stride {
 			subset = append(subset, k)
-			subsetPos = append(subsetPos, e.positions[k])
+			subsetPos = append(subsetPos, pos[k])
 		}
 		if err := e.refresh(nil, nil, subset, subsetPos); err != nil {
 			return 0, err
@@ -752,9 +744,9 @@ func (e *Engine) Run() (*Result, error) {
 
 // Step runs everything in the checkpoint loop after the instance refresh:
 // measure checkpoint cp, fire each track's trigger, and re-place (and
-// re-baseline) the tracks whose trigger fired. Callers driving the engine
-// externally (the shard layer) call it once per checkpoint after
-// ApplyExternal; Run uses it verbatim.
+// re-baseline) the tracks whose trigger fired. Callers that own the walk
+// (the shard layer) call it once per checkpoint after ApplyExternal; Run
+// uses it verbatim.
 //
 // The returned step's HitRatio and Replaced slices are engine-owned and
 // reused: they are valid until the next Step call, so the steady-state

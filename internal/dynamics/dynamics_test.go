@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"math"
 	"testing"
 
 	"trimcaching/internal/libgen"
@@ -81,23 +82,52 @@ func assertResultsEqual(t *testing.T, got, want *Result, label string) {
 // the §VII-E mobility timeline: delta reachability updates plus warm-start
 // placement repair must reproduce the full-rebuild hit ratios exactly —
 // with frozen placements (the Fig. 7 protocol) and with a threshold
-// trigger that actually fires replacements.
+// trigger that actually fires replacements. Every timeline also has the
+// right shape: one step per checkpoint plus t = 0, at checkpoint times,
+// with hit ratios in [0, 1], and the frozen ones never replace.
 func TestIncrementalMatchesRebuild(t *testing.T) {
-	triggers := []Trigger{
-		NeverTrigger{},
-		ThresholdTrigger{Degradation: 0.01}, // eager: fires on 1% degradation
-		PeriodicTrigger{Every: 3},
-	}
-	for _, trigger := range triggers {
-		inc, err := Run(testConfig(testInstance(t, 1), trigger, Incremental, 0), rng.New(7))
+	for _, c := range []struct {
+		trigger Trigger
+		frozen  bool
+	}{
+		{NeverTrigger{}, true},
+		{ThresholdTrigger{Degradation: 10}, true},    // Degradation >= 1 never fires
+		{ThresholdTrigger{Degradation: 0.01}, false}, // eager: fires on 1% degradation
+		{PeriodicTrigger{Every: 3}, false},
+	} {
+		name := c.trigger.Name()
+		cfg := testConfig(testInstance(t, 1), c.trigger, Incremental, 0)
+		inc, err := Run(cfg, rng.New(7))
 		if err != nil {
-			t.Fatalf("%s incremental: %v", trigger.Name(), err)
+			t.Fatalf("%s incremental: %v", name, err)
 		}
-		reb, err := Run(testConfig(testInstance(t, 1), trigger, Rebuild, 0), rng.New(7))
+		reb, err := Run(testConfig(testInstance(t, 1), c.trigger, Rebuild, 0), rng.New(7))
 		if err != nil {
-			t.Fatalf("%s rebuild: %v", trigger.Name(), err)
+			t.Fatalf("%s rebuild: %v", name, err)
 		}
-		assertResultsEqual(t, inc, reb, trigger.Name())
+		assertResultsEqual(t, inc, reb, name)
+
+		if want := cfg.DurationMin/cfg.CheckpointMin + 1; len(inc.Steps) != want {
+			t.Fatalf("%s: %d steps, want %d", name, len(inc.Steps), want)
+		}
+		for si, st := range inc.Steps {
+			if st.TimeMin != float64(si*cfg.CheckpointMin) {
+				t.Fatalf("%s: step %d at %v min", name, si, st.TimeMin)
+			}
+			for a, h := range st.HitRatio {
+				if h < 0 || h > 1 || (si == 0 && h == 0) {
+					t.Fatalf("%s: step %d track %d hit ratio %v", name, si, a, h)
+				}
+				if c.frozen && st.Replaced[a] {
+					t.Fatalf("%s: frozen track %d replaced at step %d", name, a, si)
+				}
+			}
+		}
+		for a, n := range inc.Replacements {
+			if c.frozen && n != 0 {
+				t.Fatalf("%s: frozen track %d replaced %d times", name, a, n)
+			}
+		}
 	}
 }
 
@@ -153,6 +183,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CheckpointMin = 0 },
 		func(c *Config) { c.DurationMin = 5; c.CheckpointMin = 10 },
 		func(c *Config) { c.SlotS = 0 },
+		func(c *Config) { c.SlotS = 1300 }, // no whole slot in a 10 min checkpoint
+		func(c *Config) { c.SlotS = math.NaN() },
 		func(c *Config) { c.Realizations = 0 },
 		func(c *Config) { c.Mode = Mode(99) },
 	}

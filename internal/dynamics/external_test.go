@@ -7,53 +7,17 @@ import (
 	"trimcaching/internal/rng"
 )
 
-// TestExternalMobilityGuards pins the externally-driven engine's mode
-// errors: Advance/Refresh refuse on an external engine, ApplyExternal
-// refuses on an internal one.
+// TestExternalMobilityGuards pins ApplyExternal's input checks, the seam
+// every caller that walks the users itself moves them through: malformed
+// moves error identically in both modes, with no state mutated (the
+// Incremental path delegates to topology.MoveUsers' checks; the Rebuild
+// path mirrors them).
 func TestExternalMobilityGuards(t *testing.T) {
-	cfg, err := NewSmokeScaleConfig(Incremental)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ExternalMobility = true
-	ext, err := NewEngine(cfg, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ext.Advance(); err == nil {
-		t.Error("Advance succeeded on an external engine")
-	}
-	if err := ext.Refresh(); err == nil {
-		t.Error("Refresh succeeded on an external engine")
-	}
-	if _, err := ext.Run(); err == nil {
-		t.Error("Run succeeded on an external engine")
-	}
-	if err := ext.ApplyExternal(nil, nil, nil, nil); err != nil {
-		t.Errorf("empty ApplyExternal failed: %v", err)
-	}
-
-	cfg2, err := NewSmokeScaleConfig(Incremental)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := NewEngine(cfg2, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inner.ApplyExternal(nil, nil, nil, nil); err == nil {
-		t.Error("ApplyExternal succeeded on an internally-driven engine")
-	}
-
-	// Malformed movement input must error identically in both modes, with
-	// no state mutated (the Incremental path delegates to
-	// topology.MoveUsers' checks; the Rebuild path mirrors them).
 	for _, mode := range []Mode{Incremental, Rebuild} {
 		cfg, err := NewSmokeScaleConfig(mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.ExternalMobility = true
 		e, err := NewEngine(cfg, rng.New(1))
 		if err != nil {
 			t.Fatal(err)

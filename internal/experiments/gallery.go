@@ -18,6 +18,7 @@ import (
 	"trimcaching/internal/dynamics"
 	"trimcaching/internal/geom"
 	"trimcaching/internal/libgen"
+	"trimcaching/internal/mobility"
 	"trimcaching/internal/modellib"
 	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
@@ -178,8 +179,8 @@ func (c GalleryConfig) Validate() error {
 	if c.DurationMin <= 0 || c.CheckpointMin <= 0 || c.DurationMin < c.CheckpointMin {
 		return fmt.Errorf("gallery: bad timeline %d/%d min", c.DurationMin, c.CheckpointMin)
 	}
-	if c.SlotS <= 0 {
-		return fmt.Errorf("gallery: SlotS must be positive")
+	if _, err := mobility.SlotsPerCheckpoint(c.CheckpointMin, c.SlotS); err != nil {
+		return fmt.Errorf("gallery: %w", err)
 	}
 	if c.Realizations <= 0 {
 		return fmt.Errorf("gallery: Realizations must be positive")

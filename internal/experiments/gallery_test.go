@@ -184,6 +184,17 @@ func TestGalleryTargetsAgree(t *testing.T) {
 	}
 }
 
+// TestGalleryRejectsFrozenWalk: a slot longer than its checkpoint leaves
+// no whole slot to walk, so every user would stand still; a gallery config
+// (read from JSON) must reject it instead of replaying a frozen timeline.
+func TestGalleryRejectsFrozenWalk(t *testing.T) {
+	cfg := DefaultGalleryConfig()
+	cfg.SlotS = 1300
+	if _, err := RunGallery(cfg); err == nil {
+		t.Fatal("a 1300 s slot in a 10 min checkpoint replayed")
+	}
+}
+
 // TestGalleryDemandThenGrow pins a library grow under an active demand
 // blend: the grown instance is built over the blended rows, so the
 // unsharded leg stays Incremental == Rebuild and every hit ratio stays in

@@ -169,31 +169,26 @@ func (t ShardTarget) GrowLibrary(_ int, build InstanceFunc) error {
 }
 
 // DynamicsTarget drives an unsharded engine as a Target. It owns the users'
-// walk — the engine runs with ExternalMobility, as the shard layer drives
-// its cells — on the engine seed's "mobility" and "walk" streams, so its
-// timeline is bit-identical to the engine's own Advance/Refresh loop, and it
-// queues mass revisions into the next ApplyExternal. A library grow
+// walk, on the engine seed's "mobility" and "walk" streams, and moves the
+// engine through ApplyExternal as the shard layer moves its cells, so its
+// timeline is bit-identical to the engine's own Run; it queues mass
+// revisions into the next ApplyExternal. A library grow
 // replaces the embedded engine with one over the grown instance, seeded
 // from the seed's "grow" stream of that checkpoint, with the live down set
 // and storage budgets re-applied first so the grown t = 0 solve respects
 // them.
 type DynamicsTarget struct {
 	*dynamics.Engine
-	cfg       dynamics.Config
-	src       *rng.Source
-	pop       *mobility.Population
-	walk      *rng.Source
-	slots     int
-	positions []geom.Point
-	users     []int // every user id: all of them move each checkpoint
-	massRev   []int // users queued by ReviseUserMass
-	retired   []int // per track: re-placements of engines retired by grows
+	cfg     dynamics.Config
+	src     *rng.Source
+	walk    *mobility.Walk
+	users   []int // every user id: all of them move each checkpoint
+	massRev []int // users queued by ReviseUserMass
+	retired []int // per track: re-placements of engines retired by grows
 }
 
-// NewDynamicsTarget builds the engine for cfg (ExternalMobility is forced
-// on) and its mobility population from src.
+// NewDynamicsTarget builds the engine for cfg and its walk from src.
 func NewDynamicsTarget(cfg dynamics.Config, src *rng.Source) (*DynamicsTarget, error) {
-	cfg.ExternalMobility = true
 	if cfg.BaselineCapacities == nil {
 		cfg.BaselineCapacities = cfg.Capacities
 	}
@@ -202,20 +197,17 @@ func NewDynamicsTarget(cfg dynamics.Config, src *rng.Source) (*DynamicsTarget, e
 		return nil, err
 	}
 	topo := cfg.Instance.Topology()
-	pop, err := mobility.NewPopulation(topo.Area(), topo.UserPositions(), src.Split("mobility"))
+	walk, err := mobility.NewWalk(topo.Area(), topo.UserPositions(), src, cfg.CheckpointMin, cfg.SlotS)
 	if err != nil {
 		return nil, err
 	}
 	t := &DynamicsTarget{
-		Engine:    eng,
-		cfg:       cfg,
-		src:       src,
-		pop:       pop,
-		walk:      src.Split("walk"),
-		slots:     int(float64(cfg.CheckpointMin*60)/cfg.SlotS + 0.5),
-		positions: pop.PositionsInto(make([]geom.Point, topo.NumUsers())),
-		users:     make([]int, topo.NumUsers()),
-		retired:   make([]int, len(cfg.Tracks)),
+		Engine:  eng,
+		cfg:     cfg,
+		src:     src,
+		walk:    walk,
+		users:   make([]int, topo.NumUsers()),
+		retired: make([]int, len(cfg.Tracks)),
 	}
 	for k := range t.users {
 		t.users[k] = k
@@ -250,7 +242,7 @@ func (t *DynamicsTarget) ReviseUserMass(users []int) error {
 
 // GrowLibrary implements Target over a full instance.
 func (t *DynamicsTarget) GrowLibrary(cp int, build InstanceFunc) error {
-	ins, err := build(t.positions, false)
+	ins, err := build(t.walk.Positions(), false)
 	if err != nil {
 		return err
 	}
@@ -285,13 +277,11 @@ func (t *DynamicsTarget) GrowLibrary(cp int, build InstanceFunc) error {
 
 // Checkpoint implements Target.
 func (t *DynamicsTarget) Checkpoint(cp int) (dynamics.Step, error) {
-	for s := 0; s < t.slots; s++ {
-		if err := t.pop.Step(t.cfg.SlotS, t.walk); err != nil {
-			return dynamics.Step{}, err
-		}
+	pos, err := t.walk.Checkpoint()
+	if err != nil {
+		return dynamics.Step{}, err
 	}
-	t.pop.PositionsInto(t.positions)
-	err := t.ApplyExternal(nil, t.massRev, t.users, t.positions)
+	err = t.ApplyExternal(nil, t.massRev, t.users, pos)
 	t.massRev = t.massRev[:0]
 	if err != nil {
 		return dynamics.Step{}, err

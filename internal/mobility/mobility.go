@@ -186,3 +186,65 @@ func (p *Population) Walker(i int) *Walker { return p.walkers[i] }
 
 // Len returns the number of walkers.
 func (p *Population) Len() int { return len(p.walkers) }
+
+// SlotsPerCheckpoint returns how many slotS-second slots make up one
+// checkpointMin-minute checkpoint, rounded to the nearest slot. Fewer than
+// one slot is an error: a slot longer than the checkpoint (or a zero,
+// negative, NaN or infinite one) would otherwise freeze every user.
+func SlotsPerCheckpoint(checkpointMin int, slotS float64) (int, error) {
+	if !(slotS > 0) {
+		return 0, fmt.Errorf("mobility: slot length must be positive, got %v s", slotS)
+	}
+	n := int(float64(checkpointMin*60)/slotS + 0.5)
+	if n < 1 {
+		return 0, fmt.Errorf("mobility: %v s slots leave no whole slot in a %d min checkpoint", slotS, checkpointMin)
+	}
+	return n, nil
+}
+
+// Walk is the time axis of §VII-E: a population stepped in fixed slots,
+// read out once per checkpoint. Every engine walks its users through one.
+type Walk struct {
+	pop   *Population
+	src   *rng.Source
+	slotS float64
+	slots int
+	pos   []geom.Point
+}
+
+// NewWalk draws a population at positions on src's "mobility" stream and
+// steps it on src's "walk" stream, SlotsPerCheckpoint(checkpointMin, slotS)
+// slots per checkpoint.
+func NewWalk(area geom.Area, positions []geom.Point, src *rng.Source, checkpointMin int, slotS float64) (*Walk, error) {
+	slots, err := SlotsPerCheckpoint(checkpointMin, slotS)
+	if err != nil {
+		return nil, err
+	}
+	pop, err := NewPopulation(area, positions, src.Split("mobility"))
+	if err != nil {
+		return nil, err
+	}
+	return &Walk{
+		pop:   pop,
+		src:   src.Split("walk"),
+		slotS: slotS,
+		slots: slots,
+		pos:   pop.PositionsInto(make([]geom.Point, pop.Len())),
+	}, nil
+}
+
+// Checkpoint walks every user through one checkpoint's slots and returns
+// their new positions: the walk's own buffer (see Positions), overwritten
+// by the next Checkpoint.
+func (w *Walk) Checkpoint() ([]geom.Point, error) {
+	for s := 0; s < w.slots; s++ {
+		if err := w.pop.Step(w.slotS, w.src); err != nil {
+			return nil, err
+		}
+	}
+	return w.pop.PositionsInto(w.pos), nil
+}
+
+// Positions returns the buffer Checkpoint fills: the initial positions
+// until the first Checkpoint, the latest checkpoint's after.
+func (w *Walk) Positions() []geom.Point { return w.pos }

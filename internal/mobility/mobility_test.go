@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -213,5 +214,72 @@ func TestWalkerInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSlotsPerCheckpoint(t *testing.T) {
+	for _, c := range []struct {
+		checkpointMin int
+		slotS         float64
+		want          int
+	}{
+		{10, 5, 120}, {10, 7, 86}, {10, 1200, 1}, {1, 0.5, 120},
+	} {
+		got, err := SlotsPerCheckpoint(c.checkpointMin, c.slotS)
+		if err != nil || got != c.want {
+			t.Errorf("SlotsPerCheckpoint(%d, %v) = %d, %v; want %d", c.checkpointMin, c.slotS, got, err, c.want)
+		}
+	}
+	for _, slotS := range []float64{1201, 1300, 0, -5, math.NaN(), math.Inf(1)} {
+		if n, err := SlotsPerCheckpoint(10, slotS); err == nil {
+			t.Errorf("SlotsPerCheckpoint(10, %v) = %d, want an error", slotS, n)
+		}
+	}
+	if n, err := SlotsPerCheckpoint(0, 5); err == nil {
+		t.Errorf("zero-minute checkpoint gave %d slots, want an error", n)
+	}
+}
+
+// TestWalkMatchesSlotLoop pins Walk against the slot loop it replaces: a
+// population drawn on "mobility", stepped on "walk" for the rounded slots
+// per checkpoint, read out after each checkpoint.
+func TestWalkMatchesSlotLoop(t *testing.T) {
+	area := testArea(t)
+	for _, slotS := range []float64{5, 7} {
+		src := rng.New(8)
+		start := area.SamplePoints(rng.New(9), 12)
+		w, err := NewWalk(area, start, src, 10, slotS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop, err := NewPopulation(area, start, src.Split("mobility"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk := src.Split("walk")
+		slots := int(600/slotS + 0.5)
+		if got := w.Positions(); !slices.Equal(got, start) {
+			t.Fatalf("slot %v s: initial positions %v, want %v", slotS, got, start)
+		}
+		for cp := 1; cp <= 4; cp++ {
+			for s := 0; s < slots; s++ {
+				if err := pop.Step(slotS, walk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := w.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := pop.Positions(); !slices.Equal(got, want) {
+				t.Fatalf("slot %v s, checkpoint %d: walk at %v, slot loop at %v", slotS, cp, got, want)
+			}
+			if &got[0] != &w.Positions()[0] {
+				t.Fatalf("slot %v s: Checkpoint returned a slice other than the walk's buffer", slotS)
+			}
+		}
+	}
+	if _, err := NewWalk(area, area.SamplePoints(rng.New(1), 3), rng.New(1), 10, 1300); err == nil {
+		t.Fatal("a 1300 s slot in a 10 min checkpoint must error")
 	}
 }

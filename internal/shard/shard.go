@@ -150,8 +150,8 @@ func (c Config) Validate() error {
 	if c.DurationMin <= 0 || c.CheckpointMin <= 0 || c.DurationMin < c.CheckpointMin {
 		return fmt.Errorf("shard: bad timeline %d/%d min", c.DurationMin, c.CheckpointMin)
 	}
-	if c.SlotS <= 0 {
-		return fmt.Errorf("shard: SlotS must be positive")
+	if _, err := mobility.SlotsPerCheckpoint(c.CheckpointMin, c.SlotS); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
 	if c.Trace == nil && c.Realizations <= 0 {
 		return fmt.Errorf("shard: Realizations must be positive")
@@ -381,9 +381,8 @@ type Engine struct {
 	radius float64
 	park   geom.Point
 
-	pop       *mobility.Population
-	walkSrc   *rng.Source
-	positions []geom.Point
+	walk      *mobility.Walk
+	positions []geom.Point // the walk's buffer
 
 	owner []int32 // per user: owning cell
 	refs  [][]ref // per user: cells where locally visible, with slot
@@ -391,8 +390,7 @@ type Engine struct {
 	cells   []*cell
 	workers int
 
-	slotsPerCheckpoint int
-	checkpoints        int
+	checkpoints int
 
 	replacedBase []int // replacements absorbed from engines retired by grows
 	handoffs     int
@@ -421,9 +419,9 @@ type Engine struct {
 
 // NewEngine validates the configuration, partitions servers into cells,
 // builds every cell's slot table, instance, and engine (including the
-// t = 0 placements and baselines), and wires the global mobility
-// population from the same "mobility"/"walk" streams the unsharded engine
-// uses — so user trajectories are identical between the two for one seed.
+// t = 0 placements and baselines), and wires the global walk from the same
+// "mobility"/"walk" streams the unsharded engine uses — so user
+// trajectories are identical between the two for one seed.
 // With Shards = 1 the cell engine also draws its measurement streams from
 // src itself, making the whole timeline bit-identical to dynamics.Run;
 // with more cells, cell c measures from src.SplitIndex("cell", c).
@@ -443,21 +441,19 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		headroom = 0.25
 	}
 	e := &Engine{
-		cfg:                cfg,
-		src:                src,
-		grid:               makeGrid(cfg.Shards, side),
-		margin:             margin,
-		radius:             radius,
-		park:               geom.Point{X: -(side + 4*radius), Y: -(side + 4*radius)},
-		positions:          gt.UserPositions(),
-		owner:              make([]int32, gt.NumUsers()),
-		refs:               make([][]ref, gt.NumUsers()),
-		workers:            cfg.Workers,
-		slotsPerCheckpoint: int(float64(cfg.CheckpointMin*60)/cfg.SlotS + 0.5),
-		checkpoints:        cfg.DurationMin / cfg.CheckpointMin,
-		replacedBase:       make([]int, len(cfg.Tracks)),
-		zeroRow:            make([]float64, cfg.Instance.NumModels()),
-		headroom:           headroom,
+		cfg:          cfg,
+		src:          src,
+		grid:         makeGrid(cfg.Shards, side),
+		margin:       margin,
+		radius:       radius,
+		park:         geom.Point{X: -(side + 4*radius), Y: -(side + 4*radius)},
+		owner:        make([]int32, gt.NumUsers()),
+		refs:         make([][]ref, gt.NumUsers()),
+		workers:      cfg.Workers,
+		checkpoints:  cfg.DurationMin / cfg.CheckpointMin,
+		replacedBase: make([]int, len(cfg.Tracks)),
+		zeroRow:      make([]float64, cfg.Instance.NumModels()),
+		headroom:     headroom,
 	}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
@@ -504,12 +500,11 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 	}
 
 	// Mobility: the same global walk the unsharded engine performs.
-	pop, err := mobility.NewPopulation(gt.Area(), e.positions, src.Split("mobility"))
+	walk, err := mobility.NewWalk(gt.Area(), gt.UserPositions(), src, cfg.CheckpointMin, cfg.SlotS)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	e.pop = pop
-	e.walkSrc = src.Split("walk")
+	e.walk, e.positions = walk, walk.Positions()
 
 	// Initial memberships and slot tables.
 	locals := make([][]int, cfg.Shards)
@@ -733,7 +728,6 @@ func (e *Engine) buildCell(sh *cell, locals []int) error {
 		Workers:            measureWorkers,
 		Mode:               e.cfg.Mode,
 		Measurement:        meas,
-		ExternalMobility:   true,
 	}, sh.src)
 	if err != nil {
 		return fmt.Errorf("shard: cell %d: %w", sh.id, err)
@@ -998,12 +992,9 @@ func (e *Engine) baselineStep() Step {
 // aggregate. cp counts from 1. The returned step's slices are engine-owned
 // and reused (see aggregate); callers that keep steps copy them.
 func (e *Engine) Checkpoint(cp int) (Step, error) {
-	for s := 0; s < e.slotsPerCheckpoint; s++ {
-		if err := e.pop.Step(e.cfg.SlotS, e.walkSrc); err != nil {
-			return Step{}, fmt.Errorf("shard: %w", err)
-		}
+	if _, err := e.walk.Checkpoint(); err != nil {
+		return Step{}, fmt.Errorf("shard: %w", err)
 	}
-	e.pop.PositionsInto(e.positions)
 	if err := e.plan(); err != nil {
 		return Step{}, err
 	}

@@ -210,6 +210,14 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("capacity length mismatch accepted")
 	}
+	// A slot with no whole slot per checkpoint would freeze every user.
+	for _, slotS := range []float64{0, 1300, math.NaN()} {
+		cfg = base()
+		cfg.SlotS = slotS
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("SlotS %v accepted", slotS)
+		}
+	}
 
 	// Far more shards than the deployment supports: some cell owns no
 	// servers and construction must fail loudly.
