@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
+	"trimcaching/internal/dynamics"
 	"trimcaching/internal/placement"
-	"trimcaching/internal/replacement"
-	"trimcaching/internal/rng"
 	"trimcaching/internal/stats"
 )
 
@@ -43,123 +40,28 @@ func AblationRatio(opt Options) (*stats.Table, error) {
 
 // Fig7Replace extends Fig. 7 with the §IV replacement remark: comparing a
 // frozen placement against a policy that re-places when the measured hit
-// ratio degrades 5% below its post-placement baseline. Reports both
-// timelines and the replacement count.
+// ratio degrades 5% below its post-placement baseline. The two policies are
+// two tracks of one timeline per topology, so they see the same topology,
+// walk and fading. Reports both timelines and the replacement count.
 func Fig7Replace(opt Options) (*stats.Table, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	lib, err := specialLibrary(opt)
+	labels := []string{"frozen placement", "replace on 5% degradation"}
+	series, replacements, err := runFig7(opt, "fig7-replace", []dynamics.Track{
+		{Algorithm: genAlgorithm(), Trigger: dynamics.NeverTrigger{}},
+		{Algorithm: genAlgorithm(), Trigger: dynamics.ThresholdTrigger{Degradation: 0.05}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	perCheckpoint := opt.Realizations / 4
-	if perCheckpoint < 10 {
-		perCheckpoint = 10
-	}
-	sc := paperScenario(fig7Servers, fig7Users)
-	cfg := replacement.Config{
-		Library:       lib,
-		Scenario:      sc,
-		CapacityBytes: int64(defaultQGB * GB),
-		DurationMin:   fig7DurationMin,
-		CheckpointMin: fig7CheckpointMin,
-		SlotS:         fig7SlotS,
-		Realizations:  perCheckpoint,
-	}
-	policies := []struct {
-		label string
-		pol   replacement.Policy
-	}{
-		{"frozen placement", replacement.Policy{
-			Algorithm:            placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
-			DegradationThreshold: 10,
-		}},
-		{"replace on 5% degradation", replacement.Policy{
-			Algorithm:            placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
-			DegradationThreshold: 0.05,
-		}},
-	}
-
-	checkpoints := fig7DurationMin/fig7CheckpointMin + 1
-	type outcome struct {
-		hit  [][]float64 // hit[policy][checkpoint]
-		repl []int
-		err  error
-	}
-	outcomes := make([]outcome, opt.Topologies)
-	root := rng.New(rng.SaltSeed(opt.Seed, "fig7-replace"))
-
-	workers := opt.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opt.Topologies {
-		workers = opt.Topologies
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				var out outcome
-				out.hit = make([][]float64, len(policies))
-				out.repl = make([]int, len(policies))
-				for pi, pol := range policies {
-					// Same trial stream per policy: identical topology,
-					// walk, and fading for a paired comparison.
-					steps, repl, err := replacement.Run(cfg, pol.pol, root.SplitIndex("trial", t))
-					if err != nil {
-						out.err = err
-						break
-					}
-					out.repl[pi] = repl
-					hits := make([]float64, len(steps))
-					for si, s := range steps {
-						hits[si] = s.HitRatio
-					}
-					out.hit[pi] = hits
-				}
-				outcomes[t] = out
-			}
-		}()
-	}
-	for t := 0; t < opt.Topologies; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
-
-	acc := make([][]stats.Accumulator, len(policies))
-	for pi := range acc {
-		acc[pi] = make([]stats.Accumulator, checkpoints)
-	}
-	totalRepl := make([]int, len(policies))
-	for t := range outcomes {
-		if outcomes[t].err != nil {
-			return nil, fmt.Errorf("experiments: fig7-replace trial %d: %w", t, outcomes[t].err)
-		}
-		for pi := range policies {
-			for cp := 0; cp < checkpoints; cp++ {
-				acc[pi][cp].Add(outcomes[t].hit[pi][cp])
-			}
-			totalRepl[pi] += outcomes[t].repl[pi]
-		}
-	}
-
-	series := make([]stats.Series, len(policies))
 	notes := []string{
 		fmt.Sprintf("M=%d, K=%d, Q=1GB; replacement threshold 5%%", fig7Servers, fig7Users),
 	}
-	for pi, pol := range policies {
-		series[pi].Label = pol.label
-		for cp := 0; cp < checkpoints; cp++ {
-			series[pi].Append(float64(cp*fig7CheckpointMin), acc[pi][cp].Summarize())
-		}
+	for a := range series {
+		series[a].Label = labels[a]
 		notes = append(notes, fmt.Sprintf("%s: %.2f replacements per 2h run",
-			pol.label, float64(totalRepl[pi])/float64(opt.Topologies)))
+			labels[a], float64(replacements[a])/float64(opt.Topologies)))
 	}
 	return &stats.Table{
 		Title:  "Fig. 7 extension: frozen placement vs threshold replacement",

@@ -31,72 +31,20 @@ func Fig7(opt Options) (*stats.Table, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	lib, err := specialLibrary(opt)
+	algs := []placement.Algorithm{specAlgorithm(opt), genAlgorithm()}
+	tracks := make([]dynamics.Track, len(algs))
+	for a, alg := range algs {
+		tracks[a] = dynamics.Track{Algorithm: alg, Trigger: dynamics.NeverTrigger{}}
+	}
+	series, _, err := runFig7(opt, "fig7", tracks)
 	if err != nil {
 		return nil, err
-	}
-	algs := []placement.Algorithm{specAlgorithm(opt), genAlgorithm()}
-	checkpoints := fig7DurationMin/fig7CheckpointMin + 1 // t = 0 included
-	// Fading realizations per checkpoint: cheaper than the main figures
-	// because the trial re-evaluates 13 times.
-	perCheckpoint := opt.Realizations / 4
-	if perCheckpoint < 10 {
-		perCheckpoint = 10
-	}
-
-	outcomes := make([]fig7Outcome, opt.Topologies)
-	root := rng.New(rng.SaltSeed(opt.Seed, "fig7"))
-
-	workers := opt.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opt.Topologies {
-		workers = opt.Topologies
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				outcomes[t] = fig7Trial(lib, algs, checkpoints, perCheckpoint, root.SplitIndex("trial", t))
-			}
-		}()
-	}
-	for t := 0; t < opt.Topologies; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
-
-	acc := make([][]stats.Accumulator, len(algs))
-	for a := range acc {
-		acc[a] = make([]stats.Accumulator, checkpoints)
-	}
-	for t := range outcomes {
-		if outcomes[t].err != nil {
-			return nil, fmt.Errorf("experiments: fig7 trial %d: %w", t, outcomes[t].err)
-		}
-		for a := range algs {
-			for cp := 0; cp < checkpoints; cp++ {
-				acc[a][cp].Add(outcomes[t].hit[a][cp])
-			}
-		}
-	}
-
-	series := make([]stats.Series, len(algs))
-	for a, alg := range algs {
-		series[a].Label = alg.Name()
-		for cp := 0; cp < checkpoints; cp++ {
-			series[a].Append(float64(cp*fig7CheckpointMin), acc[a][cp].Summarize())
-		}
 	}
 	notes := []string{
 		fmt.Sprintf("M=%d, K=%d, Q=1GB, slot=%ds, classes: pedestrian/bike/vehicle", fig7Servers, fig7Users, fig7SlotS),
 	}
 	for a := range series {
+		series[a].Label = algs[a].Name()
 		first := series[a].Points[0].Mean
 		last := series[a].Points[len(series[a].Points)-1].Mean
 		if first > 0 {
@@ -112,50 +60,85 @@ func Fig7(opt Options) (*stats.Table, error) {
 	}, nil
 }
 
-// fig7Outcome is one topology's hit-ratio trajectory per algorithm.
-type fig7Outcome struct {
-	hit [][]float64 // hit[a][checkpoint]
-	err error
+// runFig7 runs the Fig. 7 timeline on opt.Topologies topologies, on a pool
+// of opt.Workers goroutines. Each topology is one dynamics.Run of all the
+// tracks on its trial stream of the salted seed, so the tracks share its
+// topology, walk and fading. It returns one unlabelled series per track,
+// the mean hit ratio at each checkpoint time, and each track's
+// re-placements summed over the topologies.
+func runFig7(opt Options, salt string, tracks []dynamics.Track) ([]stats.Series, []int, error) {
+	lib, err := specialLibrary(opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Fading realizations per checkpoint: cheaper than the main figures
+	// because the trial re-evaluates 13 times.
+	realizations := max(opt.Realizations/4, 10)
+	root := rng.New(rng.SaltSeed(opt.Seed, salt))
+	results := make([]*dynamics.Result, opt.Topologies)
+	errs := make([]error, opt.Topologies)
+
+	workers := opt.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, opt.Topologies)
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range next {
+				results[t], errs[t] = fig7Trial(lib, tracks, realizations, root.SplitIndex("trial", t))
+			}
+		}()
+	}
+	for t := range results {
+		next <- t
+	}
+	close(next)
+	wg.Wait()
+
+	replacements := make([]int, len(tracks))
+	for t, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: %s trial %d: %w", salt, t, err)
+		}
+		for a := range tracks {
+			replacements[a] += results[t].Replacements[a]
+		}
+	}
+	series := make([]stats.Series, len(tracks))
+	for a := range series {
+		for cp := range results[0].Steps {
+			var acc stats.Accumulator
+			for _, res := range results {
+				acc.Add(res.Steps[cp].HitRatio[a])
+			}
+			series[a].Append(float64(cp*fig7CheckpointMin), acc.Summarize())
+		}
+	}
+	return series, replacements, nil
 }
 
-// fig7Trial runs one topology: place at t = 0, then walk users and
-// re-evaluate the frozen placements at every checkpoint. The loop is the
-// dynamics engine with never-firing triggers; the engine's incremental
+// fig7Trial runs one topology: place every track at t = 0, then walk the
+// users for 2 h, measuring at every checkpoint and re-placing the tracks
+// whose trigger fires. The loop is the dynamics engine; its incremental
 // instance updates are pinned bit-identical to the historical rebuild
 // path, so the figure is unchanged.
-func fig7Trial(lib *modellib.Library, algs []placement.Algorithm, checkpoints, perCheckpoint int, src *rng.Source) fig7Outcome {
-	out := fig7Outcome{hit: make([][]float64, len(algs))}
-	for a := range out.hit {
-		out.hit[a] = make([]float64, checkpoints)
-	}
-
-	cfg := paperScenario(fig7Servers, fig7Users)
-	ins, err := scenario.Generate(lib, cfg, src.Split("instance"))
+func fig7Trial(lib *modellib.Library, tracks []dynamics.Track, realizations int, src *rng.Source) (*dynamics.Result, error) {
+	ins, err := scenario.Generate(lib, paperScenario(fig7Servers, fig7Users), src.Split("instance"))
 	if err != nil {
-		out.err = err
-		return out
+		return nil, err
 	}
-	tracks := make([]dynamics.Track, len(algs))
-	for a, alg := range algs {
-		tracks[a] = dynamics.Track{Algorithm: alg, Trigger: dynamics.NeverTrigger{}}
-	}
-	res, err := dynamics.Run(dynamics.Config{
+	return dynamics.Run(dynamics.Config{
 		Instance:      ins,
 		Capacities:    placement.UniformCapacities(fig7Servers, int64(defaultQGB*GB)),
 		Tracks:        tracks,
-		DurationMin:   (checkpoints - 1) * fig7CheckpointMin,
+		DurationMin:   fig7DurationMin,
 		CheckpointMin: fig7CheckpointMin,
 		SlotS:         fig7SlotS,
-		Realizations:  perCheckpoint,
+		Realizations:  realizations,
 	}, src)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	for cp, step := range res.Steps {
-		for a := range algs {
-			out.hit[a][cp] = step.HitRatio[a]
-		}
-	}
-	return out
 }
