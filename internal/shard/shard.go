@@ -2,8 +2,8 @@
 // area is partitioned into a grid of geographic cells, each cell gets its
 // own topology slice, scenario.Instance, placement evaluator, and
 // externally-driven dynamics.Engine, and checkpoints run every cell on a
-// worker pool. One global mobility population walks all users (the same
-// walk, bit for bit, the unsharded engine produces); per checkpoint the
+// worker pool. One global mobility.Walk walks all users (the same walk,
+// bit for bit, the unsharded engine produces); per checkpoint the
 // coordinator diffs each user's cell memberships and turns cross-cell
 // movement into handoff deltas — a park-and-zero ReviseUsers call on the
 // cell the user left, a bind-and-move call on the cell it entered — so
