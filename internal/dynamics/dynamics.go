@@ -366,7 +366,7 @@ func (e *Engine) Refresh() error {
 	if err != nil {
 		return err
 	}
-	return e.refresh(nil, nil, e.allUsers, w.Positions())
+	return e.ApplyExternal(nil, nil, e.allUsers, w.Positions())
 }
 
 // ApplyExternal brings the instance up to date with a checkpoint's changes:
@@ -378,11 +378,6 @@ func (e *Engine) Refresh() error {
 // fresh instance built over the live workload — the reference the deltas
 // are pinned against.
 func (e *Engine) ApplyExternal(revised, massOnly []int, moved []int, pos []geom.Point) error {
-	return e.refresh(revised, massOnly, moved, pos)
-}
-
-// refresh is the shared instance-update core of Refresh and ApplyExternal.
-func (e *Engine) refresh(revised, massOnly []int, moved []int, pos []geom.Point) error {
 	if e.cfg.Mode == Rebuild {
 		// Mirror the Incremental path's input contract (topology.MoveUsers'
 		// length/range/duplicate checks) before mutating the tracked
@@ -688,7 +683,7 @@ func (e *Engine) ProfileResolvesSubset(n, stride int, rebuildHeap bool) (time.Du
 			subset = append(subset, k)
 			subsetPos = append(subsetPos, pos[k])
 		}
-		if err := e.refresh(nil, nil, subset, subsetPos); err != nil {
+		if err := e.ApplyExternal(nil, nil, subset, subsetPos); err != nil {
 			return 0, err
 		}
 		for a := range e.cfg.Tracks {
