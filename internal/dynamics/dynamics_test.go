@@ -183,7 +183,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CheckpointMin = 0 },
 		func(c *Config) { c.DurationMin = 5; c.CheckpointMin = 10 },
 		func(c *Config) { c.SlotS = 0 },
-		func(c *Config) { c.SlotS = 1300 }, // no whole slot in a 10 min checkpoint
+		func(c *Config) { c.SlotS = 1300 }, // rounds to no slot per 10 min checkpoint
 		func(c *Config) { c.SlotS = math.NaN() },
 		func(c *Config) { c.Realizations = 0 },
 		func(c *Config) { c.Mode = Mode(99) },

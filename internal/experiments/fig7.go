@@ -124,9 +124,8 @@ func runFig7(opt Options, salt string, tracks []dynamics.Track) ([]stats.Series,
 
 // fig7Trial runs one topology: place every track at t = 0, then walk the
 // users for 2 h, measuring at every checkpoint and re-placing the tracks
-// whose trigger fires. The loop is the dynamics engine; its incremental
-// instance updates are pinned bit-identical to the historical rebuild
-// path, so the figure is unchanged.
+// whose trigger fires. The loop is the dynamics engine, whose incremental
+// instance updates are pinned bit-identical to its rebuild path.
 func fig7Trial(lib *modellib.Library, tracks []dynamics.Track, realizations int, src *rng.Source) (*dynamics.Result, error) {
 	ins, err := scenario.Generate(lib, paperScenario(fig7Servers, fig7Users), src.Split("instance"))
 	if err != nil {

@@ -184,9 +184,10 @@ func TestGalleryTargetsAgree(t *testing.T) {
 	}
 }
 
-// TestGalleryRejectsFrozenWalk: a slot longer than its checkpoint leaves
-// no whole slot to walk, so every user would stand still; a gallery config
-// (read from JSON) must reject it instead of replaying a frozen timeline.
+// TestGalleryRejectsFrozenWalk: a slot over twice its checkpoint's length
+// rounds to no slot per checkpoint, so every user would stand still; a
+// gallery config (read from JSON) must reject it instead of replaying a
+// frozen timeline.
 func TestGalleryRejectsFrozenWalk(t *testing.T) {
 	cfg := DefaultGalleryConfig()
 	cfg.SlotS = 1300

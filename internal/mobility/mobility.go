@@ -189,15 +189,15 @@ func (p *Population) Len() int { return len(p.walkers) }
 
 // SlotsPerCheckpoint returns how many slotS-second slots make up one
 // checkpointMin-minute checkpoint, rounded to the nearest slot. Fewer than
-// one slot is an error: a slot longer than the checkpoint (or a zero,
-// negative, NaN or infinite one) would otherwise freeze every user.
+// one slot is an error: a slot over twice the checkpoint's length (or a
+// zero, negative, NaN or infinite one) would otherwise freeze every user.
 func SlotsPerCheckpoint(checkpointMin int, slotS float64) (int, error) {
 	if !(slotS > 0) {
 		return 0, fmt.Errorf("mobility: slot length must be positive, got %v s", slotS)
 	}
 	n := int(float64(checkpointMin*60)/slotS + 0.5)
 	if n < 1 {
-		return 0, fmt.Errorf("mobility: %v s slots leave no whole slot in a %d min checkpoint", slotS, checkpointMin)
+		return 0, fmt.Errorf("mobility: %v s slots round to no slot per %d min checkpoint", slotS, checkpointMin)
 	}
 	return n, nil
 }

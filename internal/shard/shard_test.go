@@ -210,7 +210,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("capacity length mismatch accepted")
 	}
-	// A slot with no whole slot per checkpoint would freeze every user.
+	// A slot length that rounds to no slot per checkpoint would freeze
+	// every user.
 	for _, slotS := range []float64{0, 1300, math.NaN()} {
 		cfg = base()
 		cfg.SlotS = slotS
