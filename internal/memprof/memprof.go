@@ -24,7 +24,7 @@ type Footprint struct {
 	// Topology counts position vectors and both association tables.
 	Topology int64 `json:"topology_bytes"`
 	// Evaluator counts placement-evaluator state: the transposed
-	// probability table, gain memos, commit heap, and overlay scratch.
+	// probability table, gain memos, commit heap, and block masks.
 	Evaluator int64 `json:"evaluator_bytes"`
 	// Measurement counts fading-measurement state: per-worker kernel
 	// scratch, realization sources, and result buffers.

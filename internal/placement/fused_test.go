@@ -31,18 +31,23 @@ func denseFadedHitRatio(e *Evaluator, p *Placement, reach *scenario.Reach) float
 	return hit / ins.TotalMass()
 }
 
-// fusedVsUnfused pins the tentpole equivalence on one instance: for every
-// realization, FadedReach + HitRatioWithReach must equal the fused
-// FadedHitRatios exactly — same word ops, same float add order — and both
-// must equal the dense scalar reference. zeroShare sets about that share of
-// each realization's gains to exactly 0, so some covering links of up
-// servers have rate 0 and relay instead of serving directly.
+// fusedVsUnfused pins the fused kernel to the two-pass path on one
+// instance: for every realization, the fused Instance.FadedHitMass divided
+// by TotalMass must equal FadedReach + HitRatioWithReach exactly — same
+// word ops, same float add order — and both must equal the dense scalar
+// reference. zeroShare sets about that share of each realization's gains
+// to exactly 0, so some covering links of up servers have rate 0 and relay
+// instead of serving directly.
 func fusedVsUnfused(t *testing.T, e *Evaluator, placements []*Placement, seed uint64, realizations int, zeroShare float64) {
 	t.Helper()
 	ins := e.Instance()
 	src := rng.New(seed)
 	buf := ins.MakeReachBuffer()
 	scratch := ins.MakeFadeScratch()
+	views := make([]scenario.ServerColumns, len(placements))
+	for a, p := range placements {
+		views[a] = p
+	}
 	fused := make([]float64, len(placements))
 	for r := 0; r < realizations; r++ {
 		gains := scenario.SampleGains(ins.NumServers(), ins.NumUsers(), src.SplitIndex("real", r))
@@ -60,10 +65,11 @@ func fusedVsUnfused(t *testing.T, e *Evaluator, placements []*Placement, seed ui
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.FadedHitRatios(gains, placements, scratch, fused); err != nil {
+		if err := ins.FadedHitMass(gains, views, fused, scratch); err != nil {
 			t.Fatal(err)
 		}
 		for a, p := range placements {
+			fused[a] /= ins.TotalMass()
 			unfused, err := e.HitRatioWithReach(p, reach)
 			if err != nil {
 				t.Fatal(err)
@@ -188,85 +194,4 @@ func TestFusedMultiWordServers(t *testing.T) {
 		t.Fatal("fixture placed nothing; equivalence would be vacuous")
 	}
 	fusedVsUnfused(t, e, []*Placement{p}, 73, 5, 0)
-}
-
-// TestFadedCandidateRatios pins the candidate-batch certification path:
-// scoring the base placement plus N top-of-heap candidates through one
-// multi-placement sweep must equal scoring each candidate overlay as its
-// own cloned placement through FadedHitRatios — exactly, since both run
-// the same kernel over the same columns.
-func TestFadedCandidateRatios(t *testing.T) {
-	for seed := uint64(110); seed < 113; seed++ {
-		e := buildEval(t, 5, 14, 3, seed)
-		ins := e.Instance()
-		caps := UniformCapacities(ins.NumServers(), gb/2)
-		base, err := TrimCachingGen(e, caps, GenOptions{Lazy: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := e.TopCandidates(6)
-		if len(cands) == 0 {
-			t.Fatal("no candidates above tolerance; equivalence would be vacuous")
-		}
-		for j := 1; j < len(cands); j++ {
-			if cands[j].Key > cands[j-1].Key {
-				t.Fatalf("candidates not in descending key order at %d", j)
-			}
-		}
-		src := rng.New(seed + 200)
-		scratch := ins.MakeFadeScratch()
-		got := make([]float64, len(cands)+1)
-		for r := 0; r < 3; r++ {
-			gains := scenario.SampleGains(ins.NumServers(), ins.NumUsers(), src.SplitIndex("real", r))
-			if err := e.FadedCandidateRatios(gains, base, cands, scratch, got); err != nil {
-				t.Fatal(err)
-			}
-			placements := []*Placement{base}
-			for _, c := range cands {
-				p := base.Clone()
-				p.Set(c.Server, c.Model)
-				placements = append(placements, p)
-			}
-			want := make([]float64, len(placements))
-			if err := e.FadedHitRatios(gains, placements, scratch, want); err != nil {
-				t.Fatal(err)
-			}
-			for a := range want {
-				if got[a] != want[a] {
-					t.Fatalf("seed=%d r=%d view=%d: batch %.17g != per-clone %.17g", seed, r, a, got[a], want[a])
-				}
-			}
-		}
-
-		// Error paths: wrong output length and out-of-range candidates.
-		if err := e.FadedCandidateRatios(nil, base, cands, scratch, make([]float64, len(cands))); err == nil {
-			t.Fatal("output length mismatch must error")
-		}
-		gains := scenario.SampleGains(ins.NumServers(), ins.NumUsers(), rng.New(seed+300))
-		bad := []Candidate{{Server: ins.NumServers(), Model: 0}}
-		if err := e.FadedCandidateRatios(gains, base, bad, scratch, make([]float64, 2)); err == nil {
-			t.Fatal("out-of-range candidate must error")
-		}
-	}
-}
-
-// TestFadedHitRatiosValidation covers the fused wrapper's error paths.
-func TestFadedHitRatiosValidation(t *testing.T) {
-	e := buildEval(t, 3, 8, 2, 80)
-	ins := e.Instance()
-	p := NewPlacement(ins.NumServers(), ins.NumModels())
-	gains := scenario.SampleGains(ins.NumServers(), ins.NumUsers(), rng.New(81))
-	if err := e.FadedHitRatios(gains, []*Placement{p}, nil, make([]float64, 2)); err == nil {
-		t.Fatal("output length mismatch must error")
-	}
-	wrong := NewPlacement(ins.NumServers()+1, ins.NumModels())
-	if err := e.FadedHitRatios(gains, []*Placement{wrong}, nil, make([]float64, 1)); err == nil {
-		t.Fatal("placement dim mismatch must error")
-	}
-	if err := e.FadedHitRatios(gains[:1], []*Placement{p}, nil, make([]float64, 1)); err == nil {
-		t.Fatal("gain dim mismatch must error")
-	}
-	if err := e.FadedHitRatios(gains, nil, nil, nil); err != nil {
-		t.Fatalf("empty placement list must be a no-op, got %v", err)
-	}
 }

@@ -175,12 +175,6 @@ type Evaluator struct {
 	blockMasks []uint64 // [i*blockWords+w], bit j: model i contains block j
 	blockSizes []int64
 	blockWords int
-
-	// Candidate-overlay scratch for FadedCandidateRatios: per-candidate
-	// column copies (base plus one bit) and their ServerColumns adapters,
-	// reused across certification batches.
-	overlayWords []uint64
-	overlayViews []overlayColumns
 }
 
 // NewEvaluator returns an evaluator for the instance.
@@ -208,22 +202,15 @@ func NewEvaluator(ins *scenario.Instance) (*Evaluator, error) {
 // MemoryBytes returns the heap bytes the evaluator owns: the transposed
 // probability table, the marginal-gain memo and its validity set, the
 // persistent commit heap (entries, position index, staleness set) and its
-// per-solve working copy, the lazily built block masks, and the
-// candidate-overlay scratch. The instance is accounted separately
-// (scenario.Instance.MemoryFootprint).
+// per-solve working copy, and the lazily built block masks. The instance
+// is accounted separately (scenario.Instance.MemoryFootprint).
 func (e *Evaluator) MemoryBytes() int64 {
 	const candSize = 16 // candidate: key float64 + two int32 coordinates
 	n := int64(cap(e.probT)+cap(e.baseGain)) * 8
 	n += int64(cap(e.baseValid)+cap(e.heapStale)) * 8
 	n += int64(cap(e.heapEnt)+cap(e.workHeap)) * candSize
 	n += int64(cap(e.heapPos)) * 4
-	n += int64(cap(e.blockMasks))*8 + int64(cap(e.blockSizes))*8
-	n += int64(cap(e.overlayWords)) * 8
-	for v := range e.overlayViews {
-		n += int64(cap(e.overlayViews[v].words)) * 8
-	}
-	n += int64(cap(e.overlayViews)) * 24
-	return n
+	return n + int64(cap(e.blockMasks))*8 + int64(cap(e.blockSizes))*8
 }
 
 // BaseGain returns u0(m,i): the marginal cache-hit mass of placing model i
@@ -529,129 +516,6 @@ func (e *Evaluator) HitRatioWithReach(p *Placement, reach *scenario.Reach) (floa
 		}
 	}
 	return hit / e.ins.TotalMass(), nil
-}
-
-// FadedHitRatios computes U(X) (eq. 2) for every placement under one
-// Rayleigh-fading realization via the fused measurement kernel
-// (scenario.Instance.FadedHitMass): the indicator word of each (k,i)
-// request is computed and scored against the placement columns in one
-// pass, with no reachability buffer materialized. Results are
-// bit-identical to FadedReach followed by HitRatioWithReach. scratch may
-// be nil; loops should hold a scenario.FadeScratch (see MakeFadeScratch)
-// per goroutine to avoid per-realization allocation.
-func (e *Evaluator) FadedHitRatios(gains [][]float64, placements []*Placement, scratch *scenario.FadeScratch, dst []float64) error {
-	if len(dst) != len(placements) {
-		return fmt.Errorf("placement: %d outputs for %d placements", len(dst), len(placements))
-	}
-	if scratch == nil {
-		scratch = e.ins.MakeFadeScratch()
-	}
-	views := scratch.ViewScratch(len(placements))
-	for a, p := range placements {
-		if err := e.checkDims(p); err != nil {
-			return err
-		}
-		views[a] = p
-	}
-	if err := e.ins.FadedHitMass(gains, views, dst, scratch); err != nil {
-		return err
-	}
-	total := e.ins.TotalMass()
-	for a := range dst {
-		dst[a] /= total
-	}
-	return nil
-}
-
-// Candidate is one (server, model) commit-heap entry: Key is the heap's
-// cached marginal-gain key — the exact empty-placement gain u0(m,i) after
-// a sync, a stale upper bound mid-solve.
-type Candidate struct {
-	Server int
-	Model  int
-	Key    float64
-}
-
-// TopCandidates returns the first n candidates the lazy-greedy commit heap
-// would pop — descending cached key, ties by ascending (server, model) —
-// without disturbing the persistent heap (the pop consumes the reusable
-// working copy, exactly as a solve does). Fewer than n are returned when
-// the heap holds fewer entries above the gain tolerance. This is the batch
-// the fused certification path (FadedCandidateRatios) scores in one
-// multi-placement sweep.
-func (e *Evaluator) TopCandidates(n int) []Candidate {
-	if n <= 0 {
-		return nil
-	}
-	h := e.commitHeap()
-	if n > len(h) {
-		n = len(h)
-	}
-	out := make([]Candidate, 0, n)
-	for j := 0; j < n; j++ {
-		c := h.pop()
-		out = append(out, Candidate{Server: int(c.m), Model: int(c.i), Key: c.key})
-	}
-	return out
-}
-
-// overlayColumns is a ServerColumns view over a scratch-owned column copy
-// (base placement plus one candidate bit).
-type overlayColumns struct{ words []uint64 }
-
-func (o *overlayColumns) PackedServerColumns() []uint64 { return o.words }
-
-// FadedCandidateRatios scores a candidate batch under one Rayleigh-fading
-// realization through a single multi-placement fused sweep: dst[0]
-// receives base's hit ratio, dst[1+j] the hit ratio of base with
-// (cands[j].Server, cands[j].Model) additionally cached. Results are
-// bit-identical to one FadedHitRatios call per overlaid clone — the
-// overlays are exact column copies with one extra bit — while the request
-// sweep, link gather, and rank cutoffs are paid once for the whole batch.
-// This is lazy greedy's fused certification path: the top-of-heap batch
-// (TopCandidates) is scored in one pass instead of len(cands)+1 kernel
-// invocations. scratch may be nil (a fresh one is allocated).
-func (e *Evaluator) FadedCandidateRatios(gains [][]float64, base *Placement, cands []Candidate, scratch *scenario.FadeScratch, dst []float64) error {
-	if len(dst) != len(cands)+1 {
-		return fmt.Errorf("placement: %d outputs for %d candidates plus base", len(dst), len(cands))
-	}
-	if err := e.checkDims(base); err != nil {
-		return err
-	}
-	ins := e.ins
-	M, I := ins.NumServers(), ins.NumModels()
-	sw := base.serverWords
-	words := I * sw
-	if need := len(cands) * words; cap(e.overlayWords) < need {
-		e.overlayWords = make([]uint64, need)
-	}
-	if cap(e.overlayViews) < len(cands) {
-		e.overlayViews = make([]overlayColumns, len(cands))
-	}
-	if scratch == nil {
-		scratch = ins.MakeFadeScratch()
-	}
-	views := scratch.ViewScratch(len(cands) + 1)
-	views[0] = base
-	baseCols := base.PackedServerColumns()
-	for j, c := range cands {
-		if c.Server < 0 || c.Server >= M || c.Model < 0 || c.Model >= I {
-			return fmt.Errorf("placement: candidate %d (server %d, model %d) out of range %dx%d", j, c.Server, c.Model, M, I)
-		}
-		ow := e.overlayWords[j*words : (j+1)*words]
-		copy(ow, baseCols)
-		ow[c.Model*sw+(c.Server>>6)] |= 1 << uint(c.Server&63)
-		e.overlayViews[j] = overlayColumns{words: ow}
-		views[1+j] = &e.overlayViews[j]
-	}
-	if err := ins.FadedHitMass(gains, views, dst, scratch); err != nil {
-		return err
-	}
-	total := ins.TotalMass()
-	for x := range dst {
-		dst[x] /= total
-	}
-	return nil
 }
 
 // ServerStorage computes g_m(X) (eq. 7): the deduplicated bytes server m

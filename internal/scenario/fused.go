@@ -1,10 +1,12 @@
 // This file is the fused fading-measurement kernel: score placements
 // under a block of fading realizations without materializing the
-// K×I×words reachability indicator. The two-pass path (FadedReach
-// filling Reach.bits, then an evaluator streaming them again) stays for
-// callers that need the full indicator; every scalar-only consumer
-// (checkpoint measurement in both dynamics engine modes) goes through
-// FadedHitMass or FadedHitMassBlock.
+// K×I×words reachability indicator. Production measurement
+// (sim.FadingSession.Evaluate, behind every dynamics and shard checkpoint)
+// goes through FadedHitMassBlock, which draws its own gains. FadedHitMass
+// takes an explicit gain matrix instead, which the zeroed-gain pins and
+// the fuzz target need. The two-pass path (FadedReach filling Reach.bits,
+// then an evaluator streaming them again) is the reference both are pinned
+// to; its one production caller is sim.FadingSession.EvaluateUnfused.
 //
 // The kernel is realization-blocked, multi-placement and word-parallel.
 // Once per call it transposes every placement view into per-server model
@@ -59,7 +61,6 @@ type FadeScratch struct {
 	srvRows   []uint64  // per-server model rows, [(a*M + m)*Words(I) + w]
 	relayRows []uint64  // one user's relay-source union per view, [a*Words(I) + w]
 	cols      [][]uint64
-	views     []ServerColumns
 }
 
 // MemoryBytes returns the heap bytes the scratch owns at its current
@@ -68,18 +69,8 @@ func (s *FadeScratch) MemoryBytes() int64 {
 	n := int64(cap(s.linkStart)+cap(s.cursor)+cap(s.dirSrv)+cap(s.dirCuts)+cap(s.zeroSrv)) * 4
 	n += int64(cap(s.rates)+cap(s.relay)+cap(s.rowBuf)) * 8
 	n += int64(cap(s.hits)+cap(s.prefix)+cap(s.srvRows)+cap(s.relayRows)) * 8
-	n += int64(cap(s.cols)+cap(s.views)) * 24
+	n += int64(cap(s.cols)) * 24
 	return n
-}
-
-// ViewScratch returns a reusable ServerColumns slice of length n, for
-// wrappers (placement.Evaluator.FadedHitRatios) that adapt concrete
-// placement types per call without allocating per realization.
-func (s *FadeScratch) ViewScratch(n int) []ServerColumns {
-	if cap(s.views) < n {
-		s.views = make([]ServerColumns, n)
-	}
-	return s.views[:n]
 }
 
 // MakeFadeScratch allocates a reusable scratch for FadedHitMass and

@@ -185,6 +185,23 @@ func TestFadedHitMassBlockValidation(t *testing.T) {
 	}
 }
 
+// TestFadedHitMassValidation covers the explicit-gains entry point's error
+// paths.
+func TestFadedHitMassValidation(t *testing.T) {
+	ins := buildInstance(t, 3, 8, 2, 80)
+	views := randomViews(ins, 1, rng.New(81))
+	gains := SampleGains(ins.NumServers(), ins.NumUsers(), rng.New(82))
+	if err := ins.FadedHitMass(gains, views, make([]float64, 2), nil); err == nil {
+		t.Fatal("output length mismatch must error")
+	}
+	if err := ins.FadedHitMass(gains[:1], views, make([]float64, 1), nil); err == nil {
+		t.Fatal("gain dim mismatch must error")
+	}
+	if err := ins.FadedHitMass(gains, nil, nil, nil); err != nil {
+		t.Fatalf("empty view list must be a no-op, got %v", err)
+	}
+}
+
 // TestFadeScratchRejectsOtherServerCount pins the scratch dims check on M:
 // a scratch built for an M=10 instance must be refused by an M=12 instance
 // with the same K, I and server words, not index past its per-link buffers.
@@ -221,7 +238,7 @@ func TestFadeScratchRejectsOtherServerCount(t *testing.T) {
 
 // TestRankIndexBuiltAtConstruction pins the construction-time rank index:
 // a fresh instance must expose sorted per-user rank rows without any
-// in-place update or EnsureRankIndex call having run.
+// in-place update having run.
 func TestRankIndexBuiltAtConstruction(t *testing.T) {
 	ins := buildInstance(t, 6, 12, 3, 50)
 	I := ins.NumModels()
