@@ -453,8 +453,9 @@ func (s *FadingSession) EvaluateUnfused(eval *placement.Evaluator, placements []
 	return s.reduce(nil, hr, len(placements), realizations), nil
 }
 
-// prepare validates the instance against the session dimensions and sizes
-// the per-realization score table hr[r*len(placements)+a].
+// prepare validates the instance and every placement against the session
+// dimensions and sizes the per-realization score table
+// hr[r*len(placements)+a].
 func (s *FadingSession) prepare(eval *placement.Evaluator, placements []*placement.Placement, realizations int) (*scenario.Instance, []float64, int, error) {
 	if realizations <= 0 {
 		return nil, nil, 0, fmt.Errorf("sim: realizations must be positive, got %d", realizations)
@@ -463,6 +464,15 @@ func (s *FadingSession) prepare(eval *placement.Evaluator, placements []*placeme
 	if ins.NumServers() != s.numServers || ins.NumUsers() != s.numUsers || ins.NumModels() != s.numModels {
 		return nil, nil, 0, fmt.Errorf("sim: instance dims %dx%dx%d, session %dx%dx%d",
 			ins.NumServers(), ins.NumUsers(), ins.NumModels(), s.numServers, s.numUsers, s.numModels)
+	}
+	for a, p := range placements {
+		if p == nil {
+			return nil, nil, 0, fmt.Errorf("sim: placement %d is nil", a)
+		}
+		if p.NumServers() != s.numServers || p.NumModels() != s.numModels {
+			return nil, nil, 0, fmt.Errorf("sim: placement %d dims %dx%d, instance %dx%d",
+				a, p.NumServers(), p.NumModels(), s.numServers, s.numModels)
+		}
 	}
 	workers := s.workers
 	if workers > realizations {

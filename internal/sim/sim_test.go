@@ -197,6 +197,13 @@ func TestEvaluateUnderFadingValidation(t *testing.T) {
 	if _, err := EvaluateUnderFading(eval, []*placement.Placement{p}, 0, rng.New(4)); err == nil {
 		t.Fatal("zero realizations must error")
 	}
+	if _, err := EvaluateUnderFading(eval, []*placement.Placement{p, nil}, 5, rng.New(4)); err == nil {
+		t.Fatal("nil placement must error")
+	}
+	wrong := placement.NewPlacement(ins.NumServers()+1, ins.NumModels())
+	if _, err := EvaluateUnderFading(eval, []*placement.Placement{wrong}, 5, rng.New(4)); err == nil {
+		t.Fatal("placement dim mismatch must error")
+	}
 	hits, err := EvaluateUnderFading(eval, []*placement.Placement{p}, 5, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
