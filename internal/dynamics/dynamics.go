@@ -376,12 +376,14 @@ func (e *Engine) Refresh() error {
 // where. In Incremental mode this becomes one scenario.Instance.ReviseUsers
 // delta; in Rebuild mode the tracked position vector is patched and a
 // fresh instance built over the live workload — the reference the deltas
-// are pinned against.
+// are pinned against. A malformed move batch (length mismatch, out-of-range
+// or duplicate user) errors in both modes with nobody moved.
 func (e *Engine) ApplyExternal(revised, massOnly []int, moved []int, pos []geom.Point) error {
 	if e.cfg.Mode == Rebuild {
-		// Mirror the Incremental path's input contract (topology.MoveUsers'
-		// length/range/duplicate checks) before mutating the tracked
-		// positions, so malformed input errors identically in both modes.
+		// Mirror the Incremental path's input contract (the
+		// length/range/duplicate checks of topology.MoveUsersInPlace)
+		// before mutating the tracked positions, so malformed input errors
+		// identically in both modes.
 		if len(moved) != len(pos) {
 			return fmt.Errorf("dynamics: %d moved users with %d positions", len(moved), len(pos))
 		}

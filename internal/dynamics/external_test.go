@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"slices"
 	"testing"
 
 	"trimcaching/internal/geom"
@@ -8,10 +9,11 @@ import (
 )
 
 // TestExternalMobilityGuards pins ApplyExternal's input checks, the seam
-// every caller that walks the users itself moves them through: malformed
-// moves error identically in both modes, with no state mutated (the
-// Incremental path delegates to topology.MoveUsers' checks; the Rebuild
-// path mirrors them).
+// every caller that walks the users itself moves them through: in both
+// modes a malformed batch errors and moves nobody, even when its bad entry
+// comes last, after valid moves to new positions (the Incremental path
+// relies on topology.MoveUsersInPlace checking the whole batch before it
+// mutates; the Rebuild path mirrors those checks).
 func TestExternalMobilityGuards(t *testing.T) {
 	for _, mode := range []Mode{Incremental, Rebuild} {
 		cfg, err := NewSmokeScaleConfig(mode)
@@ -22,26 +24,42 @@ func TestExternalMobilityGuards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos := e.Instance().Topology().UserPos(0)
-		if err := e.ApplyExternal(nil, nil, []int{0}, nil); err == nil {
-			t.Errorf("mode %d: length mismatch accepted", int(mode))
+		topo := e.Instance().Topology()
+		before := topo.UserPositions()
+		side := topo.Area().Side
+		p, q := geom.Point{X: side / 3, Y: side / 3}, geom.Point{X: 2 * side / 3, Y: side / 4}
+		for _, c := range []struct {
+			name  string
+			moved []int
+			pos   []geom.Point
+		}{
+			{"length mismatch", []int{1, 2}, []geom.Point{p}},
+			{"negative user", []int{2, -1}, []geom.Point{p, q}},
+			{"out-of-range user", []int{2, len(before)}, []geom.Point{p, q}},
+			{"duplicate move", []int{1, 1}, []geom.Point{p, q}},
+		} {
+			if err := e.ApplyExternal(nil, nil, c.moved, c.pos); err == nil {
+				t.Errorf("mode %d: %s accepted", int(mode), c.name)
+			}
+			if got := e.Instance().Topology().UserPositions(); !slices.Equal(got, before) {
+				t.Fatalf("mode %d: rejected %s moved users", int(mode), c.name)
+			}
 		}
-		if err := e.ApplyExternal(nil, nil, []int{-1}, []geom.Point{pos}); err == nil {
-			t.Errorf("mode %d: out-of-range user accepted", int(mode))
+		// A well-formed call must still succeed afterwards and move exactly
+		// its user (no state leaked by the rejected calls).
+		if err := e.ApplyExternal(nil, nil, []int{1}, []geom.Point{p}); err != nil {
+			t.Fatalf("mode %d: valid call after rejections failed: %v", int(mode), err)
 		}
-		if err := e.ApplyExternal(nil, nil, []int{0, 0}, []geom.Point{pos, pos}); err == nil {
-			t.Errorf("mode %d: duplicate move accepted", int(mode))
-		}
-		// A well-formed call must still succeed afterwards (no scratch
-		// state leaked by the rejected calls).
-		if err := e.ApplyExternal(nil, nil, []int{0}, []geom.Point{pos}); err != nil {
-			t.Errorf("mode %d: valid call after rejections failed: %v", int(mode), err)
+		want := append([]geom.Point(nil), before...)
+		want[1] = p
+		if got := e.Instance().Topology().UserPositions(); !slices.Equal(got, want) {
+			t.Fatalf("mode %d: valid call after rejections moved the wrong users", int(mode))
 		}
 	}
 }
 
 // TestProfileResolvesSubset checks the small-delta profiling path replays
-// deterministically and degrades to ProfileResolves at stride <= 1.
+// deterministically and clamps stride 0 to stride 1.
 func TestProfileResolvesSubset(t *testing.T) {
 	run := func(stride int, rebuild bool) int {
 		cfg, err := NewSmokeScaleConfig(Incremental)

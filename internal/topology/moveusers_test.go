@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"trimcaching/internal/geom"
@@ -45,70 +46,79 @@ func assertTopologiesEqual(t *testing.T, got, want *Topology) {
 	}
 }
 
-// TestMoveUsersMatchesWithUserPositions drifts random subsets of users
-// through repeated incremental moves and pins each snapshot against the
-// full O(K·M) rebuild.
-func TestMoveUsersMatchesWithUserPositions(t *testing.T) {
-	topo := moveTestTopology(t)
-	src := rng.New(9)
-	area := topo.Area()
-	for round := 0; round < 20; round++ {
-		n := 1 + int(src.Uint64()%uint64(topo.NumUsers()))
-		perm := src.Perm(topo.NumUsers())
-		moved := perm[:n]
-		pos := make([]geom.Point, n)
-		for j := range pos {
-			pos[j] = area.SamplePoints(src, 1)[0]
-		}
-		next, loadChanged, err := topo.MoveUsers(moved, pos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full := topo.UserPositions()
-		for j, k := range moved {
-			full[k] = pos[j]
-		}
-		want, err := topo.WithUserPositions(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTopologiesEqual(t, next, want)
-		// loadChanged must be exactly the servers whose load differs... or
-		// whose membership changed with equal load (one in, one out).
-		for _, m := range loadChanged {
-			if m < 0 || m >= topo.NumServers() {
-				t.Fatalf("loadChanged server %d out of range", m)
-			}
-		}
-		for m := 0; m < topo.NumServers(); m++ {
-			if topo.Load(m) != want.Load(m) {
-				found := false
-				for _, c := range loadChanged {
-					if c == m {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("server %d load changed %d→%d but not reported", m, topo.Load(m), want.Load(m))
-				}
-			}
-		}
-		// The source topology must be untouched by the move.
-		before, err := topo.WithUserPositions(topo.UserPositions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTopologiesEqual(t, topo, before)
-		topo = next
+// checkMove applies one MoveUsersInPlace batch and pins it to the full
+// O(K·M) rebuild. A batch with a length mismatch, an out-of-range user or a
+// duplicate must be rejected, leaving positions, coverage and membership
+// unchanged and the scratch reporting no movers. Any other batch must
+// leave the topology equal to WithUserPositions over the updated position
+// vector, report as loadChanged exactly the servers whose user list
+// changed, and park each mover's pre-move coverage row in the scratch. It
+// returns the call's error.
+func checkMove(t *testing.T, topo *Topology, scratch *MoveScratch, moved []int, pos []geom.Point) error {
+	t.Helper()
+	before, err := topo.WithUserPositions(topo.UserPositions())
+	if err != nil {
+		t.Fatal(err)
 	}
+	K := topo.NumUsers()
+	isMoved := make([]bool, K)
+	malformed := len(moved) != len(pos)
+	for _, k := range moved {
+		if k < 0 || k >= K || isMoved[k] {
+			malformed = true
+			continue
+		}
+		isMoved[k] = true
+	}
+
+	changed, err := topo.MoveUsersInPlace(moved, pos, scratch)
+	if (err != nil) != malformed {
+		t.Fatalf("moved %v with %d positions: err = %v, malformed = %v", moved, len(pos), err, malformed)
+	}
+	if err != nil {
+		assertTopologiesEqual(t, topo, before)
+		for k := 0; k < K; k++ {
+			if _, ok := scratch.OldCovering(k); ok {
+				t.Fatalf("rejected batch %v reports user %d as moved", moved, k)
+			}
+		}
+		return err
+	}
+
+	full := before.UserPositions()
+	for j, k := range moved {
+		full[k] = pos[j]
+	}
+	want, err := before.WithUserPositions(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTopologiesEqual(t, topo, want)
+	var wantChanged []int
+	for m := 0; m < want.NumServers(); m++ {
+		if !slices.Equal(before.UsersOf(m), want.UsersOf(m)) {
+			wantChanged = append(wantChanged, m)
+		}
+	}
+	if !slices.Equal(changed, wantChanged) {
+		t.Fatalf("loadChanged = %v, want %v", changed, wantChanged)
+	}
+	for k := 0; k < K; k++ {
+		old, ok := scratch.OldCovering(k)
+		if ok != isMoved[k] {
+			t.Fatalf("user %d: OldCovering ok = %v, moved = %v", k, ok, isMoved[k])
+		}
+		if ok && !slices.Equal(old, before.ServersCovering(k)) {
+			t.Fatalf("user %d: parked coverage %v, want %v", k, old, before.ServersCovering(k))
+		}
+	}
+	return nil
 }
 
-// TestMoveUsersInPlaceMatchesMoveUsers drifts users through the mutating
-// arena-backed path and pins every snapshot against the copying MoveUsers
-// result: identical positions, coverage, server membership, and the same
-// loadChanged set. The checkpoint loop's zero-allocation contract rides on
-// the in-place path being a drop-in replacement.
-func TestMoveUsersInPlaceMatchesMoveUsers(t *testing.T) {
+// TestMoveUsersMatchesWithUserPositions drifts random subsets of users
+// through repeated in-place moves on one scratch and pins each result
+// against the full rebuild (checkMove).
+func TestMoveUsersMatchesWithUserPositions(t *testing.T) {
 	topo := moveTestTopology(t)
 	scratch := NewMoveScratch(topo.NumUsers(), topo.NumServers())
 	src := rng.New(9)
@@ -121,45 +131,84 @@ func TestMoveUsersInPlaceMatchesMoveUsers(t *testing.T) {
 		for j := range pos {
 			pos[j] = area.SamplePoints(src, 1)[0]
 		}
-		want, wantChanged, err := topo.MoveUsers(moved, pos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotChanged, err := topo.MoveUsersInPlace(moved, pos, scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTopologiesEqual(t, topo, want)
-		if len(gotChanged) != len(wantChanged) {
-			t.Fatalf("round %d: %d loadChanged servers, want %d", round, len(gotChanged), len(wantChanged))
-		}
-		for j := range wantChanged {
-			if gotChanged[j] != wantChanged[j] {
-				t.Fatalf("round %d: loadChanged[%d] = %d, want %d", round, j, gotChanged[j], wantChanged[j])
-			}
-		}
-		// The scratch must expose each mover's pre-move coverage row.
-		for _, k := range moved {
-			if _, ok := scratch.OldCovering(k); !ok {
-				t.Fatalf("round %d: scratch lost pre-move coverage for user %d", round, k)
-			}
+		if err := checkMove(t, topo, scratch, moved, pos); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }
 
+// TestMoveUsersValidation rejects malformed batches whose bad entry comes
+// last, after valid moves to new positions: nothing may move, and the
+// scratch reports no movers — nor does a fresh one.
 func TestMoveUsersValidation(t *testing.T) {
 	topo := moveTestTopology(t)
-	p := topo.UserPos(0)
-	if _, _, err := topo.MoveUsers([]int{0}, nil); err == nil {
-		t.Fatal("length mismatch must error")
+	scratch := NewMoveScratch(topo.NumUsers(), topo.NumServers())
+	if _, ok := scratch.OldCovering(0); ok {
+		t.Fatal("fresh scratch reports user 0 as moved")
 	}
-	if _, _, err := topo.MoveUsers([]int{-1}, []geom.Point{p}); err == nil {
-		t.Fatal("negative index must error")
+	p, q := geom.Point{X: 10, Y: 10}, geom.Point{X: 990, Y: 990}
+	for _, c := range []struct {
+		name  string
+		moved []int
+		pos   []geom.Point
+	}{
+		{"length mismatch", []int{0, 1}, []geom.Point{p}},
+		{"negative index", []int{1, -1}, []geom.Point{p, q}},
+		{"out-of-range index", []int{1, topo.NumUsers()}, []geom.Point{p, q}},
+		{"duplicate index", []int{2, 2}, []geom.Point{p, q}},
+	} {
+		if err := checkMove(t, topo, scratch, c.moved, c.pos); err == nil {
+			t.Fatalf("%s must error", c.name)
+		}
 	}
-	if _, _, err := topo.MoveUsers([]int{topo.NumUsers()}, []geom.Point{p}); err == nil {
-		t.Fatal("out-of-range index must error")
-	}
-	if _, _, err := topo.MoveUsers([]int{2, 2}, []geom.Point{p, p}); err == nil {
-		t.Fatal("duplicate index must error")
-	}
+}
+
+// FuzzMoveUsersInPlace replays arbitrary move batches on a small generated
+// topology through checkMove: length mismatches, out-of-range and
+// duplicate users, and points inside and outside the area. Each op is a
+// header byte (low 3 bits: batch size; top 2 bits: 1 adds a spare
+// position, 2 a spare user) followed by 3 bytes per entry: the user as a
+// signed byte modulo K+2, then x and y spread over [-250, 1250] m of the
+// 1000 m area. Run it with
+// go test -run '^$' -fuzz FuzzMoveUsersInPlace -fuzztime 10s ./internal/topology.
+func FuzzMoveUsersInPlace(f *testing.F) {
+	f.Add(uint64(5), []byte{2, 0, 10, 200, 3, 250, 40})
+	f.Add(uint64(6), []byte{2, 4, 10, 200, 4, 250, 40})
+	f.Add(uint64(7), []byte{2, 1, 0, 0, 0xff, 255, 255})
+	f.Add(uint64(8), []byte{0x41, 1, 90, 90, 0x81, 2, 128, 128, 3, 5, 60, 60, 6, 60, 6, 7, 200, 20})
+	f.Add(uint64(9), []byte{0, 1, 15, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		topo, err := Generate(Config{
+			AreaSideM:       1000,
+			NumServers:      1 + int(seed%7),
+			NumUsers:        1 + int(seed>>3%16),
+			CoverageRadiusM: 275,
+		}, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		K := topo.NumUsers()
+		scratch := NewMoveScratch(K, topo.NumServers())
+		coord := func(b byte) float64 { return -250 + 1500*float64(b)/255 }
+		// At most eight calls per input: longer inputs add no new shape of
+		// batch, and they make the fuzzer's minimization crawl.
+		for call := 0; call < 8 && len(ops) > 0; call++ {
+			h := ops[0]
+			ops = ops[1:]
+			var moved []int
+			var pos []geom.Point
+			for j := 0; j < int(h&7) && len(ops) >= 3; j++ {
+				moved = append(moved, int(int8(ops[0]))%(K+2))
+				pos = append(pos, geom.Point{X: coord(ops[1]), Y: coord(ops[2])})
+				ops = ops[3:]
+			}
+			switch h >> 6 {
+			case 1:
+				pos = append(pos, geom.Point{})
+			case 2:
+				moved = append(moved, 0)
+			}
+			checkMove(t, topo, scratch, moved, pos)
+		}
+	})
 }

@@ -48,9 +48,10 @@ func (c Config) Validate() error {
 
 // Topology is a snapshot of server and user positions with derived
 // association sets. It is immutable under the snapshot API (mobility
-// produces new snapshots via WithUserPositions or MoveUsers); a caller that
-// privately owns its topology may instead mutate it with MoveUsersInPlace,
-// which reuses the association rows and allocates nothing in steady state.
+// produces new snapshots via WithUserPositions); a caller that privately
+// owns its topology may instead mutate it with MoveUsersInPlace, which
+// re-associates only the moved users, reuses the association rows and
+// allocates nothing in steady state.
 type Topology struct {
 	area    geom.Area
 	radius  float64
@@ -110,72 +111,6 @@ func (t *Topology) WithUserPositions(users []geom.Point) (*Topology, error) {
 	return New(t.area, t.servers, users, t.radius)
 }
 
-// MoveUsers returns a snapshot with user moved[j] relocated to newPos[j],
-// recomputing associations only for the moved users — O(|moved|·M) instead
-// of WithUserPositions' O(K·M) — plus the ascending list of servers whose
-// coverage set (and hence load) changed. The result is identical to
-// WithUserPositions on the full updated position vector: association lists
-// stay ascending, and untouched rows are shared with the receiver.
-func (t *Topology) MoveUsers(moved []int, newPos []geom.Point) (*Topology, []int, error) {
-	if len(moved) != len(newPos) {
-		return nil, nil, fmt.Errorf("topology: %d moved users with %d positions", len(moved), len(newPos))
-	}
-	nt := &Topology{
-		area:        t.area,
-		radius:      t.radius,
-		servers:     t.servers, // servers never move
-		users:       append([]geom.Point(nil), t.users...),
-		userServers: append([][]int(nil), t.userServers...),
-		serverUsers: append([][]int(nil), t.serverUsers...),
-	}
-	seen := make([]bool, len(t.users))
-	copied := make([]bool, len(t.servers)) // serverUsers row privately owned by nt
-	changed := make([]bool, len(t.servers))
-	for j, k := range moved {
-		if k < 0 || k >= len(t.users) {
-			return nil, nil, fmt.Errorf("topology: moved user %d out of range [0,%d)", k, len(t.users))
-		}
-		if seen[k] {
-			return nil, nil, fmt.Errorf("topology: user %d moved twice", k)
-		}
-		seen[k] = true
-		nt.users[k] = newPos[j]
-		var cov []int
-		for m, s := range t.servers {
-			if newPos[j].Dist(s) <= t.radius {
-				cov = append(cov, m)
-			}
-		}
-		old := t.userServers[k]
-		nt.userServers[k] = cov
-		// Merge-diff the ascending old and new coverage lists; splice k out
-		// of (into) the users list of every server it left (entered).
-		oi, ci := 0, 0
-		for oi < len(old) || ci < len(cov) {
-			switch {
-			case ci == len(cov) || (oi < len(old) && old[oi] < cov[ci]):
-				nt.spliceUser(old[oi], k, false, copied)
-				changed[old[oi]] = true
-				oi++
-			case oi == len(old) || cov[ci] < old[oi]:
-				nt.spliceUser(cov[ci], k, true, copied)
-				changed[cov[ci]] = true
-				ci++
-			default:
-				oi++
-				ci++
-			}
-		}
-	}
-	var loadChanged []int
-	for m, c := range changed {
-		if c {
-			loadChanged = append(loadChanged, m)
-		}
-	}
-	return nt, loadChanged, nil
-}
-
 // MoveScratch owns the reusable state of in-place user moves: per-user and
 // per-server epoch stamps (no O(K) clearing between calls), the reused
 // load-changed list, and an arena holding the pre-move coverage rows of the
@@ -196,6 +131,7 @@ type MoveScratch struct {
 // NewMoveScratch sizes a scratch for a topology with K users and M servers.
 func NewMoveScratch(numUsers, numServers int) *MoveScratch {
 	return &MoveScratch{
+		epoch:       1, // above the zeroed stamps: no user reads as moved yet
 		userStamp:   make([]uint32, numUsers),
 		movedIdx:    make([]int32, numUsers),
 		serverStamp: make([]uint32, numServers),
@@ -222,49 +158,35 @@ func (s *MoveScratch) MemoryBytes() int64 {
 }
 
 // MoveUsersInPlace relocates user moved[j] to newPos[j] by mutating the
-// receiver directly — no snapshot copies — and returns the ascending list of
-// servers whose coverage set (and hence load) changed, owned by scratch and
-// valid until its next use. Association rows are spliced in place with
-// amortized capacity, and each moved user's previous coverage row is parked
-// in the scratch arena first, retrievable via scratch.OldCovering, so
-// incremental revision can still diff old against new state.
+// receiver directly — no snapshot copies — recomputing associations only
+// for the moved users (O(|moved|·M) instead of WithUserPositions'
+// O(K·M)), and returns the ascending list of servers whose coverage set
+// (and hence load) changed, owned by scratch and valid until its next use.
+// Association rows are spliced in place with amortized capacity, and each
+// moved user's previous coverage row is parked in the scratch arena first,
+// retrievable via scratch.OldCovering, so incremental revision can still
+// diff old against new state. The result is identical to WithUserPositions
+// on the full updated position vector: association lists stay ascending.
 //
 // The receiver must be privately owned by the caller: every previously
-// returned row view (ServersCovering, UsersOf) is invalidated. On error the
-// topology may be partially mutated and must be discarded. Results are
-// identical to MoveUsers on the same arguments (pinned by the equivalence
-// tests); only the ownership discipline differs.
+// returned row view (ServersCovering, UsersOf) is invalidated. The whole
+// batch — lengths, user ranges, duplicates — is checked before anything
+// moves, so a rejected call leaves the topology unchanged and the scratch
+// reporting no movers.
 func (t *Topology) MoveUsersInPlace(moved []int, newPos []geom.Point, scratch *MoveScratch) ([]int, error) {
-	if len(moved) != len(newPos) {
-		return nil, fmt.Errorf("topology: %d moved users with %d positions", len(moved), len(newPos))
-	}
 	if len(scratch.userStamp) != len(t.users) || len(scratch.serverStamp) != len(t.servers) {
 		return nil, fmt.Errorf("topology: move scratch sized for %dx%d, topology is %dx%d",
 			len(scratch.userStamp), len(scratch.serverStamp), len(t.users), len(t.servers))
 	}
-	scratch.epoch++
-	if scratch.epoch == 0 { // wrapped: stale stamps could collide, reset them
-		for i := range scratch.userStamp {
-			scratch.userStamp[i] = 0
-		}
-		for i := range scratch.serverStamp {
-			scratch.serverStamp[i] = 0
-		}
-		scratch.epoch = 1
+	epoch := scratch.nextEpoch()
+	if err := scratch.stamp(moved, len(newPos), epoch); err != nil {
+		scratch.nextEpoch() // retire the rejected batch's stamps
+		return nil, err
 	}
-	epoch := scratch.epoch
 	scratch.oldCovOff = scratch.oldCovOff[:0]
 	scratch.oldCovArena = scratch.oldCovArena[:0]
 	scratch.oldCovOff = append(scratch.oldCovOff, 0)
 	for j, k := range moved {
-		if k < 0 || k >= len(t.users) {
-			return nil, fmt.Errorf("topology: moved user %d out of range [0,%d)", k, len(t.users))
-		}
-		if scratch.userStamp[k] == epoch {
-			return nil, fmt.Errorf("topology: user %d moved twice", k)
-		}
-		scratch.userStamp[k] = epoch
-		scratch.movedIdx[k] = int32(j)
 		t.users[k] = newPos[j]
 		// Park the old coverage row before rebuilding it in place.
 		scratch.oldCovArena = append(scratch.oldCovArena, t.userServers[k]...)
@@ -305,30 +227,44 @@ func (t *Topology) MoveUsersInPlace(moved []int, newPos []geom.Point, scratch *M
 	return scratch.loadChanged, nil
 }
 
+// nextEpoch starts a new stamp epoch, retiring every earlier stamp.
+func (s *MoveScratch) nextEpoch() uint32 {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could collide, reset them
+		for i := range s.userStamp {
+			s.userStamp[i] = 0
+		}
+		for i := range s.serverStamp {
+			s.serverStamp[i] = 0
+		}
+		s.epoch = 1
+	}
+	return s.epoch
+}
+
+// stamp checks a move batch — one position per user, every user in range
+// and moved at most once — and marks its users as moved in epoch.
+func (s *MoveScratch) stamp(moved []int, numPos int, epoch uint32) error {
+	if len(moved) != numPos {
+		return fmt.Errorf("topology: %d moved users with %d positions", len(moved), numPos)
+	}
+	for j, k := range moved {
+		if k < 0 || k >= len(s.userStamp) {
+			return fmt.Errorf("topology: moved user %d out of range [0,%d)", k, len(s.userStamp))
+		}
+		if s.userStamp[k] == epoch {
+			return fmt.Errorf("topology: user %d moved twice", k)
+		}
+		s.userStamp[k] = epoch
+		s.movedIdx[k] = int32(j)
+	}
+	return nil
+}
+
 // spliceUserInPlace inserts (add=true) or removes user k from server m's
 // ascending users list, mutating the row directly with amortized capacity.
 func (t *Topology) spliceUserInPlace(m, k int, add bool) {
 	row := t.serverUsers[m]
-	pos := sort.SearchInts(row, k)
-	if add {
-		row = append(row, 0)
-		copy(row[pos+1:], row[pos:])
-		row[pos] = k
-	} else {
-		row = append(row[:pos], row[pos+1:]...)
-	}
-	t.serverUsers[m] = row
-}
-
-// spliceUser inserts (add=true) or removes user k from server m's ascending
-// users list, copying the row on first touch so the source topology stays
-// intact.
-func (t *Topology) spliceUser(m, k int, add bool, copied []bool) {
-	row := t.serverUsers[m]
-	if !copied[m] {
-		row = append([]int(nil), row...)
-		copied[m] = true
-	}
 	pos := sort.SearchInts(row, k)
 	if add {
 		row = append(row, 0)
