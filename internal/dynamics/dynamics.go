@@ -625,51 +625,24 @@ func (e *Engine) ProfileCheckpoints(n int, forceReplace bool) (refresh, repair t
 	return refresh, repair, nil
 }
 
-// ProfileResolves advances n checkpoints and returns the wall time of a
-// forced placement re-solve of every track at each one (refresh excluded).
-// When rebuildHeap is set, the evaluator's persistent commit heap is
-// invalidated before every solve, so the solver reconstructs its starting
-// heap from all M·I pairs — the pre-persistence behavior — which isolates
-// the heap carry-over's contribution to the warm re-solve
+// ProfileResolvesSubset advances n checkpoints and returns the wall time
+// of a forced placement re-solve of every track at each one (refresh
+// excluded). Per checkpoint every user walks, but only every strideth
+// user's move is applied to the instance — the update pattern per-cell
+// sharding produces, where one cell absorbs only the users that moved
+// within or across its boundary. The accumulated delta per re-solve is
+// ~K/stride users instead of K, so this isolates how the persistent commit
+// heap's carry-over pays off when most gains survive a checkpoint. At
+// stride 1 (stride < 1 is clamped to 1) every user's move is applied, as
+// Refresh does. When rebuildHeap is set, the evaluator's persistent commit
+// heap is invalidated before every solve, so the solver reconstructs its
+// starting heap from all M·I pairs — the pre-persistence behavior — which
+// isolates the heap carry-over's contribution to the warm re-solve
 // (cmd/benchdyn's resolve section). Placements are identical either way;
 // only the time differs.
-func (e *Engine) ProfileResolves(n int, rebuildHeap bool) (time.Duration, error) {
-	var total time.Duration
-	for cp := 0; cp < n; cp++ {
-		if err := e.Advance(); err != nil {
-			return 0, err
-		}
-		if err := e.Refresh(); err != nil {
-			return 0, err
-		}
-		for a := range e.cfg.Tracks {
-			if rebuildHeap {
-				e.eval.InvalidateHeap()
-			}
-			start := time.Now()
-			p, err := e.resolve(a)
-			if err != nil {
-				return 0, fmt.Errorf("dynamics: %s: %w", e.cfg.Tracks[a].Algorithm.Name(), err)
-			}
-			total += time.Since(start)
-			e.accPairs[a].Zero()
-			e.placements[a] = p
-		}
-	}
-	return total, nil
-}
-
-// ProfileResolvesSubset is ProfileResolves on a small-delta workload: per
-// checkpoint every user walks, but only every strideth user's move is
-// applied to the instance — the update pattern per-cell sharding produces,
-// where one cell absorbs only the users that moved within or across its
-// boundary. The accumulated delta per re-solve is ~K/stride users instead
-// of K, so this isolates how the persistent commit heap's carry-over pays
-// off when most gains survive a checkpoint. stride ≤ 1 degenerates to
-// ProfileResolves.
 func (e *Engine) ProfileResolvesSubset(n, stride int, rebuildHeap bool) (time.Duration, error) {
-	if stride <= 1 {
-		return e.ProfileResolves(n, rebuildHeap)
+	if stride < 1 {
+		stride = 1
 	}
 	var total time.Duration
 	var subset []int

@@ -85,6 +85,6 @@ func TestProfileResolvesSubset(t *testing.T) {
 		t.Errorf("small-delta placements diverge with heap rebuild: %d vs %d", a, b)
 	}
 	if a, b := run(1, false), run(0, false); a != b {
-		t.Errorf("stride<=1 fallback diverges: %d vs %d", a, b)
+		t.Errorf("stride 0 diverges from stride 1: %d vs %d", a, b)
 	}
 }

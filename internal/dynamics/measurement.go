@@ -42,11 +42,6 @@ type FadingMeasurement struct {
 	Realizations int
 	// Workers bounds the evaluation parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// BlockSize is the number of realizations each worker scores through
-	// one fused sweep (sim.FadingSession.SetBlockSize). 0 splits the
-	// realizations evenly across the workers; 1 forces the
-	// per-realization path. Results are bit-identical for every value.
-	BlockSize int
 
 	session *sim.FadingSession
 	hits    []float64 // reused result buffer; valid until the next Measure
@@ -72,7 +67,6 @@ func (m *FadingMeasurement) Measure(eval *placement.Evaluator, placements []*pla
 			workers = m.Realizations
 		}
 		m.session = sim.NewFadingSession(eval.Instance(), workers)
-		m.session.SetBlockSize(m.BlockSize)
 	}
 	// The result buffer is measurement-owned and reused: valid until the
 	// next Measure call, so the steady-state checkpoint loop allocates

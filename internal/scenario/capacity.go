@@ -100,7 +100,6 @@ func (ins *Instance) SetServerCapacity(m int, bits int64) (*Delta, error) {
 	}
 	ins.capBits[m] = bits
 	ins.ensureUpdScratch()
-	ins.ensureFlipIndex()
 
 	// Toggled models: blocked-state changes under the new budget. The
 	// capBlock bits flip first so every recompute below sees the new

@@ -65,7 +65,6 @@ func (ins *Instance) SetServersDown(servers []int, down bool) (*Delta, error) {
 		ins.down = make([]bool, M)
 	}
 	ins.ensureUpdScratch()
-	ins.ensureFlipIndex()
 	if ins.updDelta.Pairs == nil {
 		ins.updDelta.Pairs = bitset.New(M * I)
 	} else {

@@ -126,7 +126,7 @@ type Instance struct {
 	flipRelVals  []float64
 
 	// rankProvider optionally supplies precomputed rank rows instead of the
-	// O(I log I) per-user sort (see SetRankProvider).
+	// O(I log I) per-user sort (see NewRanked).
 	rankProvider RankProvider
 }
 
@@ -149,7 +149,7 @@ func New(topo *topology.Topology, lib *modellib.Library, work *workload.Workload
 // instead of per-user sorts. The shard layer builds cell instances this
 // way: a bound slot's thresholds equal its global user's, so its rank rows
 // come straight from the global index. The provider stays installed for
-// later rebinds (see SetRankProvider).
+// later rebinds: ReviseUsers refills a revised user's rows through it.
 func NewRanked(topo *topology.Topology, lib *modellib.Library, work *workload.Workload, wcfg wireless.Config, provider RankProvider) (*Instance, error) {
 	return newInstance(topo, lib, work, wcfg, nil, provider, false)
 }
@@ -281,7 +281,7 @@ func newInstance(topo *topology.Topology, lib *modellib.Library, work *workload.
 	// all measure through it from their first realization. An installed
 	// provider (NewRanked) fills rows by copying instead of sorting.
 	ins.rankProvider = provider
-	ins.ensureFlipIndex()
+	ins.buildFlipIndex()
 	return ins, nil
 }
 
@@ -556,7 +556,6 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 	}
 
 	ins.ensureUpdScratch()
-	ins.ensureFlipIndex()
 	dirty := ins.updDirty
 	for _, k := range revised {
 		ins.reviseThresholds(k)
@@ -754,19 +753,15 @@ func (ins *Instance) reconcileUserBits(k int) {
 	}
 }
 
-// reviseThresholds recomputes user k's QoS rate thresholds and, when the
-// flip index exists, its rank rows, from the workload's current deadline
-// and inference rows — the per-user slice of the construction-time loop,
-// re-run after a row swap.
+// reviseThresholds recomputes user k's QoS rate thresholds and rank rows
+// from the workload's current deadline and inference rows — the per-user
+// slice of the construction-time loop, re-run after a row swap.
 func (ins *Instance) reviseThresholds(k int) {
 	I := ins.NumModels()
 	for i := 0; i < I; i++ {
 		slack := ins.work.DeadlineS(k, i) - ins.work.InferS(k, i)
 		ins.minDirRate[k*I+i] = rateThreshold(ins.sizeBits[i], slack)
 		ins.minRelRate[k*I+i] = rateThreshold(ins.sizeBits[i], slack-ins.sizeBits[i]/ins.wcfg.BackhaulBps)
-	}
-	if ins.flipDirOrder == nil {
-		return
 	}
 	if ins.rankBuf == nil {
 		ins.rankBuf = make([]rankPair, I)
@@ -1043,25 +1038,19 @@ func (ins *Instance) updateUser(k int, oldCovering []int, w *updWorker) error {
 	return nil
 }
 
-// ensureFlipIndex builds, once per instance, each user's models ordered by
+// buildFlipIndex builds, at construction, each user's models ordered by
 // ascending direct and relay rate thresholds. The thresholds are
-// position-independent, so the index never invalidates; construction runs
-// it eagerly (the fused measurement kernel consumes the rank prefixes from
-// the first realization), so later calls are no-ops. An installed rank
+// position-independent, so the index never invalidates; only a workload
+// row swap (reviseThresholds) rewrites a user's rows. An installed rank
 // provider short-circuits the per-user sorts.
-func (ins *Instance) ensureFlipIndex() {
-	if ins.flipDirOrder != nil {
-		return
-	}
+func (ins *Instance) buildFlipIndex() {
 	K, I := ins.NumUsers(), ins.NumModels()
 	ins.flipDirOrder = make([]int32, K*I)
 	ins.flipDirVals = make([]float64, K*I)
 	ins.flipRelOrder = make([]int32, K*I)
 	ins.flipRelVals = make([]float64, K*I)
 	if ins.rankProvider != nil {
-		if ins.rankBuf == nil {
-			ins.rankBuf = make([]rankPair, I)
-		}
+		ins.rankBuf = make([]rankPair, I)
 		for k := 0; k < K; k++ {
 			ins.fillRankRows(k)
 		}
@@ -1092,18 +1081,6 @@ func (ins *Instance) fillRankRows(k int) {
 // for any bound — the engines thread their Workers pin through so a
 // single-goroutine configuration really runs single-goroutine here too.
 func (ins *Instance) SetUpdateWorkers(n int) { ins.updMaxWorkers = n }
-
-// SetRankProvider installs an external source of precomputed rank rows,
-// consulted whenever a user's rank rows would otherwise be rebuilt by
-// sorting (index construction and slot rebinds). The shard layer points
-// cells at the global instance's rank index: a bound slot's thresholds
-// equal the global user's, so its rank rows are a copy, not a sort.
-func (ins *Instance) SetRankProvider(p RankProvider) { ins.rankProvider = p }
-
-// EnsureRankIndex forces construction of the per-user threshold rank
-// index. Construction now builds it eagerly, so this is a no-op kept for
-// callers that predate the eager build.
-func (ins *Instance) EnsureRankIndex() { ins.ensureFlipIndex() }
 
 // UserRankRows returns user k's rank rows — models by ascending direct and
 // relay rate threshold with the matching sorted values. The index exists

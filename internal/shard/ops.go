@@ -184,9 +184,6 @@ func (e *Engine) GrowLibrary(newIns *scenario.Instance) error {
 			return fmt.Errorf("shard: grown instance's user %d is at %v, engine tracks %v", k, p, e.positions[k])
 		}
 	}
-	if e.cfg.Shards > 1 {
-		newIns.EnsureRankIndex()
-	}
 	e.cfg.Instance = newIns
 	e.zeroRow = make([]float64, newIns.NumModels())
 	for _, sh := range e.cells {

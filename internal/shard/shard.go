@@ -106,10 +106,6 @@ type Config struct {
 	// Shards is the number of cells; 1 delegates to a single whole-area
 	// cell, bit-identical to the unsharded engine.
 	Shards int
-	// MarginM is the ghost-visibility prefilter band around each cell
-	// rectangle. 0 means the coverage radius, the minimum that keeps owned
-	// server loads exact; smaller positive values are rejected.
-	MarginM float64
 	// Workers bounds the cell-level worker pool; 0 means GOMAXPROCS.
 	// Results are bit-identical for any worker count.
 	Workers int
@@ -169,9 +165,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards <= 0 {
 		return fmt.Errorf("shard: Shards must be positive, got %d", c.Shards)
-	}
-	if r := c.Instance.Topology().CoverageRadius(); c.MarginM != 0 && c.MarginM < r {
-		return fmt.Errorf("shard: margin %v below coverage radius %v breaks load exactness", c.MarginM, r)
 	}
 	return nil
 }
@@ -377,8 +370,7 @@ type Engine struct {
 	cfg    Config
 	src    *rng.Source
 	grid   grid
-	margin float64
-	radius float64
+	radius float64 // coverage radius, also the ghost-visibility margin band
 	park   geom.Point
 
 	walk      *mobility.Walk
@@ -432,10 +424,6 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 	gt := cfg.Instance.Topology()
 	side := gt.Area().Side
 	radius := gt.CoverageRadius()
-	margin := cfg.MarginM
-	if margin == 0 {
-		margin = radius
-	}
 	headroom := cfg.SlotHeadroom
 	if headroom <= 0 {
 		headroom = 0.25
@@ -444,7 +432,6 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		cfg:          cfg,
 		src:          src,
 		grid:         makeGrid(cfg.Shards, side),
-		margin:       margin,
 		radius:       radius,
 		park:         geom.Point{X: -(side + 4*radius), Y: -(side + 4*radius)},
 		owner:        make([]int32, gt.NumUsers()),
@@ -492,13 +479,6 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		}
 	}
 
-	if cfg.Shards > 1 {
-		// The global rank index is every cell provider's copy source (see
-		// buildCell). Construction now builds it eagerly; this call is a
-		// no-op safety net for instances from older construction paths.
-		cfg.Instance.EnsureRankIndex()
-	}
-
 	// Mobility: the same global walk the unsharded engine performs.
 	walk, err := mobility.NewWalk(gt.Area(), gt.UserPositions(), src, cfg.CheckpointMin, cfg.SlotS)
 	if err != nil {
@@ -527,7 +507,7 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 // optional reusable backing slice.
 func (e *Engine) localCells(p geom.Point, owner int, buf []int) []int {
 	out := buf[:0]
-	cx0, cx1, cy0, cy1 := e.grid.candidates(p, e.margin)
+	cx0, cx1, cy0, cy1 := e.grid.candidates(p, e.radius)
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
 			c := cy*e.grid.gx + cx
@@ -1030,11 +1010,12 @@ func (e *Engine) plan() error {
 			sh := e.cells[r.cell]
 			// Visibility hysteresis: a user becomes local when a cell
 			// server covers it (newLocal) but stays local until it exits
-			// the cell's whole margin band. Uncovered band residents add
-			// nothing to loads, mass, or measurement (zero-mass skip) —
-			// while churning the slot table only at band boundaries, not
-			// at every coverage-circle crossing.
-			still := e.grid.inBand(int(r.cell), pos, e.margin)
+			// the cell's whole margin band, one coverage radius wide (the
+			// minimum that keeps owned server loads exact). Uncovered band
+			// residents add nothing to loads, mass, or measurement
+			// (zero-mass skip) — while churning the slot table only at band
+			// boundaries, not at every coverage-circle crossing.
+			still := e.grid.inBand(int(r.cell), pos, e.radius)
 			for _, c := range newLocal {
 				if c == int(r.cell) {
 					still = true

@@ -183,11 +183,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("zero shards accepted")
 	}
-	cfg = base()
-	cfg.MarginM = cfg.Instance.Topology().CoverageRadius() / 2
-	if err := cfg.Validate(); err == nil {
-		t.Error("margin below coverage radius accepted")
-	}
 	// A stateful trigger that implements TriggerCloner is accepted at any
 	// shard count: each cell gets its own clone. One that does not must be
 	// rejected at Shards > 1 — sharing its history across cells would mix
