@@ -2,6 +2,7 @@ package trimcaching
 
 import (
 	"fmt"
+	"math"
 
 	"trimcaching/internal/mobility"
 	"trimcaching/internal/placement"
@@ -32,8 +33,12 @@ func (s *Scenario) StartWalk(seed uint64) (*Walk, error) {
 }
 
 // Advance walks every user forward by seconds, in the paper's 5-second
-// slots (a trailing partial slot is walked at its actual length).
+// slots (a trailing partial slot is walked at its actual length). seconds
+// must be finite and non-negative.
 func (w *Walk) Advance(seconds float64) error {
+	if !(seconds >= 0) || math.IsInf(seconds, 1) {
+		return fmt.Errorf("trimcaching: walk duration must be finite and non-negative, got %v", seconds)
+	}
 	const slotS = 5
 	for seconds > 0 {
 		dt := float64(slotS)

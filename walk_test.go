@@ -1,6 +1,7 @@
 package trimcaching
 
 import (
+	"math"
 	"testing"
 )
 
@@ -93,6 +94,31 @@ func TestWalkAdvancePartialSlot(t *testing.T) {
 	}
 	if _, err := walk.Scenario(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWalkAdvanceRejectsBadDurations rejects NaN, negative and infinite
+// durations. NaN comes first: +Inf used to loop forever.
+func TestWalkAdvanceRejectsBadDurations(t *testing.T) {
+	lib, err := NewSpecialLibrary(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := BuildScenario(lib, DefaultScenarioConfig(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, err := sc.StartWalk(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []float64{math.NaN(), -1, math.Inf(-1), math.Inf(1)} {
+		if err := walk.Advance(s); err == nil {
+			t.Fatalf("Advance(%v) accepted", s)
+		}
+	}
+	if err := walk.Advance(0); err != nil {
+		t.Fatalf("Advance(0): %v", err)
 	}
 }
 
