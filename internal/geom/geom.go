@@ -72,11 +72,15 @@ func (a Area) Reflect(p Point) (Point, float64, float64) {
 }
 
 // reflect1D folds v into [0, side] via repeated mirror reflection and
-// returns the coordinate plus the velocity sign (+1 or -1).
+// returns the coordinate plus the velocity sign (+1 or -1). A v already
+// inside skips the fold: Mod(v, 2·side) is exactly v there.
 func reflect1D(v, side float64) (float64, float64) {
 	sign := 1.0
 	if side <= 0 {
 		return 0, sign
+	}
+	if v >= 0 && v <= side {
+		return v, sign
 	}
 	period := 2 * side
 	v = math.Mod(v, period)

@@ -160,3 +160,36 @@ func TestReflectProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refFold is reflect1D without its inside fast path: the math.Mod fold
+// alone.
+func refFold(v, side float64) (float64, float64) {
+	period := 2 * side
+	v = math.Mod(v, period)
+	if v < 0 {
+		v += period
+	}
+	if v > side {
+		return period - v, -1
+	}
+	return v, 1
+}
+
+// TestReflectMatchesFold pins reflect1D's fast path to the plain fold bit
+// for bit at the walls, their neighbours, far outside, and at NaN and ±Inf.
+func TestReflectMatchesFold(t *testing.T) {
+	for _, side := range []float64{50, 275, 1264.9} {
+		var xs []float64
+		for _, v := range []float64{0, side, 2 * side, 1e6 * side, -1e6 * side} {
+			xs = append(xs, v, -v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+		}
+		xs = append(xs, math.Copysign(0, -1), side/3, math.NaN(), math.Inf(1), math.Inf(-1))
+		for _, v := range xs {
+			got, gotSign := reflect1D(v, side)
+			want, wantSign := refFold(v, side)
+			if math.Float64bits(got) != math.Float64bits(want) || gotSign != wantSign {
+				t.Errorf("side %v: reflect1D(%v) = %v, %v; fold = %v, %v", side, v, got, gotSign, want, wantSign)
+			}
+		}
+	}
+}

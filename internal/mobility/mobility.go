@@ -104,13 +104,29 @@ func (w *Walker) Speed() float64 { return w.speed }
 
 // Step advances the walker by dtS seconds inside area: draw a new
 // acceleration and angular velocity, update speed and heading, move, and
-// reflect off the boundary.
+// reflect off the boundary. dtS must be positive and finite.
 func (w *Walker) Step(dtS float64, area geom.Area, src *rng.Source) error {
-	if dtS <= 0 {
-		return fmt.Errorf("mobility: step duration must be positive, got %v", dtS)
+	if err := checkDuration(dtS); err != nil {
+		return err
 	}
+	w.step(dtS, area, src)
+	return nil
+}
+
+// checkDuration rejects a step duration that is not positive and finite: a
+// NaN or infinite one would move the walker to (NaN, NaN).
+func checkDuration(dtS float64) error {
+	if !(dtS > 0) || math.IsInf(dtS, 1) {
+		return fmt.Errorf("mobility: step duration must be positive and finite, got %v", dtS)
+	}
+	return nil
+}
+
+// step is Step without the duration check. Its products are wrapped in
+// float64 conversions so no architecture fuses them into multiply-adds.
+func (w *Walker) step(dtS float64, area geom.Area, src *rng.Source) {
 	acc := src.Uniform(-w.params.AccMaxMS2, w.params.AccMaxMS2)
-	w.speed += acc * dtS
+	w.speed += float64(acc * dtS)
 	if w.speed < 0 {
 		w.speed = 0
 	}
@@ -118,23 +134,22 @@ func (w *Walker) Step(dtS float64, area geom.Area, src *rng.Source) error {
 		w.speed = w.params.SpeedCapMS
 	}
 	angVel := src.Uniform(-w.params.AngVelMaxRadS, w.params.AngVelMaxRadS)
-	w.heading += angVel * dtS
+	w.heading += float64(angVel * dtS)
 
-	next := w.pos.Add(w.speed*dtS*math.Cos(w.heading), w.speed*dtS*math.Sin(w.heading))
-	reflected, sx, sy := area.Reflect(next)
+	sin, cos := sincos(w.heading)
+	d := w.speed * dtS
+	reflected, sx, sy := area.Reflect(w.pos.Add(float64(d*cos), float64(d*sin)))
 	w.pos = reflected
 	if sx < 0 || sy < 0 {
 		// Mirror the heading on the axis that bounced.
-		dx, dy := math.Cos(w.heading)*sx, math.Sin(w.heading)*sy
-		w.heading = math.Atan2(dy, dx)
+		w.heading = math.Atan2(sin*sy, cos*sx)
 	}
-	return nil
 }
 
 // Population is a set of walkers sharing an area.
 type Population struct {
 	area    geom.Area
-	walkers []*Walker
+	walkers []Walker
 }
 
 // NewPopulation creates walkers at the given positions, cycling through the
@@ -145,23 +160,25 @@ func NewPopulation(area geom.Area, positions []geom.Point, src *rng.Source) (*Po
 		return nil, fmt.Errorf("mobility: at least one user required")
 	}
 	classes := []Class{Pedestrian, Bike, Vehicle}
-	p := &Population{area: area, walkers: make([]*Walker, len(positions))}
+	p := &Population{area: area, walkers: make([]Walker, len(positions))}
 	for i, pos := range positions {
 		w, err := NewWalker(pos, classes[i%len(classes)], src)
 		if err != nil {
 			return nil, err
 		}
-		p.walkers[i] = w
+		p.walkers[i] = *w
 	}
 	return p, nil
 }
 
-// Step advances every walker by dtS seconds.
+// Step advances every walker by dtS seconds, which must be positive and
+// finite.
 func (p *Population) Step(dtS float64, src *rng.Source) error {
-	for _, w := range p.walkers {
-		if err := w.Step(dtS, p.area, src); err != nil {
-			return err
-		}
+	if err := checkDuration(dtS); err != nil {
+		return err
+	}
+	for i := range p.walkers {
+		p.walkers[i].step(dtS, p.area, src)
 	}
 	return nil
 }
@@ -175,14 +192,14 @@ func (p *Population) Positions() []geom.Point {
 // must have one slot per walker, and returns it. Time-stepped loops reuse
 // one buffer across checkpoints.
 func (p *Population) PositionsInto(dst []geom.Point) []geom.Point {
-	for i, w := range p.walkers {
-		dst[i] = w.Pos()
+	for i := range p.walkers {
+		dst[i] = p.walkers[i].pos
 	}
 	return dst
 }
 
 // Walker returns walker i.
-func (p *Population) Walker(i int) *Walker { return p.walkers[i] }
+func (p *Population) Walker(i int) *Walker { return &p.walkers[i] }
 
 // Len returns the number of walkers.
 func (p *Population) Len() int { return len(p.walkers) }

@@ -164,7 +164,7 @@ func (r *Source) Float64() float64 {
 
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64()) // no fused multiply-add on any architecture
 }
 
 // Intn returns a uniform int in [0, n). n must be positive.

@@ -34,21 +34,23 @@ func (s *Scenario) StartWalk(seed uint64) (*Walk, error) {
 
 // Advance walks every user forward by seconds, in the paper's 5-second
 // slots (a trailing partial slot is walked at its actual length). seconds
-// must be finite and non-negative.
+// must be finite and non-negative, and small enough that a slot counts:
+// from 2^56 s on, seconds − 5 rounds back to seconds.
 func (w *Walk) Advance(seconds float64) error {
 	if !(seconds >= 0) || math.IsInf(seconds, 1) {
 		return fmt.Errorf("trimcaching: walk duration must be finite and non-negative, got %v", seconds)
 	}
 	const slotS = 5
 	for seconds > 0 {
-		dt := float64(slotS)
-		if seconds < dt {
-			dt = seconds
+		dt := min(slotS, seconds)
+		left := seconds - dt
+		if left == seconds {
+			return fmt.Errorf("trimcaching: walk duration %v s is too long: a %v s slot does not shorten it", seconds, dt)
 		}
 		if err := w.pop.Step(dt, w.src); err != nil {
 			return fmt.Errorf("trimcaching: %w", err)
 		}
-		seconds -= dt
+		seconds = left
 	}
 	return nil
 }

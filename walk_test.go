@@ -98,7 +98,8 @@ func TestWalkAdvancePartialSlot(t *testing.T) {
 }
 
 // TestWalkAdvanceRejectsBadDurations rejects NaN, negative and infinite
-// durations. NaN comes first: +Inf used to loop forever.
+// durations, and one so long a 5 s slot rounds away. NaN comes first: +Inf
+// used to loop forever, and so did 1e17 s, which comes last.
 func TestWalkAdvanceRejectsBadDurations(t *testing.T) {
 	lib, err := NewSpecialLibrary(2, 1)
 	if err != nil {
@@ -112,7 +113,7 @@ func TestWalkAdvanceRejectsBadDurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []float64{math.NaN(), -1, math.Inf(-1), math.Inf(1)} {
+	for _, s := range []float64{math.NaN(), -1, math.Inf(-1), math.Inf(1), 1e17} {
 		if err := walk.Advance(s); err == nil {
 			t.Fatalf("Advance(%v) accepted", s)
 		}
