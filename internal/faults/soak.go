@@ -185,9 +185,10 @@ func (v soakVariant) replay(newBase func() (dynamics.Config, error), seed uint64
 }
 
 // checkedTarget is the primary replica: the unsharded target with the
-// engine invariants asserted after every checkpoint — request mass is
-// conserved, no placement occupies a dark server, and every track's
-// placement is feasible under the live (possibly degraded) budgets.
+// engine invariants asserted after every checkpoint — every track's hit
+// ratio lies in [0, 1], request mass is conserved, no placement occupies a
+// dark server, and every track's placement is feasible under the live
+// (possibly degraded) budgets.
 type checkedTarget struct {
 	*experiments.DynamicsTarget
 	eval  *placement.Evaluator
@@ -200,6 +201,11 @@ func (t checkedTarget) Checkpoint(cp int) (dynamics.Step, error) {
 	st, err := t.DynamicsTarget.Checkpoint(cp)
 	if err != nil {
 		return st, err
+	}
+	for a, hr := range st.HitRatio {
+		if !(hr >= 0 && hr <= 1) { // NaN fails both compares
+			return st, fmt.Errorf("track %d: hit ratio %v outside [0, 1]", a, hr)
+		}
 	}
 	ins := t.Instance()
 	if got := ins.TotalMass(); got != t.mass0 {

@@ -12,12 +12,14 @@
 // Once per call it transposes every placement view into per-server model
 // rows; once per user and block it gathers the user's link data — covering
 // rates in a CSR link table, relay rates — and ORs the relay-source rows;
-// once per (user, realization) it turns the threshold rank cutoffs into
-// model bit masks. Each view's hits are then a handful of word ANDs and ORs
-// over those masks, for any server or model count. Hit masses accumulate
-// per (realization, placement) in ascending (k, model) order, so results
-// are bit-identical to the two-pass path and independent of block size:
-// the same hit sets, the same float add order.
+// once per user and chunk of at most fadeChunk realizations it sorts the
+// chunk's positive rates and walks each threshold rank row once, leaving a
+// model bit mask per (link, realization) and per realization's relay. Each
+// view's hits are then a handful of word ANDs and ORs over those masks,
+// for any server or model count. Hit masses accumulate per (realization,
+// placement) in ascending (k, model) order, so results are bit-identical
+// to the two-pass path and independent of block size: the same hit sets,
+// the same float add order.
 package scenario
 
 import (
@@ -40,35 +42,49 @@ type ServerColumns interface {
 	PackedServerColumns() []uint64
 }
 
+// fadeChunk is the most realizations whose rank prefixes one scan of a
+// user's rank rows builds. It bounds the snapshot scratch at fadeChunk·M
+// model masks.
+const fadeChunk = 8
+
+// fadeEvent is one stop of a rank scan: a positive rate and the snapshot
+// slot that receives the prefix of thresholds at or below it.
+type fadeEvent struct {
+	rate float64
+	slot int
+}
+
 // FadeScratch owns the reusable state of the fused measurement kernel: the
 // CSR link table (per-user covering links in ascending server order), the
 // per-link rate and per-user relay tables for one realization block, the
-// per-server placement rows, and the per-user mask buffers. Allocate once
-// per goroutine with MakeFadeScratch and reuse across calls; the per-block
-// and per-view tables grow on demand, so steady-state calls perform no
-// allocation.
+// per-server placement rows, and one realization chunk's rank-prefix
+// snapshots. Allocate once per goroutine with MakeFadeScratch and reuse
+// across calls; the per-block and per-view tables grow on demand, so
+// steady-state calls perform no allocation.
 type FadeScratch struct {
-	linkStart []int32   // linkStart[k]..linkStart[k+1]: user k's link slots
-	cursor    []int32   // per-user fill cursor (m-major rate fill)
-	rates     []float64 // rates[slot*block + r]
-	relay     []float64 // relay[k*block + r]
-	rowBuf    []float64 // sampled gains of one server's users × block realizations
-	hits      []uint64  // one view's hit mask over models, Words(I)
-	dirSrv    []int32   // positive-rate covering links' servers, M
-	dirCuts   []int32   // matching direct rank cutoffs, M
-	zeroSrv   []int32   // zero-rate covering links' servers, M
-	prefix    []uint64  // rank-prefix masks: one per direct link, then relay; (M+1)*Words(I)
-	srvRows   []uint64  // per-server model rows, [(a*M + m)*Words(I) + w]
-	relayRows []uint64  // one user's relay-source union per view, [a*Words(I) + w]
+	linkStart []int32     // linkStart[k]..linkStart[k+1]: user k's link slots
+	cursor    []int32     // per-user fill cursor (m-major rate fill)
+	rates     []float64   // rates[slot*block + r]
+	relay     []float64   // relay[k*block + r]
+	rowBuf    []float64   // sampled gains of one server's users × block realizations
+	hits      []uint64    // one view's hit mask over models, Words(I)
+	dirSrv    []int32     // chunk realization c's positive-rate covering servers at [c*M:]
+	zeroSrv   []int32     // chunk realization c's zero-rate covering servers at [c*M:]
+	events    []fadeEvent // one rank scan's stops, fadeChunk*M
+	dirSnap   []uint64    // direct rank prefix of dirSrv[x] at [x*Words(I):]
+	relSnap   []uint64    // relay rank prefix of chunk realization c at [c*Words(I):]
+	srvRows   []uint64    // per-server model rows, [(a*M + m)*Words(I) + w]
+	relayRows []uint64    // one user's relay-source union per view, [a*Words(I) + w]
 	cols      [][]uint64
 }
 
 // MemoryBytes returns the heap bytes the scratch owns at its current
 // grown-to capacity.
 func (s *FadeScratch) MemoryBytes() int64 {
-	n := int64(cap(s.linkStart)+cap(s.cursor)+cap(s.dirSrv)+cap(s.dirCuts)+cap(s.zeroSrv)) * 4
+	n := int64(cap(s.linkStart)+cap(s.cursor)+cap(s.dirSrv)+cap(s.zeroSrv)) * 4
 	n += int64(cap(s.rates)+cap(s.relay)+cap(s.rowBuf)) * 8
-	n += int64(cap(s.hits)+cap(s.prefix)+cap(s.srvRows)+cap(s.relayRows)) * 8
+	n += int64(cap(s.hits)+cap(s.dirSnap)+cap(s.relSnap)+cap(s.srvRows)+cap(s.relayRows)) * 8
+	n += int64(cap(s.events)) * 16
 	n += int64(cap(s.cols)) * 24
 	return n
 }
@@ -87,10 +103,11 @@ func (ins *Instance) MakeFadeScratch() *FadeScratch {
 		rates:     make([]float64, links),
 		relay:     make([]float64, K),
 		hits:      make([]uint64, bitset.Words(I)),
-		dirSrv:    make([]int32, M),
-		dirCuts:   make([]int32, M),
-		zeroSrv:   make([]int32, M),
-		prefix:    make([]uint64, (M+1)*bitset.Words(I)),
+		dirSrv:    make([]int32, fadeChunk*M),
+		zeroSrv:   make([]int32, fadeChunk*M),
+		events:    make([]fadeEvent, fadeChunk*M),
+		dirSnap:   make([]uint64, fadeChunk*M*bitset.Words(I)),
+		relSnap:   make([]uint64, fadeChunk*bitset.Words(I)),
 	}
 }
 
@@ -99,7 +116,7 @@ func (ins *Instance) MakeFadeScratch() *FadeScratch {
 // O(K)-refreshed per call), and sizes the per-block tables.
 func (s *FadeScratch) prep(ins *Instance, block int) error {
 	M, K, I := ins.NumServers(), ins.NumUsers(), ins.NumModels()
-	if len(s.linkStart) != K+1 || len(s.hits) != bitset.Words(I) || len(s.dirCuts) != M {
+	if len(s.linkStart) != K+1 || len(s.hits) != bitset.Words(I) || len(s.dirSrv) != fadeChunk*M {
 		return fmt.Errorf("scenario: fade scratch dims do not match instance")
 	}
 	n := int32(0)
@@ -395,8 +412,9 @@ func (ins *Instance) FadedHitMass(gains [][]float64, views []ServerColumns, dst 
 // dst[j*len(views)+a] receives views[a]'s unnormalized hit mass under
 // realization j. Results are bit-identical to len(srcs) FadedHitMass
 // calls over sampled gain matrices — realizations never interact — while
-// the placement transpose is paid once per call and the per-user gather
-// and relay-source union once per block.
+// the placement transpose is paid once per call, the per-user gather
+// and relay-source union once per block, and each user's rank scans once
+// per chunk of up to fadeChunk realizations.
 // scratch may be nil (a fresh one is allocated).
 func (ins *Instance) FadedHitMassBlock(srcs []*rng.Source, views []ServerColumns, dst []float64, scratch *FadeScratch) error {
 	block := len(srcs)
@@ -429,37 +447,22 @@ func (ins *Instance) FadedHitMassBlock(srcs []*rng.Source, views []ServerColumns
 	return nil
 }
 
-// searchGreater returns the first index j with vals[j] > x in an ascending
-// slice — the rank-prefix cutoff |{j : vals[j] ≤ x}|. Equivalent to
-// sort.Search over the same predicate, inlined off the closure path for
-// the kernel's hot loop.
-func searchGreater(vals []float64, x float64) int {
-	lo, hi := 0, len(vals)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if vals[mid] > x {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // fusedHitMassBlocked is the realization-blocked multi-placement kernel.
 // For user k a request (k,i) can hit only through two sources: the relay
 // verdict (minRel[k,i] ≤ relay rate) reaching a cached up server outside
 // the positive-rate covering set, or a positive-rate covering server m's
 // direct verdict (minDir[k,i] ≤ rate_mk) with m caching i. Both verdict
 // sets are rank prefixes of the instance's construction-time threshold
-// index, found by binary search. Per (user, realization) the kernel turns
-// them into model bit masks: one pass over the direct rank order up to the
-// largest cutoff snapshots the prefix at each positive link's cutoff, in
-// ascending order, and one pass builds the relay prefix. Each view's hit
-// mask is then, word by word, the OR over direct links of (link prefix ∧
-// the link server's row) and (relay prefix ∧ relay-source union). The
-// probability sum sweeps that mask in ascending model order — the same
-// additions, in the same order, as a dense per-realization sweep.
+// index. The kernel takes a user's realizations in chunks of at most
+// fadeChunk: it sorts the chunk's positive link rates, walks the direct
+// rank row once, and snapshots the growing prefix mask at each rate — the
+// prefix ends where searchGreater's cutoff would — and does the same for
+// the chunk's relay rates over the relay rank row. Each view's hit mask
+// for one realization is then, word by word, the OR over its direct links
+// of (link prefix ∧ the link server's row) and (relay prefix ∧
+// relay-source union). The probability sum sweeps that mask in ascending
+// model order — the same additions, in the same order, as a dense
+// per-realization sweep.
 //
 // Fading changes the relay-source set only through covering links of rate
 // exactly 0, which relay like any up server outside the covering set (the
@@ -476,9 +479,9 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 	rates, relay := scratch.rates, scratch.relay
 	linkStart := scratch.linkStart
 	srvRows, relayRows := scratch.srvRows, scratch.relayRows
-	hits, prefix := scratch.hits, scratch.prefix
-	dirSrv, dirCuts, zeroSrv := scratch.dirSrv, scratch.dirCuts, scratch.zeroSrv
-	relPrefix := prefix[M*wi : (M+1)*wi]
+	hits, events := scratch.hits, scratch.events
+	dirSrv, zeroSrv := scratch.dirSrv, scratch.zeroSrv
+	dirSnap, relSnap := scratch.dirSnap, scratch.relSnap
 	for k := 0; k < K; k++ {
 		if !ins.userHasMass[k] {
 			// Zero-mass users (shard ghosts, parked slots) add exactly 0.0
@@ -511,67 +514,97 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 				}
 			}
 		}
-		for r := 0; r < block; r++ {
-			// Positive-rate covering links keep their direct verdict and are
-			// listed in ascending cutoff order; zero-rate ones relay instead.
-			nd, nz := 0, 0
+		for r0 := 0; r0 < block; r0 += fadeChunk {
+			n := min(fadeChunk, block-r0)
+			// Positive-rate covering links keep their direct verdict: chunk
+			// realization c's j-th one gets snapshot slot c*M + j. Zero-rate
+			// links relay instead.
+			var nd, nz [fadeChunk]int
+			ne := 0
 			for j, m := range covering {
-				if rate := rates[(lo+j)*block+r]; rate > 0 {
-					cut := int32(searchGreater(dirVals, rate))
-					x := nd
-					for ; x > 0 && dirCuts[x-1] > cut; x-- {
-						dirCuts[x], dirSrv[x] = dirCuts[x-1], dirSrv[x-1]
+				at := (lo+j)*block + r0
+				for c, rate := range rates[at : at+n] {
+					if rate > 0 {
+						slot := c*M + nd[c]
+						dirSrv[slot] = int32(m)
+						events[ne] = fadeEvent{rate, slot}
+						ne++
+						nd[c]++
+					} else {
+						zeroSrv[c*M+nz[c]] = int32(m)
+						nz[c]++
 					}
-					dirCuts[x], dirSrv[x] = cut, int32(m)
-					nd++
+				}
+			}
+			scanRankPrefixes(events[:ne], dirVals, dirOrder, dirSnap, wi)
+			userRelay := relay[k*block+r0 : k*block+r0+n]
+			ne = 0
+			for c, rate := range userRelay {
+				if rate > 0 {
+					events[ne] = fadeEvent{rate, c}
+					ne++
 				} else {
-					zeroSrv[nz] = int32(m)
-					nz++
+					clear(relSnap[c*wi : (c+1)*wi])
 				}
 			}
-			relayRate := relay[k*block+r]
-			if relayRate <= 0 && nd == 0 {
-				continue // every indicator word is zero: nothing to add
-			}
-			next := int32(0)
-			for j := 0; j < nd; j++ {
-				snap := prefix[j*wi : (j+1)*wi]
-				if j == 0 {
-					clear(snap)
-				} else {
-					copy(snap, prefix[(j-1)*wi:j*wi])
+			scanRankPrefixes(events[:ne], relVals, relOrder, relSnap, wi)
+			for c, relayRate := range userRelay {
+				if relayRate <= 0 && nd[c] == 0 {
+					continue // every indicator word is zero: nothing to add
 				}
-				for ; next < dirCuts[j]; next++ {
-					i := dirOrder[next]
-					snap[i>>6] |= 1 << uint(i&63)
-				}
-			}
-			relCut := 0
-			if relayRate > 0 {
-				relCut = searchGreater(relVals, relayRate)
-			}
-			clear(relPrefix)
-			for _, i := range relOrder[:relCut] {
-				relPrefix[i>>6] |= 1 << uint(i&63)
-			}
-			out := dst[r*P : (r+1)*P]
-			for a := range out {
-				rows := srvRows[a*M*wi : (a+1)*M*wi]
-				union := relayRows[a*wi : (a+1)*wi]
-				for w := range hits {
-					src := union[w]
-					for _, m := range zeroSrv[:nz] {
-						src |= rows[int(m)*wi+w]
+				prefix := dirSnap[c*M*wi : (c+1)*M*wi]
+				relPrefix := relSnap[c*wi : (c+1)*wi]
+				dirs, zeros := dirSrv[c*M:c*M+nd[c]], zeroSrv[c*M:c*M+nz[c]]
+				out := dst[(r0+c)*P : (r0+c+1)*P]
+				for a := range out {
+					rows := srvRows[a*M*wi : (a+1)*M*wi]
+					union := relayRows[a*wi : (a+1)*wi]
+					for w := range hits {
+						src := union[w]
+						for _, m := range zeros {
+							src |= rows[int(m)*wi+w]
+						}
+						h := relPrefix[w] & src
+						for j, m := range dirs {
+							h |= prefix[j*wi+w] & rows[int(m)*wi+w]
+						}
+						hits[w] = h
 					}
-					h := relPrefix[w] & src
-					for j, m := range dirSrv[:nd] {
-						h |= prefix[j*wi+w] & rows[int(m)*wi+w]
-					}
-					hits[w] = h
+					out[a] = sweepHits(hits, probs, out[a])
 				}
-				out[a] = sweepHits(hits, probs, out[a])
 			}
 		}
+	}
+}
+
+// scanRankPrefixes sorts events by ascending rate and walks one rank row
+// (models by ascending threshold, with the sorted thresholds) once. At
+// each event the prefix stops at the first threshold above the rate —
+// searchGreater's cutoff, reached by the same predicate — and the
+// prefix's model mask lands in the event's wi-word slot of snaps. Equal
+// rates share a cutoff, so their order in the sort does not matter.
+func scanRankPrefixes(events []fadeEvent, vals []float64, order []int32, snaps []uint64, wi int) {
+	for x := 1; x < len(events); x++ {
+		e, y := events[x], x
+		for ; y > 0 && events[y-1].rate > e.rate; y-- {
+			events[y] = events[y-1]
+		}
+		events[y] = e
+	}
+	order = order[:len(vals)]
+	p, prev := 0, []uint64(nil)
+	for _, e := range events {
+		snap := snaps[e.slot*wi : (e.slot+1)*wi]
+		if prev == nil {
+			clear(snap)
+		} else {
+			copy(snap, prev)
+		}
+		for ; p < len(vals) && !(vals[p] > e.rate); p++ {
+			i := order[p]
+			snap[i>>6] |= 1 << uint(i&63)
+		}
+		prev = snap
 	}
 }
 

@@ -107,11 +107,15 @@ func applyFixtureFaults(t *testing.T, ins *Instance) {
 // realizations, FadedHitMassBlock must equal a per-realization loop of
 // SampleGains + FadedHitMass exactly — same draws (realization r always
 // consumes the full M×K gain matrix of its own source), same word ops,
-// same float add order. Every per-realization result must also equal the
-// dense scalar reference, both on the drawn gains and with 30% of them
-// zeroed — the blocked path never draws an exact 0, so zero-rate covering
-// links reach the kernel only through explicit gains.
+// same float add order. The block sizes put block ends inside, at and past
+// the kernel's realization-chunk boundaries, and one block repeats every
+// source, so equal rates tie in the merged rank scan. Every
+// per-realization result must also equal the dense scalar reference, both
+// on the drawn gains and with 30% of them zeroed — the blocked path never
+// draws an exact 0, so zero-rate covering links reach the kernel only
+// through explicit gains.
 func TestFadedHitMassBlockMatchesPerRealization(t *testing.T) {
+	const R = 2*fadeChunk + 3
 	for _, fx := range blockFixtures {
 		ins := buildInstance(t, fx.m, fx.k, fx.perFamily, 40)
 		if fx.faults {
@@ -119,7 +123,6 @@ func TestFadedHitMassBlockMatchesPerRealization(t *testing.T) {
 		}
 		views := randomViews(ins, 3, rng.New(41))
 		P := len(views)
-		const R = 7
 		root := rng.New(42)
 		name := fmt.Sprintf("M=%d I=%d faults=%v", fx.m, ins.NumModels(), fx.faults)
 
@@ -142,14 +145,11 @@ func TestFadedHitMassBlockMatchesPerRealization(t *testing.T) {
 			assertMatchesDense(t, fmt.Sprintf("%s r=%d zeroed gains", name, r), ins, gains, views, zeroed)
 		}
 
-		for _, block := range []int{1, 2, 3, 7} {
+		for _, block := range []int{1, 2, 3, 7, fadeChunk - 1, fadeChunk, fadeChunk + 1, R} {
 			got := make([]float64, R*P)
 			srcs := make([]*rng.Source, 0, block)
 			for r0 := 0; r0 < R; r0 += block {
-				n := block
-				if r0+n > R {
-					n = R - r0
-				}
+				n := min(block, R-r0)
 				srcs = srcs[:0]
 				for j := 0; j < n; j++ {
 					srcs = append(srcs, root.SplitIndex("real", r0+j))
@@ -165,7 +165,72 @@ func TestFadedHitMassBlockMatchesPerRealization(t *testing.T) {
 				}
 			}
 		}
+
+		// Ties: block entry j draws realization j/2, so every rate appears
+		// twice in its chunk's merged order, and the last pair sits in a
+		// second chunk.
+		const tied = fadeChunk + 2
+		srcs := make([]*rng.Source, tied)
+		for j := range srcs {
+			srcs[j] = root.SplitIndex("real", j/2)
+		}
+		got := make([]float64, tied*P)
+		if err := ins.FadedHitMassBlock(srcs, views, got, scratch); err != nil {
+			t.Fatal(err)
+		}
+		for x := range got {
+			if w := want[(x/P/2)*P+x%P]; got[x] != w {
+				t.Fatalf("%s tied block: entry %d (r=%d view=%d): blocked %.17g != per-realization %.17g",
+					name, x, x/P/2, x%P, got[x], w)
+			}
+		}
 	}
+}
+
+// FuzzFadedHitMassBlock fuzzes the realization-blocked kernel over whole
+// instances: seed, server and user counts, models per family, block size
+// (1 to 3·fadeChunk, so a block ends inside, at or past a chunk boundary)
+// and one optional down server. Every blocked entry must equal the
+// per-realization SampleGainsInto + FadedHitMass result bit for bit.
+func FuzzFadedHitMassBlock(f *testing.F) {
+	f.Add(uint64(40), uint8(6), uint8(15), uint8(3), uint8(3), uint8(0))
+	f.Add(uint64(41), uint8(6), uint8(15), uint8(3), uint8(fadeChunk-1), uint8(2))
+	f.Add(uint64(42), uint8(70), uint8(20), uint8(3), uint8(fadeChunk), uint8(0))
+	f.Add(uint64(43), uint8(10), uint8(20), uint8(25), uint8(3*fadeChunk-1), uint8(5))
+	f.Fuzz(func(t *testing.T, seed uint64, m, k, perFamily, block, down uint8) {
+		M := 1 + int(m)%80
+		ins := buildInstance(t, M, 1+int(k)%40, 1+int(perFamily)%30, seed)
+		if down != 0 {
+			if _, err := ins.SetServersDown([]int{(int(down) - 1) % M}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		views := randomViews(ins, 2, rng.New(seed+1))
+		P := len(views)
+		root := rng.New(seed + 2)
+		B := 1 + int(block)%(3*fadeChunk)
+		scratch := ins.MakeFadeScratch()
+		gains := SampleGains(ins.NumServers(), ins.NumUsers(), rng.New(0))
+		want := make([]float64, B*P)
+		srcs := make([]*rng.Source, B)
+		for r := range srcs {
+			SampleGainsInto(gains, root.SplitIndex("real", r))
+			if err := ins.FadedHitMass(gains, views, want[r*P:(r+1)*P], scratch); err != nil {
+				t.Fatal(err)
+			}
+			srcs[r] = root.SplitIndex("real", r)
+		}
+		got := make([]float64, B*P)
+		if err := ins.FadedHitMassBlock(srcs, views, got, scratch); err != nil {
+			t.Fatal(err)
+		}
+		for x := range got {
+			if got[x] != want[x] {
+				t.Fatalf("block=%d: entry %d (r=%d view=%d): blocked %.17g != per-realization %.17g",
+					B, x, x/P, x%P, got[x], want[x])
+			}
+		}
+	})
 }
 
 // TestFadedHitMassBlockValidation covers the blocked entry point's error

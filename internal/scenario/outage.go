@@ -21,6 +21,23 @@ import (
 	"trimcaching/internal/bitset"
 )
 
+// searchGreater returns the first index j with vals[j] > x in an ascending
+// slice — the rank-prefix cutoff |{j : vals[j] ≤ x}| of the verdicts a rate
+// x qualifies. Equivalent to sort.Search over the same predicate, inlined
+// off the closure path for the outage refresh's per-user loop.
+func searchGreater(vals []float64, x float64) int {
+	lo, hi := 0, len(vals)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if vals[mid] > x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // serverDown reports whether server m is out of service.
 func (ins *Instance) serverDown(m int) bool { return ins.down != nil && ins.down[m] }
 
