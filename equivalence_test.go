@@ -92,7 +92,7 @@ func denseHitRatio(sc *Scenario, p *Placement, reach *scenario.Reach) float64 {
 			for m := 0; m < M; m++ {
 				servable := false
 				if reach != nil {
-					servable = reach.Has(m, k, i)
+					servable = reach.ServerMask(k, i).Has(m)
 				} else {
 					servable = ins.Reachable(m, k, i)
 				}

@@ -1,13 +1,11 @@
 package trimcaching
 
 // Cross-subsystem integration tests: these tie the public API, the
-// placement algorithms, the block-level view, and the serving simulators
-// together on shared instances and assert system-level invariants.
+// placement algorithms and the serving simulators together on shared
+// instances and assert system-level invariants.
 
 import (
 	"testing"
-
-	"trimcaching/internal/placement"
 )
 
 func TestObjectiveAndServingAgreeOnOrdering(t *testing.T) {
@@ -49,41 +47,6 @@ func TestObjectiveAndServingAgreeOnOrdering(t *testing.T) {
 	}
 	if results["gen"].served <= results["popularity"].served {
 		t.Fatalf("serving ordering violated: %+v", results)
-	}
-}
-
-func TestBlockViewStorageConsistencyAcrossAlgorithms(t *testing.T) {
-	// For every algorithm's output, the P1.2 block-view storage must equal
-	// the P1.1 deduplicated storage on every server — the paper's
-	// constraint equivalence, end to end.
-	lib, err := NewSpecialLibrary(6, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultScenarioConfig()
-	cfg.CapacityBytes = 600_000_000
-	sc, err := BuildScenario(lib, cfg, 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"spec", "gen", "gen-ratio", "independent", "popularity"} {
-		p, _, err := sc.Place(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		y, err := placement.BlockView(lib, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for m := 0; m < sc.Servers(); m++ {
-			want, err := sc.ServerStorage(p, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := y.StorageBytes(lib, m); got != want {
-				t.Fatalf("%s server %d: block view %d != model view %d", name, m, got, want)
-			}
-		}
 	}
 }
 

@@ -79,13 +79,6 @@ func (s Set) Or(t Set) {
 	}
 }
 
-// And sets s to s ∩ t. The sets must have equal length.
-func (s Set) And(t Set) {
-	for w, v := range t {
-		s[w] &= v
-	}
-}
-
 // AndNot sets s to s \ t. The sets must have equal length.
 func (s Set) AndNot(t Set) {
 	for w, v := range t {
@@ -95,13 +88,6 @@ func (s Set) AndNot(t Set) {
 
 // CopyFrom overwrites s with t. The sets must have equal length.
 func (s Set) CopyFrom(t Set) { copy(s, t) }
-
-// Clone returns an independent copy of s.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
-}
 
 // Equal reports whether s and t hold identical bits. The sets must have
 // equal length.
@@ -136,30 +122,11 @@ func Intersects(a, b Set) bool {
 	return false
 }
 
-// IntersectionCount returns |a ∩ b|. The sets must have equal length.
-func IntersectionCount(a, b Set) int {
-	n := 0
-	for w, v := range a {
-		n += bits.OnesCount64(v & b[w])
-	}
-	return n
-}
-
 // ForEach calls fn for every set bit in ascending order.
 func (s Set) ForEach(fn func(i int)) {
 	for w, v := range s {
 		for ; v != 0; v &= v - 1 {
 			fn(w<<6 | bits.TrailingZeros64(v))
-		}
-	}
-}
-
-// ForEachAndNot calls fn for every bit in a \ b in ascending order. The
-// sets must have equal length.
-func ForEachAndNot(a, b Set, fn func(i int)) {
-	for w, v := range a {
-		for rem := v &^ b[w]; rem != 0; rem &= rem - 1 {
-			fn(w<<6 | bits.TrailingZeros64(rem))
 		}
 	}
 }

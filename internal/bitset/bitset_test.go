@@ -65,12 +65,12 @@ func TestBooleanOps(t *testing.T) {
 	for i := 0; i < 150; i += 5 {
 		b.Set(i)
 	}
-	union := a.Clone()
+	union := append(Set(nil), a...)
 	union.Or(b)
-	inter := a.Clone()
-	inter.And(b)
-	diff := a.Clone()
+	diff := append(Set(nil), a...)
 	diff.AndNot(b)
+	inter := append(Set(nil), a...)
+	inter.AndNot(diff)
 	for i := 0; i < 150; i++ {
 		in3, in5 := i%3 == 0, i%5 == 0
 		if union.Has(i) != (in3 || in5) {
@@ -83,9 +83,6 @@ func TestBooleanOps(t *testing.T) {
 			t.Fatalf("difference bit %d wrong", i)
 		}
 	}
-	if got, want := IntersectionCount(a, b), inter.Count(); got != want {
-		t.Fatalf("IntersectionCount = %d, want %d", got, want)
-	}
 	if !Intersects(a, b) {
 		t.Fatal("Intersects(a, b) = false, sets share bit 0")
 	}
@@ -96,7 +93,7 @@ func TestBooleanOps(t *testing.T) {
 	if Intersects(only64, only65) {
 		t.Fatal("disjoint singletons intersect")
 	}
-	if !only64.Equal(only64.Clone()) || only64.Equal(only65) {
+	if !only64.Equal(append(Set(nil), only64...)) || only64.Equal(only65) {
 		t.Fatal("Equal misbehaves")
 	}
 	if !inter.SubsetOf(a) || !inter.SubsetOf(b) || !a.SubsetOf(union) || !New(150).SubsetOf(b) {
@@ -122,31 +119,6 @@ func TestForEach(t *testing.T) {
 		if got[j] != want[j] {
 			t.Fatalf("ForEach order: got %v, want %v (ascending)", got, want)
 		}
-	}
-}
-
-func TestForEachAndNot(t *testing.T) {
-	a, b := New(130), New(130)
-	for i := 0; i < 130; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 130; i += 4 {
-		b.Set(i)
-	}
-	var got []int
-	ForEachAndNot(a, b, func(i int) { got = append(got, i) })
-	prev := -1
-	for _, i := range got {
-		if i%2 != 0 || i%4 == 0 {
-			t.Fatalf("ForEachAndNot visited %d, not in a\\b", i)
-		}
-		if i <= prev {
-			t.Fatalf("ForEachAndNot not ascending: %v", got)
-		}
-		prev = i
-	}
-	if want := 65 - 33; len(got) != want {
-		t.Fatalf("ForEachAndNot visited %d bits, want %d", len(got), want)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestServeSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := synth.Window(ins.Workload(), rng.New(9).Split("window"))
+	tr, err := synth.WindowMapped(ins.Workload(), rng.New(9).Split("window"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

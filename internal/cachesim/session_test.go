@@ -29,7 +29,7 @@ func TestServeSessionMatchesOneShot(t *testing.T) {
 	}
 	root := rng.New(42)
 	for cp := 0; cp < 5; cp++ {
-		tr, err := synth.Window(ins.Workload(), root.SplitIndex("ckpt", cp))
+		tr, err := synth.WindowMapped(ins.Workload(), root.SplitIndex("ckpt", cp), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +79,10 @@ func TestServeSessionAcceptsRefreshedInstance(t *testing.T) {
 			Y: min(max(old.Y+root.Uniform(-120, 120), 0), side),
 		}
 	}
-	if _, err := ins.UpdateUsers(moved, pos); err != nil {
+	if _, err := ins.ReviseUsers(nil, nil, moved, pos); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := synth.Window(ins.Workload(), root.SplitIndex("ckpt", 0))
+	tr, err := synth.WindowMapped(ins.Workload(), root.SplitIndex("ckpt", 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestLoRAScaleConfigPlaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Placement(0).CountPlacements(); n == 0 {
+	if n := placedPairs(e.Placement(0)); n == 0 {
 		t.Fatal("LoRA-scale benchmark scenario places nothing")
 	}
 	if e.Baseline(0) == 0 {

@@ -11,7 +11,7 @@
 // placement re-solved from scratch — O(M·K·I) per checkpoint before the
 // solve. Incremental threads deltas through every layer instead: the
 // topology moves only the walked users, the instance recomputes only the
-// affected rate and reachability rows (scenario.Instance.UpdateUsers), the
+// affected rate and reachability rows (scenario.Instance.ReviseUsers), the
 // evaluator keeps its marginal-gain memo minus the invalidated pairs, and
 // algorithms that support warm starts repair their previous placement.
 // Both modes produce bit-identical timelines — incremental updates are

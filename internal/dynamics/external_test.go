@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"trimcaching/internal/geom"
+	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
 )
 
@@ -77,7 +78,7 @@ func TestProfileResolvesSubset(t *testing.T) {
 		if d <= 0 {
 			t.Fatalf("non-positive resolve time %v", d)
 		}
-		return e.Placement(0).CountPlacements()
+		return placedPairs(e.Placement(0))
 	}
 	// Identical checkpoint sequences must land on identical placements
 	// whether or not the heap is rebuilt per solve.
@@ -87,4 +88,13 @@ func TestProfileResolvesSubset(t *testing.T) {
 	if a, b := run(1, false), run(0, false); a != b {
 		t.Errorf("stride 0 diverges from stride 1: %d vs %d", a, b)
 	}
+}
+
+// placedPairs returns the number of (server, model) pairs p caches.
+func placedPairs(p *placement.Placement) int {
+	n := 0
+	for m := 0; m < p.NumServers(); m++ {
+		n += p.Models(m).Count()
+	}
+	return n
 }

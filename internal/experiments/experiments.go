@@ -70,7 +70,10 @@ func (o Options) Validate() error {
 	if o.Topologies <= 0 || o.Realizations <= 0 {
 		return fmt.Errorf("experiments: Topologies and Realizations must be positive")
 	}
-	if o.Epsilon < 0 || o.Epsilon > 1 {
+	if o.Workers < 0 {
+		return fmt.Errorf("experiments: Workers must be >= 0, got %d", o.Workers)
+	}
+	if !(o.Epsilon >= 0 && o.Epsilon <= 1) {
 		return fmt.Errorf("experiments: Epsilon must be in [0,1], got %v", o.Epsilon)
 	}
 	if o.LibraryModels <= 0 || o.LibraryPoolPerFamily <= 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,6 +27,8 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Realizations = 0 },
 		func(o *Options) { o.Epsilon = -1 },
 		func(o *Options) { o.Epsilon = 2 },
+		func(o *Options) { o.Epsilon = math.NaN() },
+		func(o *Options) { o.Workers = -1 },
 		func(o *Options) { o.LibraryModels = 0 },
 		func(o *Options) { o.LibraryPoolPerFamily = 0 },
 	}

@@ -83,22 +83,3 @@ func MeasuredAccuracy(t Task, frozen, total, testN int, src *rng.Source) (float6
 	}
 	return float64(src.Binomial(testN, acc)) / float64(testN), nil
 }
-
-// Point is one (frozen layers, accuracy) sample of the Fig. 1 curve.
-type Point struct {
-	Frozen   int     `json:"frozen"`
-	Accuracy float64 `json:"accuracy"`
-}
-
-// Curve evaluates the measured accuracy at each frozen-layer count.
-func Curve(t Task, total int, frozenCounts []int, testN int, src *rng.Source) ([]Point, error) {
-	out := make([]Point, 0, len(frozenCounts))
-	for _, L := range frozenCounts {
-		acc, err := MeasuredAccuracy(t, L, total, testN, src)
-		if err != nil {
-			return nil, fmt.Errorf("finetune: curve at %d frozen: %w", L, err)
-		}
-		out = append(out, Point{Frozen: L, Accuracy: acc})
-	}
-	return out, nil
-}

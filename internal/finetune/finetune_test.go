@@ -112,27 +112,25 @@ func TestMeasuredAccuracyNoise(t *testing.T) {
 	}
 }
 
+// TestCurve measures the Fig. 1 curve the way fig1 does, one
+// MeasuredAccuracy draw per frozen-layer count.
 func TestCurve(t *testing.T) {
 	task := PaperTasks()[1]
 	src := rng.New(2)
 	counts := []int{0, 20, 40, 60, 80, 97}
-	pts, err := Curve(task, TotalLayers, counts, 5000, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(counts) {
-		t.Fatalf("%d points", len(pts))
-	}
-	for idx, pt := range pts {
-		if pt.Frozen != counts[idx] {
-			t.Fatalf("point %d frozen %d", idx, pt.Frozen)
+	accs := make([]float64, len(counts))
+	for idx, L := range counts {
+		acc, err := MeasuredAccuracy(task, L, TotalLayers, 5000, src)
+		if err != nil {
+			t.Fatal(err)
 		}
+		accs[idx] = acc
 	}
 	// Overall trend: last point below first by a few percent.
-	if pts[len(pts)-1].Accuracy > pts[0].Accuracy-0.02 {
-		t.Fatalf("curve not degrading: %v -> %v", pts[0].Accuracy, pts[len(pts)-1].Accuracy)
+	if accs[len(accs)-1] > accs[0]-0.02 {
+		t.Fatalf("curve not degrading: %v -> %v", accs[0], accs[len(accs)-1])
 	}
-	if _, err := Curve(task, TotalLayers, []int{-5}, 100, src); err == nil {
+	if _, err := MeasuredAccuracy(task, -5, TotalLayers, 100, src); err == nil {
 		t.Fatal("invalid count must error")
 	}
 }

@@ -42,7 +42,9 @@ func NewArea(side float64) (Area, error) {
 	return Area{Side: side}, nil
 }
 
-// Contains reports whether p lies inside the area (inclusive).
+// Contains reports whether p lies inside the area (inclusive). Only tests
+// call it, as the stays-inside oracle of mobility's TestWalkerStaysInsideArea
+// and TestWalkerInvariantProperty and topology's TestGenerateCounts.
 func (a Area) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= a.Side && p.Y >= 0 && p.Y <= a.Side
 }

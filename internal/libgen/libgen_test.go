@@ -40,6 +40,15 @@ func TestResNetLayerCounts(t *testing.T) {
 	}
 }
 
+// totalParams sums the parameter counts of layers.
+func totalParams(layers []Layer) int64 {
+	var total int64
+	for _, l := range layers {
+		total += l.Params
+	}
+	return total
+}
+
 func TestResNetParamTotals(t *testing.T) {
 	// Reference torchvision parameter counts with a 1000-class head:
 	// ResNet-18 ≈ 11.69M, ResNet-34 ≈ 21.80M, ResNet-50 ≈ 25.56M.
@@ -57,7 +66,7 @@ func TestResNetParamTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotM := float64(TotalParams(layers)) / 1e6
+		gotM := float64(totalParams(layers)) / 1e6
 		if gotM < c.wantM*(1-c.within) || gotM > c.wantM*(1+c.within) {
 			t.Fatalf("%s: %.2fM params, want ~%.2fM", c.v, gotM, c.wantM)
 		}
@@ -223,7 +232,7 @@ func TestGenerateSpecialModelSizesMatchArchitecture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBytes[v.String()] = TotalParams(layers) * cfg.BytesPerParam
+		wantBytes[v.String()] = totalParams(layers) * cfg.BytesPerParam
 	}
 	for i := 0; i < lib.NumModels(); i++ {
 		m := lib.Model(i)

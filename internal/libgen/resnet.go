@@ -145,15 +145,6 @@ func ResNetLayers(v ResNetVariant, numClasses int) ([]Layer, error) {
 	return b.layers, nil
 }
 
-// TotalParams sums the parameter counts of layers.
-func TotalParams(layers []Layer) int64 {
-	var total int64
-	for _, l := range layers {
-		total += l.Params
-	}
-	return total
-}
-
 // FreezeRange is the paper's per-family range for the number of frozen
 // bottom layers of a fine-tuned downstream model (§VII-A).
 type FreezeRange struct {

@@ -93,26 +93,6 @@ func NewWalker(pos geom.Point, class Class, src *rng.Source) (*Walker, error) {
 	}, nil
 }
 
-// Class returns the walker's mobility class.
-func (w *Walker) Class() Class { return w.class }
-
-// Pos returns the current position.
-func (w *Walker) Pos() geom.Point { return w.pos }
-
-// Speed returns the current speed in m/s.
-func (w *Walker) Speed() float64 { return w.speed }
-
-// Step advances the walker by dtS seconds inside area: draw a new
-// acceleration and angular velocity, update speed and heading, move, and
-// reflect off the boundary. dtS must be positive and finite.
-func (w *Walker) Step(dtS float64, area geom.Area, src *rng.Source) error {
-	if err := checkDuration(dtS); err != nil {
-		return err
-	}
-	w.step(dtS, area, src)
-	return nil
-}
-
 // checkDuration rejects a step duration that is not positive and finite: a
 // NaN or infinite one would move the walker to (NaN, NaN).
 func checkDuration(dtS float64) error {
@@ -122,8 +102,11 @@ func checkDuration(dtS float64) error {
 	return nil
 }
 
-// step is Step without the duration check. Its products are wrapped in
-// float64 conversions so no architecture fuses them into multiply-adds.
+// step advances the walker by dtS seconds inside area: draw a new
+// acceleration and angular velocity, update speed and heading, move, and
+// reflect off the boundary. dtS must pass checkDuration. Its products are
+// wrapped in float64 conversions so no architecture fuses them into
+// multiply-adds.
 func (w *Walker) step(dtS float64, area geom.Area, src *rng.Source) {
 	acc := src.Uniform(-w.params.AccMaxMS2, w.params.AccMaxMS2)
 	w.speed += float64(acc * dtS)
@@ -197,9 +180,6 @@ func (p *Population) PositionsInto(dst []geom.Point) []geom.Point {
 	}
 	return dst
 }
-
-// Walker returns walker i.
-func (p *Population) Walker(i int) *Walker { return &p.walkers[i] }
 
 // Len returns the number of walkers.
 func (p *Population) Len() int { return len(p.walkers) }

@@ -57,10 +57,10 @@ func TestWalkerInitialDraws(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.Speed() < 2 || w.Speed() > 8 {
-			t.Fatalf("bike initial speed %v", w.Speed())
+		if w.speed < 2 || w.speed > 8 {
+			t.Fatalf("bike initial speed %v", w.speed)
 		}
-		if w.Class() != Bike {
+		if w.class != Bike {
 			t.Fatal("class")
 		}
 	}
@@ -75,14 +75,12 @@ func TestWalkerStaysInsideArea(t *testing.T) {
 			t.Fatal(err)
 		}
 		for step := 0; step < 2000; step++ {
-			if err := w.Step(5, area, src); err != nil {
-				t.Fatal(err)
+			w.step(5, area, src)
+			if !area.Contains(w.pos) {
+				t.Fatalf("%s left the area at step %d: %v", class, step, w.pos)
 			}
-			if !area.Contains(w.Pos()) {
-				t.Fatalf("%s left the area at step %d: %v", class, step, w.Pos())
-			}
-			if w.Speed() < 0 {
-				t.Fatalf("negative speed %v", w.Speed())
+			if w.speed < 0 {
+				t.Fatalf("negative speed %v", w.speed)
 			}
 		}
 	}
@@ -100,11 +98,9 @@ func TestWalkerSpeedCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 5000; step++ {
-		if err := w.Step(5, area, src); err != nil {
-			t.Fatal(err)
-		}
-		if w.Speed() > p.SpeedCapMS+1e-9 {
-			t.Fatalf("speed %v exceeds cap %v", w.Speed(), p.SpeedCapMS)
+		w.step(5, area, src)
+		if w.speed > p.SpeedCapMS+1e-9 {
+			t.Fatalf("speed %v exceeds cap %v", w.speed, p.SpeedCapMS)
 		}
 	}
 }
@@ -116,41 +112,32 @@ func TestWalkerActuallyMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := w.Pos()
+	start := w.pos
 	var moved float64
 	for step := 0; step < 10; step++ {
-		if err := w.Step(5, area, src); err != nil {
-			t.Fatal(err)
-		}
+		w.step(5, area, src)
 	}
-	moved = start.Dist(w.Pos())
+	moved = start.Dist(w.pos)
 	if moved < 1 {
 		t.Fatalf("vehicle moved only %v m in 50 s", moved)
 	}
 }
 
 // TestStepInvalidDuration rejects durations that are not positive and
-// finite, on a walker and on a population, and leaves every position as it
-// was: a NaN or +Inf step used to move users to (NaN, NaN).
+// finite, in the walker's duration check and on a population, and leaves
+// every position as it was: a NaN or +Inf step used to move users to (NaN,
+// NaN).
 func TestStepInvalidDuration(t *testing.T) {
 	area := testArea(t)
 	src := rng.New(5)
-	start := geom.Point{X: 1, Y: 1}
-	w, err := NewWalker(start, Pedestrian, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	starts := []geom.Point{start, {X: 2, Y: 3}}
+	starts := []geom.Point{{X: 1, Y: 1}, {X: 2, Y: 3}}
 	pop, err := NewPopulation(area, starts, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dt := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := w.Step(dt, area, src); err == nil {
-			t.Errorf("Walker.Step(%v) accepted", dt)
-		}
-		if got := w.Pos(); got != start {
-			t.Errorf("Walker.Step(%v) moved the walker to %v", dt, got)
+		if err := checkDuration(dt); err == nil {
+			t.Errorf("checkDuration(%v) accepted", dt)
 		}
 		if err := pop.Step(dt, src); err == nil {
 			t.Errorf("Population.Step(%v) accepted", dt)
@@ -161,7 +148,7 @@ func TestStepInvalidDuration(t *testing.T) {
 	}
 }
 
-// refStep is Walker.Step before the fast path, kept as its reference:
+// refStep is the walker's step before the fast path, kept as its reference:
 // math.Cos and math.Sin, called again on a bounce, rng's Uniform as
 // lo + (hi-lo)*Float64, and the math.Mod fold of refFold. It reports
 // whether the walker bounced.
@@ -228,9 +215,7 @@ func TestWalkerMatchesReference(t *testing.T) {
 			ref := *w
 			src, refSrc := rng.New(seed).Split("walk"), rng.New(seed).Split("walk")
 			for slot := 0; slot < slots; slot++ {
-				if err := w.Step(5, area, src); err != nil {
-					t.Fatal(err)
-				}
+				w.step(5, area, src)
 				if refStep(&ref, 5, area, refSrc) {
 					bounces++
 				}
@@ -257,7 +242,7 @@ func TestPopulation(t *testing.T) {
 		t.Fatalf("len %d", pop.Len())
 	}
 	// Classes cycle: pedestrian, bike, vehicle, pedestrian, ...
-	if pop.Walker(0).Class() != Pedestrian || pop.Walker(1).Class() != Bike || pop.Walker(2).Class() != Vehicle {
+	if pop.walkers[0].class != Pedestrian || pop.walkers[1].class != Bike || pop.walkers[2].class != Vehicle {
 		t.Fatal("class cycling broken")
 	}
 	before := pop.Positions()
@@ -301,13 +286,11 @@ func TestWalkerInvariantProperty(t *testing.T) {
 			return false
 		}
 		for s := 0; s < int(steps%64)+1; s++ {
-			if err := w.Step(5, area, src); err != nil {
+			w.step(5, area, src)
+			if !area.Contains(w.pos) || w.speed < 0 || w.speed > p.SpeedCapMS+1e-9 {
 				return false
 			}
-			if !area.Contains(w.Pos()) || w.Speed() < 0 || w.Speed() > p.SpeedCapMS+1e-9 {
-				return false
-			}
-			if math.IsNaN(w.Pos().X) || math.IsNaN(w.Pos().Y) {
+			if math.IsNaN(w.pos.X) || math.IsNaN(w.pos.Y) {
 				return false
 			}
 		}

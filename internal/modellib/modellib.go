@@ -42,7 +42,6 @@ type Library struct {
 	blocks []Block
 	models []Model
 
-	owners     [][]int // owners[j] = models containing block j (the paper's Ij)
 	sizes      []int64 // sizes[i] = D_i, full model size
 	sharedSize []int64 // sharedSize[i] = bytes of shared blocks in model i
 	footprints [][]int // footprints[i] = sorted shared block IDs of model i
@@ -76,7 +75,7 @@ func New(blocks []Block, models []Model) (*Library, error) {
 		}
 		lib.blocks[j] = b
 	}
-	lib.owners = make([][]int, len(blocks))
+	owners := make([]int, len(blocks)) // owners[j] = |Ij|, the models containing block j
 	lib.sizes = make([]int64, len(models))
 	for i, m := range models {
 		if m.ID != i {
@@ -95,15 +94,15 @@ func New(blocks []Block, models []Model) (*Library, error) {
 			if bi > 0 && bs[bi-1] == j {
 				return nil, fmt.Errorf("%w: model %d repeats block %d", ErrBadBlockRef, i, j)
 			}
-			lib.owners[j] = append(lib.owners[j], i)
+			owners[j]++
 			lib.sizes[i] += blocks[j].SizeBytes
 		}
 		m.Blocks = bs
 		lib.models[i] = m
 	}
 	lib.shared = make([]bool, len(blocks))
-	for j, own := range lib.owners {
-		lib.shared[j] = len(own) > 1
+	for j, n := range owners {
+		lib.shared[j] = n > 1
 	}
 	lib.sharedSize = make([]int64, len(models))
 	lib.footprints = make([][]int, len(models))
@@ -140,23 +139,8 @@ func (l *Library) ModelSize(i int) int64 { return l.sizes[i] }
 // BlockSize returns D'_j in bytes.
 func (l *Library) BlockSize(j int) int64 { return l.blocks[j].SizeBytes }
 
-// ModelsWithBlock returns the paper's Ij: the models containing block j.
-// The returned slice must not be modified.
-func (l *Library) ModelsWithBlock(j int) []int { return l.owners[j] }
-
 // IsShared reports whether block j appears in more than one model.
 func (l *Library) IsShared(j int) bool { return l.shared[j] }
-
-// SharedBlocks returns the IDs of all shared blocks, sorted ascending.
-func (l *Library) SharedBlocks() []int {
-	var out []int
-	for j, s := range l.shared {
-		if s {
-			out = append(out, j)
-		}
-	}
-	return out
-}
 
 // SharedFootprint returns the sorted shared-block IDs of model i — the part
 // of the model that the TrimCaching Spec algorithm reasons about separately.

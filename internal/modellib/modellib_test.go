@@ -87,10 +87,6 @@ func TestSharingClassification(t *testing.T) {
 			t.Fatalf("IsShared(%d) = %v", j, got)
 		}
 	}
-	got := lib.SharedBlocks()
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("SharedBlocks = %v", got)
-	}
 }
 
 func TestFootprints(t *testing.T) {
@@ -121,18 +117,6 @@ func TestFootprints(t *testing.T) {
 		if got := lib.SpecificSize(c.model); got != c.specific {
 			t.Fatalf("SpecificSize(%d) = %d, want %d", c.model, got, c.specific)
 		}
-	}
-}
-
-func TestOwners(t *testing.T) {
-	lib := tinyLib(t)
-	own2 := lib.ModelsWithBlock(2)
-	if len(own2) != 2 || own2[0] != 1 || own2[1] != 2 {
-		t.Fatalf("owners of block 2 = %v", own2)
-	}
-	own5 := lib.ModelsWithBlock(5)
-	if len(own5) != 1 || own5[0] != 2 {
-		t.Fatalf("owners of block 5 = %v", own5)
 	}
 }
 

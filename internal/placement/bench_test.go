@@ -269,7 +269,7 @@ func unpack(e *Evaluator, p *Placement, reach *scenario.Reach) (cached, dense []
 		for i := 0; i < I; i++ {
 			cached[m*I+i] = p.Has(m, i)
 			for k := 0; k < K; k++ {
-				dense[(m*K+k)*I+i] = reach.Has(m, k, i)
+				dense[(m*K+k)*I+i] = reach.ServerMask(k, i).Has(m)
 			}
 		}
 	}

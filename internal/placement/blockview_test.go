@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"testing"
 
 	"trimcaching/internal/modellib"
 )
@@ -17,7 +18,9 @@ import (
 //
 // Under this view the storage constraint is a plain knapsack
 // Σ_j D'_j·y_{m,j} ≤ Q_m, while the objective becomes supermodular — the
-// transformation the paper uses to prove inapproximability (Prop. 2).
+// transformation the paper uses to prove inapproximability (Prop. 2). The
+// solvers work on the model view, so the block view lives here, as the
+// oracle that both views charge every server the same storage.
 type BlockPlacement struct {
 	numServers int
 	numBlocks  int
@@ -105,4 +108,36 @@ func ModelView(lib *modellib.Library, b *BlockPlacement) (*Placement, error) {
 		}
 	}
 	return p, nil
+}
+
+// TestBlockViewStorageConsistencyAcrossAlgorithms: for every algorithm's
+// output, the P1.2 block-view storage must equal the P1.1 deduplicated
+// storage on every server — the paper's constraint equivalence, end to end.
+func TestBlockViewStorageConsistencyAcrossAlgorithms(t *testing.T) {
+	e := buildEval(t, 10, 30, 6, 21)
+	lib := e.Instance().Library()
+	caps := UniformCapacities(10, 600_000_000)
+	for _, name := range []string{"spec", "gen", "gen-ratio", "independent", "popularity"} {
+		alg, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := alg.Place(e, caps)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		y, err := BlockView(lib, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 0; m < p.NumServers(); m++ {
+			want, err := e.ServerStorage(p, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := y.StorageBytes(lib, m); got != want {
+				t.Fatalf("%s server %d: block view %d != model view %d", name, m, got, want)
+			}
+		}
+	}
 }

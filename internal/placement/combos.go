@@ -32,10 +32,10 @@ func (e *ErrComboExplosion) Error() string {
 }
 
 // sharedIndex packs a library's shared blocks into dense bit positions so a
-// set of shared blocks is a few words: bit b is lib.SharedBlocks()[b], the
-// b-th shared block in ascending ID order. Union is a word OR, subset a word
-// AND-NOT, and equal sets have equal words, so the enumeration of A hashes
-// combinations instead of allocating a key per union.
+// set of shared blocks is a few words: bit b is the b-th shared block in
+// ascending ID order. Union is a word OR, subset a word AND-NOT, and equal
+// sets have equal words, so the enumeration of A hashes combinations instead
+// of allocating a key per union.
 type sharedIndex struct {
 	words int
 	sizes []int64 // sizes[b]: bytes of the block at bit b

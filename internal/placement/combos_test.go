@@ -56,7 +56,12 @@ func allModels(lib *modellib.Library) []int {
 
 // comboBlockIDs expands a packed combination back to its sorted block IDs.
 func comboBlockIDs(lib *modellib.Library, s bitset.Set) []int {
-	shared := lib.SharedBlocks()
+	var shared []int
+	for j := 0; j < lib.NumBlocks(); j++ {
+		if lib.IsShared(j) {
+			shared = append(shared, j)
+		}
+	}
 	var ids []int
 	s.ForEach(func(b int) { ids = append(ids, shared[b]) })
 	return ids

@@ -13,10 +13,7 @@ func TestPopularityFeasibleAndUniform(t *testing.T) {
 	}
 	// Popularity charges full sizes: the independent budget must hold.
 	for m := 0; m < 4; m++ {
-		used, err := e.ServerStorageIndependent(p, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		used := storageIndependent(e, p, m)
 		if used > caps[m] {
 			t.Fatalf("server %d uses %d > %d", m, used, caps[m])
 		}

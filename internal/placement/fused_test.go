@@ -21,7 +21,7 @@ func denseFadedHitRatio(e *Evaluator, p *Placement, reach *scenario.Reach) float
 	for k := 0; k < K; k++ {
 		for i := 0; i < I; i++ {
 			for m := 0; m < M; m++ {
-				if p.Has(m, i) && reach.Has(m, k, i) {
+				if p.Has(m, i) && reach.ServerMask(k, i).Has(m) {
 					hit += ins.Prob(k, i)
 					break
 				}
@@ -124,7 +124,7 @@ func TestFusedMatchesUnfusedProperty(t *testing.T) {
 			for k := range all {
 				all[k] = k
 			}
-			delta, err := ins.UpdateUsers(all, ins.Topology().UserPositions())
+			delta, err := ins.ReviseUsers(nil, nil, all, ins.Topology().UserPositions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestFusedMultiWordServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.CountPlacements() == 0 {
+	if countPlacements(p) == 0 {
 		t.Fatal("fixture placed nothing; equivalence would be vacuous")
 	}
 	fusedVsUnfused(t, e, []*Placement{p}, 73, 5, 0)

@@ -167,10 +167,7 @@ func TestIndependentRespectsFullSizeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for m := 0; m < 3; m++ {
-		used, err := e.ServerStorageIndependent(p, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		used := storageIndependent(e, p, m)
 		if used > caps[m] {
 			t.Fatalf("server %d: independent storage %d > %d", m, used, caps[m])
 		}
@@ -185,15 +182,15 @@ func TestGreedyZeroCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.CountPlacements() != 0 {
-			t.Fatalf("lazy=%v: placed %d models with zero capacity", lazy, p.CountPlacements())
+		if countPlacements(p) != 0 {
+			t.Fatalf("lazy=%v: placed %d models with zero capacity", lazy, countPlacements(p))
 		}
 	}
 	p, err := IndependentCaching(e, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.CountPlacements() != 0 {
+	if countPlacements(p) != 0 {
 		t.Fatal("independent placed models with zero capacity")
 	}
 }

@@ -94,15 +94,6 @@ func (p *Placement) ModelsOn(m int) []int {
 	return out
 }
 
-// CountPlacements returns the number of (m,i) placements.
-func (p *Placement) CountPlacements() int {
-	var n int
-	for m := 0; m < p.numServers; m++ {
-		n += p.Models(m).Count()
-	}
-	return n
-}
-
 // PackedServerColumns returns every per-model server column concatenated,
 // laid out [i*bitset.Words(M) + w], bit m = x_{m,i}. It implements
 // scenario.ServerColumns, the fused fading-measurement kernel's read-only
@@ -137,7 +128,7 @@ type Evaluator struct {
 
 	// Empty-placement marginal-gain memo u0(m,i) = Σ_{k∈UserMask(m,i)} p_{k,i},
 	// the quantity every solver's first sweep computes M·I times. Validity is
-	// per-pair: ApplyDelta clears exactly the pairs an UpdateUsers call
+	// per-pair: ApplyDelta clears exactly the pairs a ReviseUsers call
 	// changed; if the instance advanced without ApplyDelta the whole memo
 	// drops (generation mismatch).
 	baseGain  []float64
@@ -229,7 +220,7 @@ func (e *Evaluator) BaseGain(m, i int) float64 {
 	return e.baseGain[idx]
 }
 
-// ApplyDelta absorbs an incremental scenario.Instance.UpdateUsers change
+// ApplyDelta absorbs an incremental scenario.Instance.ReviseUsers change
 // into the evaluator's caches: only the marginal gains of the delta's
 // changed (server, model) pairs are invalidated. Applying the same delta
 // twice is a no-op; skipping a delta degrades to a full invalidation via
@@ -528,22 +519,6 @@ func (e *Evaluator) ServerStorage(p *Placement, m int) (int64, error) {
 		return 0, fmt.Errorf("placement: server %d out of range [0,%d)", m, p.numServers)
 	}
 	return e.ins.Library().BlocksUnion(p.ModelsOn(m), nil), nil
-}
-
-// ServerStorageIndependent computes the storage server m would need if
-// models were cached independently (no block deduplication): Σ_i x_{m,i}·D_i.
-func (e *Evaluator) ServerStorageIndependent(p *Placement, m int) (int64, error) {
-	if err := e.checkDims(p); err != nil {
-		return 0, err
-	}
-	if m < 0 || m >= p.numServers {
-		return 0, fmt.Errorf("placement: server %d out of range [0,%d)", m, p.numServers)
-	}
-	var total int64
-	for _, i := range p.ModelsOn(m) {
-		total += e.ins.Library().ModelSize(i)
-	}
-	return total, nil
 }
 
 // CheckFeasible verifies g_m(X) ≤ Q_m for every server. capacities must

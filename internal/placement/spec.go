@@ -30,7 +30,7 @@ func DefaultSpecOptions() SpecOptions {
 // (eq. 11). Under the special case (a small fixed number of shared blocks)
 // the result is a (1-ε)/2 approximation of the optimum (Theorem 2).
 func TrimCachingSpec(e *Evaluator, capacities []int64, opts SpecOptions) (*Placement, error) {
-	if opts.Epsilon < 0 || opts.Epsilon > 1 {
+	if !(opts.Epsilon >= 0 && opts.Epsilon <= 1) {
 		return nil, fmt.Errorf("placement: epsilon must be in [0,1], got %v", opts.Epsilon)
 	}
 	maxCombos := opts.MaxCombos

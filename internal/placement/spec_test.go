@@ -132,7 +132,7 @@ func TestSpecZeroCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.CountPlacements() != 0 {
+	if countPlacements(p) != 0 {
 		t.Fatal("placed models with zero capacity")
 	}
 }
@@ -150,6 +150,9 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := TrimCachingSpec(e, UniformCapacities(2, gb), SpecOptions{Epsilon: 1.5}); err == nil {
 		t.Fatal("epsilon > 1 must error")
+	}
+	if _, err := TrimCachingSpec(e, UniformCapacities(2, gb), SpecOptions{Epsilon: math.NaN()}); err == nil {
+		t.Fatal("NaN epsilon must error")
 	}
 }
 

@@ -85,7 +85,7 @@ func TestWarmStartMatchesColdSolve(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			delta, err := ins.UpdateUsers(all, pop.Positions())
+			delta, err := ins.ReviseUsers(nil, nil, all, pop.Positions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestRepairAfterInterleavedBaseGainSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			delta, err := ins.UpdateUsers(all, pop.Positions())
+			delta, err := ins.ReviseUsers(nil, nil, all, pop.Positions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestRepairNothingChangedFastPath(t *testing.T) {
 	for k := range all {
 		all[k] = k
 	}
-	delta, err := ins.UpdateUsers(all, ins.Topology().UserPositions())
+	delta, err := ins.ReviseUsers(nil, nil, all, ins.Topology().UserPositions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestBaseGainTracksGeneration(t *testing.T) {
 	for k := range all {
 		all[k] = k
 	}
-	if _, err := ins.UpdateUsers(all, pop.Positions()); err != nil {
+	if _, err := ins.ReviseUsers(nil, nil, all, pop.Positions()); err != nil {
 		t.Fatal(err)
 	}
 	// No ApplyDelta: BaseGain must still agree with a fresh evaluator.

@@ -93,7 +93,7 @@ func TestZipfN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.N() != 17 {
-		t.Fatalf("N = %d", z.N())
+	if n := len(z.PMF()); n != 17 {
+		t.Fatalf("len(PMF) = %d", n)
 	}
 }

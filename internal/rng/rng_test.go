@@ -315,35 +315,28 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rank := 0; rank < 10; rank++ {
-		if math.Abs(z.Prob(rank)-0.1) > 1e-12 {
-			t.Fatalf("s=0 rank %d prob %v, want 0.1", rank, z.Prob(rank))
+	for rank, p := range z.PMF() {
+		if math.Abs(p-0.1) > 1e-12 {
+			t.Fatalf("s=0 rank %d prob %v, want 0.1", rank, p)
 		}
 	}
 }
 
-func TestZipfProbOutOfRange(t *testing.T) {
-	z, err := NewZipf(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.Prob(-1) != 0 || z.Prob(5) != 0 {
-		t.Fatal("out-of-range ranks must have probability 0")
-	}
-}
-
+// TestZipfSampleMatchesPMF draws ranks the way production draws model
+// choices from a Zipf-shaped request row, with Categorical over the PMF.
 func TestZipfSampleMatchesPMF(t *testing.T) {
 	z, err := NewZipf(20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pmf := z.PMF()
 	src := New(47)
 	counts := make([]int, 20)
 	const n = 200000
 	for i := 0; i < n; i++ {
-		counts[z.Sample(src)]++
+		counts[src.Categorical(pmf)]++
 	}
-	for rank, p := range z.PMF() {
+	for rank, p := range pmf {
 		got := float64(counts[rank]) / n
 		if math.Abs(got-p) > 0.01 {
 			t.Fatalf("rank %d: empirical %v vs pmf %v", rank, got, p)
@@ -351,16 +344,18 @@ func TestZipfSampleMatchesPMF(t *testing.T) {
 	}
 }
 
-// Property: Sample always returns a valid rank for arbitrary seeds.
+// Property: Categorical over a Zipf PMF always returns a valid rank for
+// arbitrary seeds.
 func TestZipfSampleInRangeProperty(t *testing.T) {
 	z, err := NewZipf(30, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pmf := z.PMF()
 	f := func(seed uint64) bool {
 		src := New(seed)
 		for i := 0; i < 50; i++ {
-			r := z.Sample(src)
+			r := src.Categorical(pmf)
 			if r < 0 || r >= 30 {
 				return false
 			}

@@ -14,7 +14,6 @@ var ErrZipfParams = errors.New("zipf: n must be >= 1 and s must be finite and no
 // probabilities from a Zipf law over the model library (§VII-A, [43]).
 type Zipf struct {
 	pmf []float64
-	cdf []float64
 }
 
 // NewZipf builds a bounded Zipf distribution with n ranks and exponent s.
@@ -28,46 +27,15 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 		pmf[i] = 1 / math.Pow(float64(i+1), s)
 		total += pmf[i]
 	}
-	cdf := make([]float64, n)
-	var cum float64
 	for i := range pmf {
 		pmf[i] /= total
-		cum += pmf[i]
-		cdf[i] = cum
 	}
-	cdf[n-1] = 1
-	return &Zipf{pmf: pmf, cdf: cdf}, nil
+	return &Zipf{pmf: pmf}, nil
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.pmf) }
 
 // PMF returns a copy of the probability mass function indexed by rank.
 func (z *Zipf) PMF() []float64 {
 	out := make([]float64, len(z.pmf))
 	copy(out, z.pmf)
 	return out
-}
-
-// Prob returns P(rank). Ranks outside [0, n) have probability 0.
-func (z *Zipf) Prob(rank int) float64 {
-	if rank < 0 || rank >= len(z.pmf) {
-		return 0
-	}
-	return z.pmf[rank]
-}
-
-// Sample draws a rank using src by binary search over the CDF.
-func (z *Zipf) Sample(src *Source) int {
-	u := src.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] <= u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

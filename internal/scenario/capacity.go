@@ -27,36 +27,6 @@ import (
 	"trimcaching/internal/bitset"
 )
 
-// capBlocked reports whether server m's storage budget blocks model i
-// (the model does not fit the server's capacity even cached alone).
-func (ins *Instance) capBlocked(m, i int) bool {
-	return ins.capBlock != nil && ins.capBlock[i*ins.serverWords+m>>6]&(1<<uint(m&63)) != 0
-}
-
-// CapBlocked reports whether server m's storage budget blocks model i.
-func (ins *Instance) CapBlocked(m, i int) bool { return ins.capBlocked(m, i) }
-
-// ServerCapacityBits returns server m's storage budget in bits, or -1 when
-// unconstrained (the construction default).
-func (ins *Instance) ServerCapacityBits(m int) int64 {
-	if ins.capBits == nil {
-		return -1
-	}
-	return ins.capBits[m]
-}
-
-// CapacityLimitedServers returns the ascending list of servers carrying a
-// finite storage budget.
-func (ins *Instance) CapacityLimitedServers() []int {
-	var list []int
-	for m, bits := range ins.capBits {
-		if bits >= 0 {
-			list = append(list, m)
-		}
-	}
-	return list
-}
-
 // SetServerCapacity sets server m's storage budget to bits (negative
 // restores the unconstrained default) and incrementally refreshes the
 // instance: every model larger than the budget loses server m's bit from

@@ -120,17 +120,17 @@ func TestSetServerCapacityMatchesColdBuild(t *testing.T) {
 
 	// Blocked pairs are unreachable and carry +Inf latency; unblocked pairs
 	// on the degraded server keep finite service where the mask says so.
-	if !ins.CapBlocked(1, 5) {
+	if !ins.capBlocked(1, 5) {
 		t.Error("server 1 at 310 MB should block the 400 MB model")
 	}
-	if ins.CapBlocked(1, 2) {
+	if ins.capBlocked(1, 2) {
 		t.Error("server 1 at 310 MB should admit the 250 MB model")
 	}
 	for k := 0; k < ins.NumUsers(); k++ {
 		if ins.ServerMask(k, 5).Has(1) {
 			t.Fatalf("user %d still reaches blocked pair (1,5)", k)
 		}
-		if !math.IsInf(ins.LatencyS(1, k, 5), 1) {
+		if !math.IsInf(ins.latencyS(1, k, 5), 1) {
 			t.Fatalf("user %d has finite latency on blocked pair (1,5)", k)
 		}
 	}
@@ -142,11 +142,8 @@ func TestSetServerCapacityMatchesColdBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := ins.CapacityLimitedServers(); len(got) != 0 {
-		t.Errorf("capacity-limited servers after full restore: %v", got)
-	}
-	if ins.ServerCapacityBits(1) != -1 {
-		t.Errorf("server 1 budget %d after restore, want -1", ins.ServerCapacityBits(1))
+	if ins.capBits != nil || ins.capBlock != nil {
+		t.Errorf("capacity state survives the full restore: budgets %v", ins.capBits)
 	}
 	sameInstanceState(t, "restored", ins, pristine)
 }
@@ -295,7 +292,7 @@ func TestOutageCapacityInterleaving(t *testing.T) {
 		switch src.Intn(3) {
 		case 0: // toggle an outage
 			m := src.Intn(M)
-			if _, err := ins.SetServersDown([]int{m}, !ins.ServerDown(m)); err != nil {
+			if _, err := ins.SetServersDown([]int{m}, !ins.serverDown(m)); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		case 1: // resize a budget
@@ -311,7 +308,7 @@ func TestOutageCapacityInterleaving(t *testing.T) {
 				moved = append(moved, k)
 				movedPos = append(movedPos, pos[k])
 			}
-			if _, err := ins.UpdateUsers(moved, movedPos); err != nil {
+			if _, err := ins.ReviseUsers(nil, nil, moved, movedPos); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		}
@@ -338,11 +335,11 @@ func TestOutageCapacityInterleaving(t *testing.T) {
 	for k := range all {
 		all[k] = k
 	}
-	if _, err := ins.UpdateUsers(all, users); err != nil {
+	if _, err := ins.ReviseUsers(nil, nil, all, users); err != nil {
 		t.Fatal(err)
 	}
-	if got := ins.CapacityLimitedServers(); len(got) != 0 {
-		t.Errorf("capacity-limited servers after restore: %v", got)
+	if ins.capBits != nil || ins.capBlock != nil {
+		t.Errorf("capacity state survives the restore: budgets %v", ins.capBits)
 	}
 	sameInstanceState(t, "round trip", ins, pristine)
 }

@@ -40,16 +40,17 @@ func coordinatorTestGen(t *testing.T) (*Instance, *Instance) {
 // deployment and workload a full global instance would have produced.
 func TestGenerateCoordinatorDrawIdentity(t *testing.T) {
 	full, coord := coordinatorTestGen(t)
-	if !coord.Coordinator() || full.Coordinator() {
-		t.Fatalf("Coordinator() = %v/%v, want true for the coordinator only", coord.Coordinator(), full.Coordinator())
+	if !coord.coordinator || full.coordinator {
+		t.Fatalf("coordinator = %v/%v, want true for the coordinator only", coord.coordinator, full.coordinator)
 	}
 	for m := 0; m < full.NumServers(); m++ {
 		if coord.Topology().ServerPos(m) != full.Topology().ServerPos(m) {
 			t.Fatalf("server %d position diverged", m)
 		}
 	}
+	coordPos, fullPos := coord.Topology().UserPositions(), full.Topology().UserPositions()
 	for k := 0; k < full.NumUsers(); k++ {
-		if coord.Topology().UserPos(k) != full.Topology().UserPos(k) {
+		if coordPos[k] != fullPos[k] {
 			t.Fatalf("user %d position diverged", k)
 		}
 		wantRow, gotRow := full.ProbRow(k), coord.ProbRow(k)
@@ -78,9 +79,9 @@ func TestGenerateCoordinatorDrawIdentity(t *testing.T) {
 // shadowed generation must fail loudly rather than read absent tables.
 func TestCoordinatorRejectsPositionState(t *testing.T) {
 	_, coord := coordinatorTestGen(t)
-	p := coord.Topology().UserPos(0)
-	if _, err := coord.UpdateUsers([]int{0}, []geom.Point{p}); err == nil {
-		t.Fatal("UpdateUsers on a coordinator must error")
+	p := coord.Topology().UserPositions()[0]
+	if _, err := coord.ReviseUsers(nil, nil, []int{0}, []geom.Point{p}); err == nil {
+		t.Fatal("moving users on a coordinator must error")
 	}
 	if _, err := coord.ReviseUsers([]int{0}, nil, nil, nil); err == nil {
 		t.Fatal("ReviseUsers on a coordinator must error")

@@ -376,6 +376,12 @@ func (ins *Instance) checkGains(gains [][]float64) error {
 // view's accumulator sees additions in ascending (k, model) order, exactly
 // the order of the two-pass evaluator, so the paths agree bit-for-bit
 // (pinned by the fused-equivalence tests).
+//
+// Only tests call it: it is the per-realization reference, with an explicit
+// gain matrix, that TestFadedHitMassBlockMatchesPerRealization and
+// FuzzFadedHitMassBlock pin FadedHitMassBlock against, and that placement's
+// fused-kernel pins use (fusedVsUnfused in FuzzFadedHitRatios and
+// TestFusedMatchesUnfusedProperty).
 func (ins *Instance) FadedHitMass(gains [][]float64, views []ServerColumns, dst []float64, scratch *FadeScratch) error {
 	if err := ins.checkGains(gains); err != nil {
 		return err

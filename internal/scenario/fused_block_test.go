@@ -51,7 +51,7 @@ func assertMatchesDense(t *testing.T, label string, ins *Instance, gains [][]flo
 		for k := 0; k < K; k++ {
 			for i := 0; i < I; i++ {
 				for m := 0; m < M; m++ {
-					if cols[i*sw+m>>6]&(1<<uint(m&63)) != 0 && reach.Has(m, k, i) {
+					if cols[i*sw+m>>6]&(1<<uint(m&63)) != 0 && reach.ServerMask(k, i).Has(m) {
 						dense += ins.Prob(k, i)
 						break
 					}

@@ -71,7 +71,10 @@ func GenerateCoordinator(lib *modellib.Library, cfg GenConfig, src *rng.Source) 
 }
 
 // SampleGains draws one Rayleigh block-fading realization: unit-mean
-// exponential power gains for every (server, user) link.
+// exponential power gains for every (server, user) link. Only tests call
+// it, for the dense references that pin the packed paths: the root
+// TestBitsetMatchesDenseReference, sim's TestEvaluateUnderFadingDeterministic
+// and placement's fusedVsUnfused.
 func SampleGains(numServers, numUsers int, src *rng.Source) [][]float64 {
 	gains := make([][]float64, numServers)
 	for m := range gains {

@@ -17,10 +17,10 @@ func TestReviseUsersMassOnlyMatchesFullRebind(t *testing.T) {
 	K, I := massIns.NumUsers(), massIns.NumModels()
 
 	// Prime lazily-built state so both paths run their incremental forms.
-	if _, err := massIns.UpdateUsers(nil, nil); err != nil {
+	if _, err := massIns.ReviseUsers(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fullIns.UpdateUsers(nil, nil); err != nil {
+	if _, err := fullIns.ReviseUsers(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 

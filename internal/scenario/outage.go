@@ -41,9 +41,6 @@ func searchGreater(vals []float64, x float64) int {
 // serverDown reports whether server m is out of service.
 func (ins *Instance) serverDown(m int) bool { return ins.down != nil && ins.down[m] }
 
-// ServerDown reports whether server m is currently out of service.
-func (ins *Instance) ServerDown(m int) bool { return ins.serverDown(m) }
-
 // DownServers returns the ascending list of out-of-service servers.
 func (ins *Instance) DownServers() []int {
 	var list []int
@@ -57,10 +54,10 @@ func (ins *Instance) DownServers() []int {
 
 // SetServersDown marks the given servers out of service (down=true) or back
 // in service (down=false) and incrementally refreshes the instance, exactly
-// as UpdateUsers would after an equivalent rate change: down servers' link
+// as ReviseUsers would after an equivalent rate change: down servers' link
 // rates drop to 0, relay rates are recomputed for their users, and both
 // packed reachability orientations lose (or regain) the servers' bits. The
-// returned delta follows the UpdateUsers contract — Pairs lists every
+// returned delta follows the ReviseUsers contract — Pairs lists every
 // (server, model) pair whose user mask changed, so a warm-started evaluator
 // repairs over exactly the affected columns. Servers already in the
 // requested state are ignored; if nothing toggles, the delta carries the

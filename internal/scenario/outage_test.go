@@ -41,7 +41,7 @@ func TestSetServersDownMatchesColdReducedInstance(t *testing.T) {
 	sameInstanceState(t, "rebuild carries the down set", rebuilt, cold)
 
 	for _, m := range downed {
-		if !ins.ServerDown(m) {
+		if !ins.serverDown(m) {
 			t.Fatalf("server %d not reported down", m)
 		}
 		for k := 0; k < ins.NumUsers(); k++ {
@@ -87,7 +87,7 @@ func TestSetServersDownDeltaCoversChangedPairs(t *testing.T) {
 	before := make([]bitset.Set, M*I)
 	for m := 0; m < M; m++ {
 		for i := 0; i < I; i++ {
-			before[m*I+i] = ins.UserMask(m, i).Clone()
+			before[m*I+i] = append(bitset.Set(nil), ins.UserMask(m, i)...)
 		}
 	}
 	delta, err := ins.SetServersDown(downed, true)
@@ -141,7 +141,7 @@ func TestSetServersDownLatencyInfinite(t *testing.T) {
 	m := downed[0]
 	for k := 0; k < ins.NumUsers(); k++ {
 		for i := 0; i < ins.NumModels(); i++ {
-			if l := ins.LatencyS(m, k, i); !math.IsInf(l, 1) {
+			if l := ins.latencyS(m, k, i); !math.IsInf(l, 1) {
 				t.Fatalf("latency(user %d, model %d) via down server %d = %v, want +Inf", k, i, m, l)
 			}
 		}

@@ -89,8 +89,8 @@ func sameInstanceState(t *testing.T, label string, got, want *Instance) {
 					t.Fatalf("%s: user mask (%d,%d) differs at user %d", label, m, i, k)
 				}
 			}
-			if got.HitMass(m, i) != want.HitMass(m, i) {
-				t.Fatalf("%s: hit mass (%d,%d) %v, want %v", label, m, i, got.HitMass(m, i), want.HitMass(m, i))
+			if got.hitMass(m, i) != want.hitMass(m, i) {
+				t.Fatalf("%s: hit mass (%d,%d) %v, want %v", label, m, i, got.hitMass(m, i), want.hitMass(m, i))
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func TestReviseUsersMatchesFreshBuild(t *testing.T) {
 	walk := rng.New(5)
 
 	// Prime the flip index so revisions exercise the rank-row rebuild.
-	if _, err := ins.UpdateUsers(nil, nil); err != nil {
+	if _, err := ins.ReviseUsers(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,7 +173,7 @@ func (f fakeColumns) PackedServerColumns() []uint64 { return f }
 // rank rows must describe the new thresholds exactly.
 func TestReviseUsersFusedKernel(t *testing.T) {
 	ins, aliased, parent, _, users := reviseFixture(t)
-	if _, err := ins.UpdateUsers(nil, nil); err != nil {
+	if _, err := ins.ReviseUsers(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	zero := make([]float64, ins.NumModels())

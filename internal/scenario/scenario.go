@@ -25,7 +25,7 @@ import (
 )
 
 // Instance is a problem instance. It is immutable except through
-// UpdateUsers, which moves users and incrementally refreshes every derived
+// ReviseUsers, which moves users and incrementally refreshes every derived
 // quantity; callers that need a frozen snapshot use Rebuild.
 type Instance struct {
 	topo *topology.Topology
@@ -81,7 +81,7 @@ type Instance struct {
 	reachSrv    []uint64 // [(k*I+i)*serverWords + w], bit m
 	reachUsr    []uint64 // [(i*M+m)*userWords + w], bit k — model-major
 
-	// Incremental-update state: gen counts UpdateUsers calls (warm-start
+	// Incremental-update state: gen counts update calls (warm-start
 	// caches key their validity on it), the scratch below is reused across
 	// calls so a delta update performs no steady-state allocation. Dirty
 	// users are processed in parallel — their rate columns and reach rows
@@ -169,16 +169,12 @@ func NewShadowed(topo *topology.Topology, lib *modellib.Library, work *workload.
 // coordinator needs exactly the position-independent parts (topology
 // positions, workload rows, library, wireless config, rank rows to seed the
 // cells' RankProvider); at K=1M the skipped arrays are tens of gigabytes
-// that no cell ever reads. Coordinator instances reject UpdateUsers,
-// ReviseUsers, and Rebuild; cells carry their own full instances.
+// that no cell ever reads. Coordinator instances reject ReviseUsers and
+// Rebuild; cells carry their own full instances.
 func NewCoordinator(topo *topology.Topology, lib *modellib.Library, work *workload.Workload, wcfg wireless.Config) (*Instance, error) {
 	ins, err := newInstance(topo, lib, work, wcfg, nil, nil, true)
 	return ins, err
 }
-
-// Coordinator reports whether this is a rank/workload-only instance built by
-// NewCoordinator.
-func (ins *Instance) Coordinator() bool { return ins.coordinator }
 
 // newInstance is the one construction path behind New, NewRanked,
 // NewShadowed, and NewCoordinator.
@@ -323,7 +319,7 @@ func rateThreshold(sizeBits, slack float64) float64 {
 // fillReachRows recomputes user k's I server masks into rows (I*serverWords
 // words) under the given per-link rates and relay rate. This is the
 // reachability engine's innermost fill, shared by full builds (fillReach),
-// fading realizations (FadedReach), and delta updates (UpdateUsers), so all
+// fading realizations (FadedReach), and delta updates (ReviseUsers), so all
 // three stay bit-identical by construction.
 //
 // The relay-path latency (eq. 5) does not depend on the serving server m,
@@ -332,7 +328,7 @@ func rateThreshold(sizeBits, slack float64) float64 {
 // direct-path verdict (eq. 4). Both verdicts use the precomputed threshold
 // form — rate ≥ sizeBits/slack instead of sizeBits/rate + … ≤ deadline —
 // which is algebraically the same test reduced to one compare per entry,
-// and which UpdateUsers' flip index shares so delta updates agree exactly.
+// and which ReviseUsers' flip index shares so delta updates agree exactly.
 func (ins *Instance) fillReachRows(k int, covering []int, rates []float64, relayRate float64, full bitset.Set, rows []uint64) {
 	K, I := ins.NumUsers(), ins.NumModels()
 	sw := ins.serverWords
@@ -387,31 +383,6 @@ func (ins *Instance) fillReachRows(k int, covering []int, rates []float64, relay
 	}
 }
 
-// latency computes T_{m,k,i} in seconds under the given per-link rates.
-// rates[m*K+k] must be 0 for non-covering pairs; relayRate[k] is the best
-// covering-server rate of user k. Unreachable pairs yield +Inf.
-func (ins *Instance) latency(m, k, i int, rates []float64, relayRate []float64) float64 {
-	if ins.serverDown(m) {
-		return math.Inf(1) // the serving server is out of service
-	}
-	if ins.capBlocked(m, i) {
-		return math.Inf(1) // the serving server cannot store the model
-	}
-	sizeBits := ins.sizeBits[i]
-	infer := ins.work.InferS(k, i)
-	if direct := rates[m*ins.NumUsers()+k]; direct > 0 {
-		return sizeBits/direct + infer // eq. (4)
-	}
-	// eq. (5): transfer over the backhaul to the user's best covering
-	// server, then over the air. The backhaul rate is the same constant for
-	// every server pair, so minimizing over m' means maximizing the
-	// downlink rate.
-	if relayRate[k] <= 0 {
-		return math.Inf(1) // user covered by no server
-	}
-	return sizeBits/ins.wcfg.BackhaulBps + sizeBits/relayRate[k] + infer
-}
-
 // shadowGain returns the slow-fading gain of link (m,k), 1 when disabled.
 func (ins *Instance) shadowGain(m, k int) float64 {
 	if ins.shadow == nil {
@@ -420,15 +391,16 @@ func (ins *Instance) shadowGain(m, k int) float64 {
 	return ins.shadow[m][k]
 }
 
-// Generation counts the UpdateUsers calls applied to this instance. Caches
-// derived from the reachability masks (e.g. the placement evaluator's
-// marginal-gain memo) key their validity on it.
+// Generation counts the updates applied to this instance: ReviseUsers,
+// SetServersDown and capacity changes. Caches derived from the reachability
+// masks (e.g. the placement evaluator's marginal-gain memo) key their
+// validity on it.
 func (ins *Instance) Generation() int { return ins.gen }
 
 // RevisionGeneration counts the ReviseUsers calls that swapped workload
 // rows. Caches derived from request probabilities (the evaluator's
-// transposed probability table) key their validity on it; plain UpdateUsers
-// calls never advance it.
+// transposed probability table) key their validity on it; calls that only
+// move users never advance it.
 func (ins *Instance) RevisionGeneration() int { return ins.revGen }
 
 // Shadowed reports whether the instance carries per-link shadowing gains.
@@ -436,11 +408,11 @@ func (ins *Instance) RevisionGeneration() int { return ins.revGen }
 // (server, user) index pairs, which slot rebinding would scramble.
 func (ins *Instance) Shadowed() bool { return ins.shadow != nil }
 
-// Delta describes what one UpdateUsers call changed, in the form the
-// warm-start machinery consumes. The delta returned by
-// UpdateUsers/ReviseUsers — struct and slices — is owned by the instance
-// and reused: it is valid until the next update call, and callers that
-// hold deltas across updates must copy what they keep.
+// Delta describes what one ReviseUsers call changed, in the form the
+// warm-start machinery consumes. The delta returned by ReviseUsers — struct
+// and slices — is owned by the instance and reused: it is valid until the
+// next update call, and callers that hold deltas across updates must copy
+// what they keep.
 type Delta struct {
 	// Gen is the instance generation this delta produced.
 	Gen int
@@ -467,7 +439,7 @@ type Delta struct {
 // Rebuild returns a fresh instance with the same servers, library,
 // workload, wireless configuration, and per-link shadowing, but users at
 // the given positions. It is the one rebuild path shared by every dynamic
-// layer — and the reference UpdateUsers is pinned against.
+// layer — and the reference ReviseUsers is pinned against.
 func (ins *Instance) Rebuild(users []geom.Point) (*Instance, error) {
 	topo, err := ins.topo.WithUserPositions(users)
 	if err != nil {
@@ -496,38 +468,34 @@ func (ins *Instance) Rebuild(users []geom.Point) (*Instance, error) {
 	return fresh, nil
 }
 
-// UpdateUsers moves user moved[j] to pos[j] and incrementally refreshes the
+// ReviseUsers moves user moved[j] to pos[j] and incrementally refreshes the
 // association sets, average rates, relay rates, and both packed
 // reachability orientations, bit-identical to Rebuild on the full updated
 // position vector but touching only the users the move affects: the moved
 // users plus the users of servers whose load changed. Per-link shadowing,
 // when present, stays attached to the (server, user) index pair. The
 // returned delta reports the changed reachability pairs for warm-start
-// consumers.
-func (ins *Instance) UpdateUsers(moved []int, pos []geom.Point) (*Delta, error) {
-	return ins.ReviseUsers(nil, nil, moved, pos)
-}
-
-// ReviseUsers is UpdateUsers plus workload-row revision: revised lists
-// users whose rows in the instance's workload were swapped (via
-// workload.SetUserRows) since the last update. For each revised user the
-// QoS rate thresholds and their rank rows are recomputed from the new
-// deadline and inference rows before the movement pass, the reachability
-// rows are recomputed unconditionally (a threshold change invalidates the
-// rate-crossing flip search), and every pair the user's reach rows touch is
-// reported in Delta.Pairs — the masks may be unchanged while the request
-// mass under them is not. massOnly lists users whose probability row alone
-// was swapped (workload.SetUserProbRow) while their deadline and inference
-// rows stayed bound: thresholds, rank rows, and reachability need no work
-// beyond any movement the user also has, so only the gain invalidation and
-// probability-cache refresh apply — the cheap path for the shard layer's
-// ownership flips and parkings. TotalMass is recomputed in construction
-// order whenever any row changed, so a revised instance stays bit-identical
-// to a fresh build over the same workload. Revised users need not appear in
-// moved; movement semantics for moved users are exactly UpdateUsers'. This
-// is the shard layer's handoff seam: cross-cell movement becomes paired
-// calls — park and zero the slot in the cell the user left, bind and move
-// it in the cell it entered.
+// consumers; a pure move passes nil revised and massOnly lists.
+//
+// It also revises workload rows: revised lists users whose rows in the
+// instance's workload were swapped (via workload.SetUserRows) since the last
+// update. For each revised user the QoS rate thresholds and their rank rows
+// are recomputed from the new deadline and inference rows before the
+// movement pass, the reachability rows are recomputed unconditionally (a
+// threshold change invalidates the rate-crossing flip search), and every
+// pair the user's reach rows touch is reported in Delta.Pairs — the masks
+// may be unchanged while the request mass under them is not. massOnly lists
+// users whose probability row alone was swapped (workload.SetUserProbRow)
+// while their deadline and inference rows stayed bound: thresholds, rank
+// rows, and reachability need no work beyond any movement the user also has,
+// so only the gain invalidation and probability-cache refresh apply — the
+// cheap path for the shard layer's ownership flips and parkings. TotalMass
+// is recomputed in construction order whenever any row changed, so a revised
+// instance stays bit-identical to a fresh build over the same workload.
+// Revised users need not appear in moved; movement semantics for moved users
+// are those of a pure move. This is the shard layer's handoff seam:
+// cross-cell movement becomes paired calls — park and zero the slot in the
+// cell the user left, bind and move it in the cell it entered.
 func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geom.Point) (*Delta, error) {
 	M, K, I := ins.NumServers(), ins.NumUsers(), ins.NumModels()
 	if ins.coordinator {
@@ -703,9 +671,9 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 	}
 	ins.gen++
 	// The delta and every slice it carries are owned by the instance and
-	// valid until the next UpdateUsers/ReviseUsers call; steady-state
-	// callers (the dynamics engines) consume it before their next refresh,
-	// so the loop allocates nothing. Holding a delta across updates
+	// valid until the next ReviseUsers call; steady-state callers (the
+	// dynamics engines) consume it before their next refresh, so the loop
+	// allocates nothing. Holding a delta across updates
 	// requires a copy.
 	ins.updDelta.Gen = ins.gen
 	ins.updDelta.Users = dirtyUsers
@@ -1075,9 +1043,9 @@ func (ins *Instance) fillRankRows(k int) {
 	buildRankRow(ro, rv, ins.minRelRate[k*I:(k+1)*I], ins.rankBuf)
 }
 
-// SetUpdateWorkers bounds the parallel user-update phase of
-// UpdateUsers/ReviseUsers (and the bucketed flip application that follows
-// it); 0 restores the default GOMAXPROCS bound. Results are bit-identical
+// SetUpdateWorkers bounds the parallel user-update phase of ReviseUsers
+// (and the bucketed flip application that follows it); 0 restores the
+// default GOMAXPROCS bound. Results are bit-identical
 // for any bound — the engines thread their Workers pin through so a
 // single-goroutine configuration really runs single-goroutine here too.
 func (ins *Instance) SetUpdateWorkers(n int) { ins.updMaxWorkers = n }
@@ -1363,17 +1331,16 @@ func (ins *Instance) NumUsers() int { return ins.work.NumUsers() }
 // NumModels returns I.
 func (ins *Instance) NumModels() int { return ins.lib.NumModels() }
 
-// AvgRateBps returns C̄_{m,k} (eq. 1), or 0 when m does not cover k.
+// AvgRateBps returns C̄_{m,k} (eq. 1), or 0 when m does not cover k. Only
+// tests call it: shard's TestHandoffRowsMatchGlobal pins each cell's rates
+// against the global instance's through it.
 func (ins *Instance) AvgRateBps(m, k int) float64 { return ins.avgRate[m*ins.NumUsers()+k] }
 
-// LatencyS returns T_{m,k,i} in seconds under the average channel
-// (eqs. 4–5), +Inf if unreachable.
-func (ins *Instance) LatencyS(m, k, i int) float64 {
-	return ins.latency(m, k, i, ins.avgRate, ins.bestRelay)
-}
-
 // Reachable returns I1(m,k,i) under the average channel: whether server m
-// can deliver model i to user k within the QoS deadline.
+// can deliver model i to user k within the QoS deadline. Only tests call it,
+// as the per-entry oracle of the root TestBitsetMatchesDenseReference,
+// placement's TestGenNeverPlacesUselessModels and shard's
+// TestHandoffRowsMatchGlobal.
 func (ins *Instance) Reachable(m, k, i int) bool {
 	return ins.ServerMask(k, i).Has(m)
 }
@@ -1423,16 +1390,6 @@ func (ins *Instance) ProbRow(k int) []float64 { return ins.work.ProbRow(k) }
 // TotalMass returns Σ p_{k,i}, the denominator of eq. (2).
 func (ins *Instance) TotalMass() float64 { return ins.totalMass }
 
-// HitMass returns u(m,i) without the I2 exclusion (eq. 14 with I2 ≡ 1): the
-// expected request mass server m can serve by caching model i.
-func (ins *Instance) HitMass(m, i int) float64 {
-	var sum float64
-	ins.UserMask(m, i).ForEach(func(k int) {
-		sum += ins.Prob(k, i)
-	})
-	return sum
-}
-
 // Reach is a word-packed I1 indicator for one channel realization: for every
 // (user, model) request it holds the set of servers able to deliver within
 // the QoS deadline. Buffers are reusable across realizations (allocate once
@@ -1452,9 +1409,6 @@ func (r *Reach) ServerMask(k, i int) bitset.Set {
 	off := (k*r.numModels + i) * r.words
 	return bitset.Set(r.bits[off : off+r.words])
 }
-
-// Has reports I1(m,k,i) under this realization.
-func (r *Reach) Has(m, k, i int) bool { return r.ServerMask(k, i).Has(m) }
 
 // Dims returns (M, K, I).
 func (r *Reach) Dims() (numServers, numUsers, numModels int) {

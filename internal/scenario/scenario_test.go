@@ -101,7 +101,7 @@ func TestLatencyStructure(t *testing.T) {
 			var relayLat []float64
 			var bestDirect = math.Inf(1)
 			for m := 0; m < ins.NumServers(); m++ {
-				lat := ins.LatencyS(m, k, i)
+				lat := ins.latencyS(m, k, i)
 				if !coveringSet[m] {
 					relayLat = append(relayLat, lat)
 				} else if lat < bestDirect {
@@ -136,10 +136,10 @@ func TestReachableMatchesLatency(t *testing.T) {
 	for m := 0; m < ins.NumServers(); m++ {
 		for k := 0; k < ins.NumUsers(); k++ {
 			for i := 0; i < ins.NumModels(); i++ {
-				want := ins.LatencyS(m, k, i) <= ins.Workload().DeadlineS(k, i)
+				want := ins.latencyS(m, k, i) <= ins.Workload().DeadlineS(k, i)
 				if got := ins.Reachable(m, k, i); got != want {
 					t.Fatalf("Reachable(%d,%d,%d) = %v, latency %v deadline %v",
-						m, k, i, got, ins.LatencyS(m, k, i), ins.Workload().DeadlineS(k, i))
+						m, k, i, got, ins.latencyS(m, k, i), ins.Workload().DeadlineS(k, i))
 				}
 			}
 		}
@@ -178,8 +178,8 @@ func TestHitMass(t *testing.T) {
 					want += ins.Prob(k, i)
 				}
 			}
-			if got := ins.HitMass(m, i); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("HitMass(%d,%d) = %v, want %v", m, i, got, want)
+			if got := ins.hitMass(m, i); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("hitMass(%d,%d) = %v, want %v", m, i, got, want)
 			}
 		}
 	}
@@ -203,7 +203,7 @@ func TestFadedReachUnitGainsMatchAverage(t *testing.T) {
 	for m := 0; m < ins.NumServers(); m++ {
 		for k := 0; k < K; k++ {
 			for i := 0; i < I; i++ {
-				if got.Has(m, k, i) != ins.Reachable(m, k, i) {
+				if got.ServerMask(k, i).Has(m) != ins.Reachable(m, k, i) {
 					t.Fatalf("unit-gain faded reach differs at (%d,%d,%d)", m, k, i)
 				}
 			}
@@ -228,7 +228,7 @@ func TestFadedReachDeepFadeKillsDirect(t *testing.T) {
 	for m := 0; m < ins.NumServers(); m++ {
 		for k := 0; k < ins.NumUsers(); k++ {
 			for i := 0; i < ins.NumModels(); i++ {
-				if got.Has(m, k, i) {
+				if got.ServerMask(k, i).Has(m) {
 					t.Fatal("deep fade should make everything unreachable")
 				}
 			}
@@ -303,8 +303,8 @@ func TestCloserServerHasLowerLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < ins.NumModels(); i++ {
-		direct := ins.LatencyS(0, 0, i)
-		relay := ins.LatencyS(1, 0, i)
+		direct := ins.latencyS(0, 0, i)
+		relay := ins.latencyS(1, 0, i)
 		if !(direct < relay) {
 			t.Fatalf("model %d: direct %v !< relay %v", i, direct, relay)
 		}

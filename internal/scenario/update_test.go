@@ -88,7 +88,7 @@ func TestUpdateUsersMatchesRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		delta, err := ins.UpdateUsers(all, pop.Positions())
+		delta, err := ins.ReviseUsers(nil, nil, all, pop.Positions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestUpdateUsersParallelMatchesRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ins.UpdateUsers(all, pop.Positions()); err != nil {
+		if _, err := ins.ReviseUsers(nil, nil, all, pop.Positions()); err != nil {
 			t.Fatal(err)
 		}
 		want, err := ins.Rebuild(pop.Positions())
@@ -177,12 +177,12 @@ func TestUpdateUsersBucketedFlipsMatchRebuild(t *testing.T) {
 			if ins.flipBucketShift() < 0 {
 				t.Fatal("shrunken window must produce multiple buckets")
 			}
-			delta, err := ins.UpdateUsers(all, pop.Positions())
+			delta, err := ins.ReviseUsers(nil, nil, all, pop.Positions())
 			if err != nil {
 				t.Fatal(err)
 			}
 			flipBucketWindowWords, flipBucketMinOps = oldWin, oldMin
-			tdelta, err := twin.UpdateUsers(all, tpop.Positions())
+			tdelta, err := twin.ReviseUsers(nil, nil, all, tpop.Positions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func TestUpdateUsersPartialMove(t *testing.T) {
 		pos[j] = newPos[k]
 		final[k] = newPos[k]
 	}
-	delta, err := ins.UpdateUsers(moved, pos)
+	delta, err := ins.ReviseUsers(nil, nil, moved, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestUpdateUsersNoMove(t *testing.T) {
 	for k := range all {
 		all[k] = k
 	}
-	delta, err := ins.UpdateUsers(all, posCopy)
+	delta, err := ins.ReviseUsers(nil, nil, all, posCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +266,14 @@ func TestUpdateUsersNoMove(t *testing.T) {
 
 func TestUpdateUsersValidation(t *testing.T) {
 	ins, _, _ := walkInstance(t, 4, 8, 13)
-	p := ins.Topology().UserPos(0)
-	if _, err := ins.UpdateUsers([]int{0, 1}, []geom.Point{p}); err == nil {
+	p := ins.Topology().UserPositions()[0]
+	if _, err := ins.ReviseUsers(nil, nil, []int{0, 1}, []geom.Point{p}); err == nil {
 		t.Fatal("length mismatch must error")
 	}
-	if _, err := ins.UpdateUsers([]int{99}, []geom.Point{p}); err == nil {
+	if _, err := ins.ReviseUsers(nil, nil, []int{99}, []geom.Point{p}); err == nil {
 		t.Fatal("out-of-range user must error")
 	}
-	if _, err := ins.UpdateUsers([]int{0, 0}, []geom.Point{p, p}); err == nil {
+	if _, err := ins.ReviseUsers(nil, nil, []int{0, 0}, []geom.Point{p, p}); err == nil {
 		t.Fatal("duplicate user must error")
 	}
 }
@@ -292,7 +292,7 @@ func TestUpdateUsersFadingEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ins.UpdateUsers(all, pop.Positions()); err != nil {
+	if _, err := ins.ReviseUsers(nil, nil, all, pop.Positions()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := ins.Rebuild(pop.Positions())

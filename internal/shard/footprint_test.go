@@ -52,8 +52,8 @@ func TestScaleBenchConfigCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.Instance.Coordinator() {
-		t.Fatal("scale bench global instance must be a coordinator")
+	if _, err := cfg.Instance.ReviseUsers(nil, nil, nil, nil); err == nil {
+		t.Fatal("scale bench global instance must be a coordinator, which rejects updates")
 	}
 	gf := cfg.Instance.MemoryFootprint()
 	if gf.Reach != 0 {

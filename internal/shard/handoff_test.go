@@ -98,23 +98,28 @@ func TestHandoffRowsMatchGlobal(t *testing.T) {
 		if _, err := e.Checkpoint(cp); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.UpdateUsers(all, e.Positions()); err != nil {
+		if _, err := ref.ReviseUsers(nil, nil, all, e.Positions()); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k < K; k++ {
-			c := e.Owner(k)
-			slot, ok := e.CellSlot(c, k)
+			c := int(e.owner[k])
+			slot, ok := -1, false
+			for _, r := range e.refs[k] {
+				if int(r.cell) == c {
+					slot, ok = int(r.slot), true
+				}
+			}
 			if !ok {
 				t.Fatalf("cp %d: user %d not bound in its owner cell %d", cp, k, c)
 			}
 			ins := e.CellInstance(c)
-			for j, m := range e.CellServers(c) {
+			for j, m := range e.cells[c].servers {
 				if got, want := ins.AvgRateBps(j, slot), ref.AvgRateBps(m, k); got != want {
 					t.Fatalf("cp %d user %d server %d: rate %v, global %v", cp, k, m, got, want)
 				}
 			}
 			for i := 0; i < I; i++ {
-				for j, m := range e.CellServers(c) {
+				for j, m := range e.cells[c].servers {
 					if got, want := ins.Reachable(j, slot, i), ref.Reachable(m, k, i); got != want {
 						t.Fatalf("cp %d user %d model %d server %d: reach %v, global %v", cp, k, i, m, got, want)
 					}

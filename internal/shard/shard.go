@@ -762,25 +762,9 @@ func (e *Engine) Checkpoints() int { return e.checkpoints }
 // Cells returns the number of cells.
 func (e *Engine) Cells() int { return len(e.cells) }
 
-// CellServers returns cell c's global server ids, ascending. Read-only.
-func (e *Engine) CellServers(c int) []int { return e.cells[c].servers }
-
 // CellInstance returns cell c's current instance (test and inspection
 // hook; treat as read-only).
 func (e *Engine) CellInstance(c int) *scenario.Instance { return e.cells[c].eng.Instance() }
-
-// CellSlot returns the slot of user g in cell c, if locally visible there.
-func (e *Engine) CellSlot(c, g int) (int, bool) {
-	for _, r := range e.refs[g] {
-		if int(r.cell) == c {
-			return int(r.slot), true
-		}
-	}
-	return 0, false
-}
-
-// Owner returns the cell currently owning user g.
-func (e *Engine) Owner(g int) int { return int(e.owner[g]) }
 
 // Positions returns a copy of the current global user positions.
 func (e *Engine) Positions() []geom.Point {

@@ -79,7 +79,7 @@ func TestFusedSessionMatchesUnfusedAcrossWorkers(t *testing.T) {
 		for k := range all {
 			all[k] = k
 		}
-		if _, err := ins.UpdateUsers(all, ins.Topology().UserPositions()); err != nil {
+		if _, err := ins.ReviseUsers(nil, nil, all, ins.Topology().UserPositions()); err != nil {
 			t.Fatal(err)
 		}
 		check("ranked")

@@ -39,19 +39,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddAll folds every observation into the accumulator.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the sample mean, or 0 if empty.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
 // Variance returns the unbiased sample variance, or 0 for fewer than two
 // observations.
 func (a *Accumulator) Variance() float64 {
@@ -63,12 +50,6 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the minimum observation, or 0 if empty.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the maximum observation, or 0 if empty.
-func (a *Accumulator) Max() float64 { return a.max }
 
 // Summary is an immutable snapshot of an accumulator.
 type Summary struct {

@@ -9,7 +9,7 @@ import (
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 || a.StdDev() != 0 {
+	if a.n != 0 || a.mean != 0 || a.Variance() != 0 || a.StdDev() != 0 {
 		t.Fatal("zero-value accumulator should report zeros")
 	}
 }
@@ -17,26 +17,28 @@ func TestAccumulatorEmpty(t *testing.T) {
 func TestAccumulatorSingle(t *testing.T) {
 	var a Accumulator
 	a.Add(3.5)
-	if a.N() != 1 || a.Mean() != 3.5 || a.Variance() != 0 {
-		t.Fatalf("single obs: n=%d mean=%v var=%v", a.N(), a.Mean(), a.Variance())
+	if a.n != 1 || a.mean != 3.5 || a.Variance() != 0 {
+		t.Fatalf("single obs: n=%d mean=%v var=%v", a.n, a.mean, a.Variance())
 	}
-	if a.Min() != 3.5 || a.Max() != 3.5 {
-		t.Fatalf("min/max = %v/%v", a.Min(), a.Max())
+	if a.min != 3.5 || a.max != 3.5 {
+		t.Fatalf("min/max = %v/%v", a.min, a.max)
 	}
 }
 
 func TestAccumulatorKnownValues(t *testing.T) {
 	var a Accumulator
-	a.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if got := a.Mean(); math.Abs(got-5) > 1e-12 {
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		a.Add(x)
+	}
+	if got := a.mean; math.Abs(got-5) > 1e-12 {
 		t.Fatalf("mean = %v, want 5", got)
 	}
 	// Sample variance of this classic dataset is 32/7.
 	if got := a.Variance(); math.Abs(got-32.0/7.0) > 1e-12 {
 		t.Fatalf("variance = %v, want %v", got, 32.0/7.0)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", a.Min(), a.Max())
+	if a.min != 2 || a.max != 9 {
+		t.Fatalf("min/max = %v/%v", a.min, a.max)
 	}
 }
 
@@ -47,7 +49,7 @@ func TestAccumulatorNumericalStability(t *testing.T) {
 	for _, x := range []float64{offset + 4, offset + 7, offset + 13, offset + 16} {
 		a.Add(x)
 	}
-	if got := a.Mean(); math.Abs(got-(offset+10)) > 1e-3 {
+	if got := a.mean; math.Abs(got-(offset+10)) > 1e-3 {
 		t.Fatalf("mean = %v", got)
 	}
 	if got := a.Variance(); math.Abs(got-30) > 1e-3 {
@@ -68,13 +70,13 @@ func TestAccumulatorProperty(t *testing.T) {
 			}
 			a.Add(x)
 		}
-		if a.N() == 0 {
+		if a.n == 0 {
 			return true
 		}
 		if a.Variance() < 0 {
 			return false
 		}
-		return a.Mean() >= a.Min()-1e-9 && a.Mean() <= a.Max()+1e-9
+		return a.mean >= a.min-1e-9 && a.mean <= a.max+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -121,7 +123,9 @@ func TestQuantileInterpolates(t *testing.T) {
 
 func TestSummaryString(t *testing.T) {
 	var a Accumulator
-	a.AddAll([]float64{1, 2, 3})
+	for _, x := range []float64{1, 2, 3} {
+		a.Add(x)
+	}
 	s := a.Summarize().String()
 	if !strings.Contains(s, "2.0000") || !strings.Contains(s, "n=3") {
 		t.Fatalf("unexpected summary string %q", s)

@@ -40,20 +40,6 @@ func (l Layout) String() string {
 	}
 }
 
-// ParseLayout converts a layout name to a Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "uniform", "":
-		return LayoutUniform, nil
-	case "grid":
-		return LayoutGrid, nil
-	case "ppp":
-		return LayoutPPP, nil
-	default:
-		return 0, fmt.Errorf("topology: unknown layout %q", s)
-	}
-}
-
 // serverPositions draws server positions per the layout.
 func serverPositions(layout Layout, area geom.Area, numServers int, src *rng.Source) ([]geom.Point, error) {
 	switch layout {

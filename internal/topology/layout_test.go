@@ -6,29 +6,8 @@ import (
 	"trimcaching/internal/rng"
 )
 
-func TestParseLayout(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Layout
-	}{
-		{"", LayoutUniform},
-		{"uniform", LayoutUniform},
-		{"grid", LayoutGrid},
-		{"ppp", LayoutPPP},
-	}
-	for _, c := range cases {
-		got, err := ParseLayout(c.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Fatalf("ParseLayout(%q) = %v", c.in, got)
-		}
-	}
-	if _, err := ParseLayout("hexagon"); err == nil {
-		t.Fatal("unknown layout must error")
-	}
-	if LayoutGrid.String() != "grid" || Layout(42).String() == "" {
+func TestLayoutString(t *testing.T) {
+	if LayoutUniform.String() != "uniform" || LayoutGrid.String() != "grid" || LayoutPPP.String() != "ppp" || Layout(42).String() == "" {
 		t.Fatal("String()")
 	}
 }

@@ -20,8 +20,8 @@ func moveTestTopology(t *testing.T) *Topology {
 func assertTopologiesEqual(t *testing.T, got, want *Topology) {
 	t.Helper()
 	for k := 0; k < want.NumUsers(); k++ {
-		if got.UserPos(k) != want.UserPos(k) {
-			t.Fatalf("user %d at %v, want %v", k, got.UserPos(k), want.UserPos(k))
+		if got.users[k] != want.users[k] {
+			t.Fatalf("user %d at %v, want %v", k, got.users[k], want.users[k])
 		}
 		g, w := got.ServersCovering(k), want.ServersCovering(k)
 		if len(g) != len(w) {

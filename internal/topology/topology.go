@@ -306,9 +306,6 @@ func (t *Topology) ServersIn(r geom.Region) ([]int, error) {
 	return list, nil
 }
 
-// UserPos returns the position of user k.
-func (t *Topology) UserPos(k int) geom.Point { return t.users[k] }
-
 // UserPositions returns a copy of all user positions.
 func (t *Topology) UserPositions() []geom.Point {
 	return append([]geom.Point(nil), t.users...)
@@ -330,9 +327,6 @@ func (t *Topology) Distance(m, k int) float64 {
 	return t.servers[m].Dist(t.users[k])
 }
 
-// Covered reports whether user k is covered by at least one server.
-func (t *Topology) Covered(k int) bool { return len(t.userServers[k]) > 0 }
-
 // MemoryBytes returns the heap bytes owned by the topology: position
 // slices plus both association tables (row headers and row capacity).
 func (t *Topology) MemoryBytes() int64 {
@@ -347,15 +341,4 @@ func (t *Topology) MemoryBytes() int64 {
 		n += int64(cap(row)) * 8
 	}
 	return n
-}
-
-// CoveredFraction returns the fraction of users covered by ≥1 server.
-func (t *Topology) CoveredFraction() float64 {
-	var n int
-	for k := range t.users {
-		if len(t.userServers[k]) > 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(t.users))
 }

@@ -45,7 +45,7 @@ func TestGenerateCounts(t *testing.T) {
 		}
 	}
 	for k := 0; k < topo.NumUsers(); k++ {
-		if !topo.Area().Contains(topo.UserPos(k)) {
+		if !topo.Area().Contains(topo.users[k]) {
 			t.Fatalf("user %d outside area", k)
 		}
 	}
@@ -131,12 +131,6 @@ func TestNewExplicitPositions(t *testing.T) {
 	if got := topo.ServersCovering(2); len(got) != 0 {
 		t.Fatalf("user 2 covered by %v, want none", got)
 	}
-	if topo.Covered(2) {
-		t.Fatal("user 2 should be uncovered")
-	}
-	if got := topo.CoveredFraction(); got < 0.66 || got > 0.67 {
-		t.Fatalf("covered fraction %v", got)
-	}
 }
 
 func TestNewInvalid(t *testing.T) {
@@ -194,9 +188,9 @@ func TestUserPositionsCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	pos := topo.UserPositions()
-	orig := topo.UserPos(0)
+	orig := topo.users[0]
 	pos[0] = geom.Point{X: -1, Y: -1}
-	if topo.UserPos(0) != orig {
+	if topo.users[0] != orig {
 		t.Fatal("UserPositions exposed internal state")
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"trimcaching/internal/rng"
@@ -15,8 +16,8 @@ import (
 // the workload's Zipf request distribution. It is the arrival source of the
 // dynamics engine's trace-driven measurement track.
 //
-// Determinism contract: Window(work, src) is a pure function of the
-// workload and src's seed material — user k draws from
+// Determinism contract: WindowMapped(work, src, nil) is a pure function of
+// the workload and src's seed material — user k draws from
 // src.SplitIndex("user", k), so the window is independent of user
 // iteration order and of any other window synthesized from a sibling
 // stream. Callers derive one stream per checkpoint (for example
@@ -26,7 +27,7 @@ type Synthesizer struct {
 	ratePerUserPerHour float64
 	windowS            float64
 
-	// Scratch reused across Window calls; see Window for the aliasing
+	// Scratch reused across windows; see WindowMapped for the aliasing
 	// contract. usrc is the caller-owned per-user stream so the hot loop
 	// derives K streams per window without allocating.
 	tr   Trace
@@ -44,27 +45,23 @@ type UserMap func(slot int) (global int, owned bool)
 
 // NewSynthesizer validates the arrival parameters. A zero rate is allowed
 // and synthesizes empty windows (a silent cell still measures: zero
-// requests); the window length must be positive.
+// requests); the window length must be positive. Both must be finite: a NaN
+// would synthesize nothing without an error, and +Inf would never end a
+// window.
 func NewSynthesizer(ratePerUserPerHour, windowS float64) (*Synthesizer, error) {
-	if ratePerUserPerHour < 0 {
-		return nil, fmt.Errorf("trace: RequestsPerUserPerHour must be >= 0, got %v", ratePerUserPerHour)
+	if !(ratePerUserPerHour >= 0) || math.IsInf(ratePerUserPerHour, 1) {
+		return nil, fmt.Errorf("trace: RequestsPerUserPerHour must be finite and >= 0, got %v", ratePerUserPerHour)
 	}
-	if windowS <= 0 {
-		return nil, fmt.Errorf("trace: window length must be positive, got %v", windowS)
+	if !(windowS > 0) || math.IsInf(windowS, 1) {
+		return nil, fmt.Errorf("trace: window length must be positive and finite, got %v", windowS)
 	}
 	return &Synthesizer{ratePerUserPerHour: ratePerUserPerHour, windowS: windowS}, nil
 }
 
-// Window synthesizes one measurement window's request arrivals against the
-// given workload. The returned trace aliases the synthesizer's scratch and
-// is only valid until the next Window call; callers that need to keep it
-// must copy the Requests slice. It is WindowMapped with the identity map:
-// every slot is its own global id and every slot is owned.
-func (s *Synthesizer) Window(work *workload.Workload, src *rng.Source) (*Trace, error) {
-	return s.WindowMapped(work, src, nil)
-}
-
-// WindowMapped synthesizes one window with request attribution keyed by um.
+// WindowMapped synthesizes one measurement window's request arrivals
+// against the given workload, with request attribution keyed by um. The
+// returned trace aliases the synthesizer's scratch and is only valid until
+// the next call; callers that need to keep it must copy the Requests slice.
 // A nil um is the identity map (slot == global id, all slots owned). The
 // emitted Request.User remains the local slot index — it must index the
 // serving instance — while the arrival stream (times and model draws) is

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"testing"
 
@@ -36,20 +37,24 @@ func cloneTrace(tr *Trace) *Trace {
 }
 
 func TestSynthesizerValidation(t *testing.T) {
-	if _, err := NewSynthesizer(-1, 600); err == nil {
-		t.Fatal("negative rate must error")
-	}
-	if _, err := NewSynthesizer(10, 0); err == nil {
-		t.Fatal("zero window must error")
+	// NaN first: a NaN rate or window synthesized empty windows without an
+	// error, and an infinite one never ended a window.
+	for _, c := range []struct{ rate, window float64 }{
+		{math.NaN(), 600}, {10, math.NaN()}, {math.Inf(1), 600}, {10, math.Inf(1)},
+		{-1, 600}, {10, 0}, {10, -1}, {math.Inf(-1), 600},
+	} {
+		if _, err := NewSynthesizer(c.rate, c.window); err == nil {
+			t.Fatalf("NewSynthesizer(%v, %v) accepted", c.rate, c.window)
+		}
 	}
 	s, err := NewSynthesizer(10, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Window(nil, rng.New(1)); err == nil {
+	if _, err := s.WindowMapped(nil, rng.New(1), nil); err == nil {
 		t.Fatal("nil workload must error")
 	}
-	if _, err := s.Window(synthWorkload(t, 3, 4), nil); err == nil {
+	if _, err := s.WindowMapped(synthWorkload(t, 3, 4), nil, nil); err == nil {
 		t.Fatal("nil source must error")
 	}
 }
@@ -60,7 +65,7 @@ func TestSynthesizerWindowValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Window(work, rng.New(3).SplitIndex("ckpt", 1))
+	tr, err := s.WindowMapped(work, rng.New(3).SplitIndex("ckpt", 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func TestSynthesizerDeterministic(t *testing.T) {
 	}
 	var inOrder []*Trace
 	for cp := 0; cp < 4; cp++ {
-		tr, err := a.Window(work, root.SplitIndex("ckpt", cp))
+		tr, err := a.WindowMapped(work, root.SplitIndex("ckpt", cp), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +108,7 @@ func TestSynthesizerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cp := 3; cp >= 0; cp-- {
-		tr, err := b.Window(work, root.SplitIndex("ckpt", cp))
+		tr, err := b.WindowMapped(work, root.SplitIndex("ckpt", cp), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +144,7 @@ func TestSynthesizerZeroRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Window(work, rng.New(2))
+	tr, err := s.WindowMapped(work, rng.New(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +177,7 @@ func TestSynthesizerZipfHead(t *testing.T) {
 	counts := make([]int, work.NumModels())
 	root := rng.New(17)
 	for cp := 0; cp < 30; cp++ {
-		tr, err := s.Window(work, root.SplitIndex("ckpt", cp))
+		tr, err := s.WindowMapped(work, root.SplitIndex("ckpt", cp), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,24 +192,24 @@ func TestSynthesizerZipfHead(t *testing.T) {
 }
 
 // TestSynthesizerScratchReuse documents the aliasing contract: a second
-// Window call overwrites the previously returned trace.
+// window overwrites the previously returned trace.
 func TestSynthesizerScratchReuse(t *testing.T) {
 	work := synthWorkload(t, 6, 8)
 	s, err := NewSynthesizer(80, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.Window(work, rng.New(4).SplitIndex("ckpt", 0))
+	first, err := s.WindowMapped(work, rng.New(4).SplitIndex("ckpt", 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := cloneTrace(first)
-	second, err := s.Window(work, rng.New(4).SplitIndex("ckpt", 1))
+	second, err := s.WindowMapped(work, rng.New(4).SplitIndex("ckpt", 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != second {
-		t.Fatal("Window must reuse its scratch trace")
+		t.Fatal("WindowMapped must reuse its scratch trace")
 	}
 	if len(snapshot.Requests) == len(second.Requests) && len(snapshot.Requests) > 0 &&
 		snapshot.Requests[0] == second.Requests[0] && snapshot.Requests[len(snapshot.Requests)-1] == second.Requests[len(second.Requests)-1] {
@@ -212,8 +217,8 @@ func TestSynthesizerScratchReuse(t *testing.T) {
 	}
 }
 
-// TestWindowMappedIdentity pins Window == WindowMapped(nil) == WindowMapped
-// with an explicit identity map: the nil shortcut and the mapped path share
+// TestWindowMappedIdentity pins WindowMapped(nil) == WindowMapped with an
+// explicit identity map: the nil shortcut and the mapped path share
 // one synthesis loop, and the unsharded engines rely on that identity.
 func TestWindowMappedIdentity(t *testing.T) {
 	work := synthWorkload(t, 7, 9)
@@ -222,7 +227,7 @@ func TestWindowMappedIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := rng.New(21)
-	plain, err := s.Window(work, root.SplitIndex("ckpt", 2))
+	plain, err := s.WindowMapped(work, root.SplitIndex("ckpt", 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +257,7 @@ func TestWindowMappedPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ref.Window(work, root.SplitIndex("ckpt", 0))
+	plain, err := ref.WindowMapped(work, root.SplitIndex("ckpt", 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +300,7 @@ func TestWindowMappedGlobalKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ref.Window(work, root.SplitIndex("ckpt", 1))
+	plain, err := ref.WindowMapped(work, root.SplitIndex("ckpt", 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,14 +366,14 @@ func TestWindowSteadyStateAllocFree(t *testing.T) {
 	var ckptSrc rng.Source
 	// Warm up the scratch to its high-water mark across several windows.
 	for cp := 0; cp < 12; cp++ {
-		if _, err := s.Window(work, root.SplitIndexInto(&ckptSrc, "ckpt", cp)); err != nil {
+		if _, err := s.WindowMapped(work, root.SplitIndexInto(&ckptSrc, "ckpt", cp), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cp := 0
 	if avg := testing.AllocsPerRun(8, func() {
 		cp++
-		if _, err := s.Window(work, root.SplitIndexInto(&ckptSrc, "ckpt", cp%12)); err != nil {
+		if _, err := s.WindowMapped(work, root.SplitIndexInto(&ckptSrc, "ckpt", cp%12), nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"trimcaching/internal/rng"
@@ -45,8 +46,8 @@ func Generate(work *workload.Workload, ratePerUserPerHour, durationS float64, sr
 	if work == nil {
 		return nil, fmt.Errorf("trace: workload is required")
 	}
-	if ratePerUserPerHour <= 0 || durationS <= 0 {
-		return nil, fmt.Errorf("trace: rate (%v) and duration (%v) must be positive",
+	if !(ratePerUserPerHour > 0) || math.IsInf(ratePerUserPerHour, 1) || !(durationS > 0) || math.IsInf(durationS, 1) {
+		return nil, fmt.Errorf("trace: rate (%v) and duration (%v) must be positive and finite",
 			ratePerUserPerHour, durationS)
 	}
 	ratePerSec := ratePerUserPerHour / 3600
@@ -126,7 +127,9 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// ReadJSONL reads a trace written by WriteJSONL.
+// ReadJSONL reads a trace written by WriteJSONL. The request slice grows
+// with the records actually read, never from the header's count, which an
+// untrusted file can set to anything.
 func ReadJSONL(r io.Reader) (*Trace, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	var h header
@@ -136,7 +139,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	if h.Requests < 0 {
 		return nil, fmt.Errorf("trace: negative request count %d", h.Requests)
 	}
-	tr := &Trace{DurationS: h.DurationS, Requests: make([]Request, 0, h.Requests)}
+	tr := &Trace{DurationS: h.DurationS}
 	for i := 0; i < h.Requests; i++ {
 		var req Request
 		if err := dec.Decode(&req); err != nil {

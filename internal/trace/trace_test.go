@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"trimcaching/internal/workload"
 )
 
-func testWorkload(t *testing.T, users, models int) *workload.Workload {
+func testWorkload(t testing.TB, users, models int) *workload.Workload {
 	t.Helper()
 	w, err := workload.Generate(users, models, workload.DefaultConfig(), rng.New(1))
 	if err != nil {
@@ -58,10 +59,18 @@ func TestGenerateRespectsPopularity(t *testing.T) {
 	// The top-ranked model for user 0 (same ranking for all users under the
 	// global permutation) must be requested more often than the
 	// bottom-ranked one.
-	top := w.UserTopModels(0)
-	if counts[top[0]] <= counts[top[len(top)-1]] {
-		t.Fatalf("popular model requested %d times vs unpopular %d",
-			counts[top[0]], counts[top[len(top)-1]])
+	row := w.ProbRow(0)
+	hi, lo := 0, 0
+	for i, p := range row {
+		if p > row[hi] {
+			hi = i
+		}
+		if p < row[lo] {
+			lo = i
+		}
+	}
+	if counts[hi] <= counts[lo] {
+		t.Fatalf("popular model requested %d times vs unpopular %d", counts[hi], counts[lo])
 	}
 }
 
@@ -70,11 +79,16 @@ func TestGenerateInvalid(t *testing.T) {
 	if _, err := Generate(nil, 10, 10, rng.New(5)); err == nil {
 		t.Fatal("nil workload must error")
 	}
-	if _, err := Generate(w, 0, 10, rng.New(5)); err == nil {
-		t.Fatal("zero rate must error")
-	}
-	if _, err := Generate(w, 10, 0, rng.New(5)); err == nil {
-		t.Fatal("zero duration must error")
+	// NaN first, stopping at the first acceptance: an accepted NaN returned
+	// an empty trace, but an accepted +Inf rate or duration never stops
+	// appending requests.
+	for _, c := range []struct{ rate, duration float64 }{
+		{math.NaN(), 10}, {10, math.NaN()}, {math.Inf(1), 10}, {10, math.Inf(1)},
+		{0, 10}, {10, 0}, {-1, 10}, {10, -1},
+	} {
+		if _, err := Generate(w, c.rate, c.duration, rng.New(5)); err == nil {
+			t.Fatalf("Generate(rate %v, duration %v) accepted", c.rate, c.duration)
+		}
 	}
 }
 
@@ -143,6 +157,48 @@ func TestReadJSONLMalformed(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader(`{"durationS":10,"requests":-1}` + "\n")); err == nil {
 		t.Fatal("negative count must error")
 	}
+	// A header's count is untrusted: sizing the request slice from 2^62
+	// panicked in makeslice before the first record was read.
+	if _, err := ReadJSONL(strings.NewReader(`{"durationS":10,"requests":4611686018427387904}` + "\n" + `{"timeS":1}` + "\n")); err == nil {
+		t.Fatal("a count beyond the records must error")
+	}
+}
+
+// FuzzReadJSONL feeds ReadJSONL arbitrary bytes, as servesim -replay does
+// with a file it did not write. Each input must either error or yield a
+// trace that survives a WriteJSONL/ReadJSONL round trip unchanged, and it
+// must never panic: the header's request count is untrusted.
+func FuzzReadJSONL(f *testing.F) {
+	tr, err := Generate(testWorkload(f, 3, 4), 60, 600, rng.New(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"durationS":10,"requests":4611686018427387904}` + "\n" + `{"timeS":1}` + "\n"))
+	f.Add([]byte(`{"durationS":10,"requests":-1}` + "\n"))
+	f.Add([]byte{})
+	f.Add([]byte(`{"durationS":10,"requests":2}` + "\n" + `{"timeS":1,"user":0,"model":1}` + "\n" + `{"timeS":`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := got.WriteJSONL(&out); err != nil {
+			t.Fatalf("WriteJSONL of a trace ReadJSONL accepted: %v", err)
+		}
+		back, err := ReadJSONL(&out)
+		if err != nil {
+			t.Fatalf("ReadJSONL rejects what WriteJSONL wrote: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(back, got) {
+			t.Fatalf("round trip changed the trace: %+v, want %+v", back, got)
+		}
+	})
 }
 
 func TestGenerateDeterministic(t *testing.T) {

@@ -16,20 +16,6 @@ import (
 // shadowing: a per-link slow-fading gain 10^(X/10) with X ~ N(0, σ²) dB
 // that multiplies the path gain on top of Rayleigh fast fading.
 
-// WithNoiseFigure returns a copy of the config with the given receiver
-// noise figure in dB.
-func (c Config) WithNoiseFigure(db float64) Config {
-	c.NoiseFigureDB = db
-	return c
-}
-
-// WithInterferenceMargin returns a copy of the config with the given
-// inter-cell interference margin in dB.
-func (c Config) WithInterferenceMargin(db float64) Config {
-	c.InterferenceMarginDB = db
-	return c
-}
-
 // WithShadowing returns a copy of the config with log-normal shadowing of
 // the given standard deviation in dB.
 func (c Config) WithShadowing(stdDB float64) Config {

@@ -10,12 +10,13 @@ import (
 
 func TestNoiseFigureReducesRate(t *testing.T) {
 	base := DefaultConfig()
-	lifted := base.WithNoiseFigure(9)
-	rBase, err := base.RateBps(150, 10)
+	lifted := base
+	lifted.NoiseFigureDB = 9
+	rBase, err := base.FadedRateBps(150, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rLifted, err := lifted.RateBps(150, 10)
+	rLifted, err := lifted.FadedRateBps(150, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +33,14 @@ func TestNoiseFigureReducesRate(t *testing.T) {
 }
 
 func TestInterferenceMarginComposesWithNoiseFigure(t *testing.T) {
-	a := DefaultConfig().WithNoiseFigure(5).WithInterferenceMargin(4)
-	b := DefaultConfig().WithNoiseFigure(9)
-	ra, err := a.RateBps(150, 10)
+	a, b := DefaultConfig(), DefaultConfig()
+	a.NoiseFigureDB, a.InterferenceMarginDB = 5, 4
+	b.NoiseFigureDB = 9
+	ra, err := a.FadedRateBps(150, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.RateBps(150, 10)
+	rb, err := b.FadedRateBps(150, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

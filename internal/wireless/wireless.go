@@ -96,11 +96,6 @@ func DBmToWatts(dbm float64) float64 {
 	return math.Pow(10, (dbm-30)/10)
 }
 
-// WattsToDBm converts a power level in Watts to dBm.
-func WattsToDBm(w float64) float64 {
-	return 10*math.Log10(w) + 30
-}
-
 // userShare returns the per-user bandwidth and power for a server with
 // numAssociated associated users: B/(pA·|Km|) and P/(pA·|Km|). The expected
 // active-user count is floored at one user so a lone user never receives
@@ -130,16 +125,11 @@ func (c Config) SNR(distanceM float64, numAssociated int) (float64, error) {
 	return pw * pathLoss / (c.effectiveNoisePSD() * bw), nil
 }
 
-// RateBps returns the expected downlink rate C̄_{m,k} from eq. (1), i.e. the
-// Shannon rate under the average channel gain. Placement decisions use this
-// rate (§VII-A).
-func (c Config) RateBps(distanceM float64, numAssociated int) (float64, error) {
-	return c.FadedRateBps(distanceM, numAssociated, 1)
-}
-
 // FadedRateBps returns the instantaneous downlink rate when the Rayleigh
 // fading power gain is fadingGain (|h|^2, unit mean). Evaluation draws
-// fadingGain ~ Exp(1) per channel realization (§VII-A).
+// fadingGain ~ Exp(1) per channel realization (§VII-A); fadingGain 1 gives
+// the expected rate C̄_{m,k} of eq. (1), the Shannon rate under the average
+// channel gain that placement decisions use.
 func (c Config) FadedRateBps(distanceM float64, numAssociated int, fadingGain float64) (float64, error) {
 	if fadingGain < 0 {
 		return 0, fmt.Errorf("wireless: negative fading gain %v", fadingGain)
@@ -186,9 +176,4 @@ func (l LinkRate) RateBps(fadingGain float64) (float64, error) {
 		return 0, fmt.Errorf("wireless: negative fading gain %v", fadingGain)
 	}
 	return l.bw * math.Log2(1+l.snr*fadingGain), nil
-}
-
-// Covers reports whether a server covers a user at distanceM.
-func (c Config) Covers(distanceM float64) bool {
-	return distanceM <= c.CoverageRadiusM
 }

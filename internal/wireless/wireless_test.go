@@ -23,9 +23,6 @@ func TestDBmConversions(t *testing.T) {
 		if got := DBmToWatts(c.dbm); math.Abs(got-c.watts)/c.watts > 1e-9 {
 			t.Fatalf("DBmToWatts(%v) = %v, want %v", c.dbm, got, c.watts)
 		}
-		if got := WattsToDBm(c.watts); math.Abs(got-c.dbm) > 1e-9 {
-			t.Fatalf("WattsToDBm(%v) = %v, want %v", c.watts, got, c.dbm)
-		}
 	}
 }
 
@@ -34,7 +31,7 @@ func TestDBmRoundTripProperty(t *testing.T) {
 		if math.IsNaN(dbm) || math.Abs(dbm) > 300 {
 			return true
 		}
-		return math.Abs(WattsToDBm(DBmToWatts(dbm))-dbm) < 1e-9
+		return math.Abs(10*math.Log10(DBmToWatts(dbm))+30-dbm) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -71,7 +68,7 @@ func TestValidateRejectsBadFields(t *testing.T) {
 
 func TestRateNoUsers(t *testing.T) {
 	c := DefaultConfig()
-	if _, err := c.RateBps(100, 0); !errors.Is(err, ErrNoUsers) {
+	if _, err := c.FadedRateBps(100, 0, 1); !errors.Is(err, ErrNoUsers) {
 		t.Fatalf("want ErrNoUsers, got %v", err)
 	}
 }
@@ -80,7 +77,7 @@ func TestRateDecreasesWithDistance(t *testing.T) {
 	c := DefaultConfig()
 	prev := math.Inf(1)
 	for _, d := range []float64{10, 50, 100, 200, 275} {
-		rate, err := c.RateBps(d, 10)
+		rate, err := c.FadedRateBps(d, 10, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,14 +94,14 @@ func TestRatePlausibleMagnitude(t *testing.T) {
 	// edge it should still be in the hundreds of Mb/s. These bands sanity
 	// check the unit bookkeeping (Hz vs MHz, dBm vs W).
 	c := DefaultConfig()
-	near, err := c.RateBps(100, 10)
+	near, err := c.FadedRateBps(100, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if near < 200e6 || near > 20e9 {
 		t.Fatalf("rate at 100m = %v bps, outside plausible band", near)
 	}
-	far, err := c.RateBps(275, 10)
+	far, err := c.FadedRateBps(275, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +112,11 @@ func TestRatePlausibleMagnitude(t *testing.T) {
 
 func TestRateDecreasesWithLoad(t *testing.T) {
 	c := DefaultConfig()
-	r5, err := c.RateBps(150, 5)
+	r5, err := c.FadedRateBps(150, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r50, err := c.RateBps(150, 50)
+	r50, err := c.FadedRateBps(150, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +129,11 @@ func TestLoneUserShareCapped(t *testing.T) {
 	// With pA=0.5 and 1 user, the expected active count (0.5) is floored to
 	// 1, so the user gets at most the full bandwidth, not double.
 	c := DefaultConfig()
-	r1, err := c.RateBps(100, 1)
+	r1, err := c.FadedRateBps(100, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.RateBps(100, 2)
+	r2, err := c.FadedRateBps(100, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +144,11 @@ func TestLoneUserShareCapped(t *testing.T) {
 
 func TestMinDistanceClamp(t *testing.T) {
 	c := DefaultConfig()
-	r0, err := c.RateBps(0, 10)
+	r0, err := c.FadedRateBps(0, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c.RateBps(c.MinDistanceM, 10)
+	r1, err := c.FadedRateBps(c.MinDistanceM, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +159,7 @@ func TestMinDistanceClamp(t *testing.T) {
 
 func TestFadedRate(t *testing.T) {
 	c := DefaultConfig()
-	base, err := c.RateBps(150, 10)
+	base, err := c.FadedRateBps(150, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +191,7 @@ func TestFadedRateMeanNearAverageRateOrder(t *testing.T) {
 	// lands below the average-channel rate but within a sane factor.
 	c := DefaultConfig()
 	src := rng.New(9)
-	base, err := c.RateBps(200, 10)
+	base, err := c.FadedRateBps(200, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,16 +210,6 @@ func TestFadedRateMeanNearAverageRateOrder(t *testing.T) {
 	}
 	if mean < 0.5*base {
 		t.Fatalf("faded mean %v implausibly far below base %v", mean, base)
-	}
-}
-
-func TestCovers(t *testing.T) {
-	c := DefaultConfig()
-	if !c.Covers(275) || !c.Covers(0) {
-		t.Fatal("coverage boundary inclusive")
-	}
-	if c.Covers(275.01) {
-		t.Fatal("beyond radius must not be covered")
 	}
 }
 

@@ -241,25 +241,3 @@ func (w *Workload) MemoryBytes() int64 {
 	}
 	return n
 }
-
-// UserTopModels returns user k's model indexes sorted by decreasing request
-// probability (used by the serving simulator and examples for reporting).
-func (w *Workload) UserTopModels(k int) []int {
-	idx := make([]int, w.numModels)
-	for i := range idx {
-		idx[i] = i
-	}
-	row := w.prob[k]
-	// Insertion sort by descending probability: numModels is small (≤ a few
-	// hundred) and this avoids importing sort for a custom comparator.
-	for a := 1; a < len(idx); a++ {
-		v := idx[a]
-		b := a - 1
-		for b >= 0 && row[idx[b]] < row[v] {
-			idx[b+1] = idx[b]
-			b--
-		}
-		idx[b+1] = v
-	}
-	return idx
-}

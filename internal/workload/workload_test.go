@@ -153,30 +153,6 @@ func TestDeadlinesWithinPaperRange(t *testing.T) {
 	}
 }
 
-func TestUserTopModels(t *testing.T) {
-	w, err := Generate(5, 25, DefaultConfig(), rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < w.NumUsers(); k++ {
-		top := w.UserTopModels(k)
-		if len(top) != 25 {
-			t.Fatalf("user %d: %d entries", k, len(top))
-		}
-		seen := make([]bool, 25)
-		for pos := range top {
-			i := top[pos]
-			if seen[i] {
-				t.Fatalf("user %d: duplicate model %d", k, i)
-			}
-			seen[i] = true
-			if pos > 0 && w.Prob(k, top[pos]) > w.Prob(k, top[pos-1]) {
-				t.Fatalf("user %d: not sorted at %d", k, pos)
-			}
-		}
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(10, 10, DefaultConfig(), rng.New(7))
 	if err != nil {
