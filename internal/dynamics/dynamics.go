@@ -39,6 +39,7 @@ import (
 	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/scenario"
+	"trimcaching/internal/trace"
 )
 
 // Mode selects how the engine refreshes the instance at each checkpoint.
@@ -186,6 +187,18 @@ func (c Config) Validate() error {
 	}
 	if c.Measurement == nil && c.Realizations <= 0 {
 		return fmt.Errorf("dynamics: Realizations must be positive")
+	}
+	// The measurements' own parameters are checked here too, so a bad
+	// value fails before the t = 0 solve rather than in the first Measure.
+	switch m := c.Measurement.(type) {
+	case *FadingMeasurement:
+		if m.Realizations <= 0 {
+			return fmt.Errorf("dynamics: FadingMeasurement.Realizations must be positive, got %d", m.Realizations)
+		}
+	case *TraceMeasurement:
+		if err := trace.CheckArrivals(m.RequestsPerUserPerHour, m.WindowS); err != nil {
+			return fmt.Errorf("dynamics: %w", err)
+		}
 	}
 	if c.Mode != Incremental && c.Mode != Rebuild {
 		return fmt.Errorf("dynamics: unknown mode %d", int(c.Mode))

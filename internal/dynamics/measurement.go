@@ -29,7 +29,8 @@ import (
 type Measurement interface {
 	// Name identifies the measurement track in logs and tables.
 	Name() string
-	// Measure returns each placement's hit ratio on eval's instance.
+	// Measure returns each placement's hit ratio on eval's instance. The
+	// engine prefixes its errors with "dynamics:".
 	Measure(eval *placement.Evaluator, placements []*placement.Placement, src *rng.Source) ([]float64, error)
 }
 
@@ -53,7 +54,7 @@ func (m *FadingMeasurement) Name() string { return "fading" }
 // Measure implements Measurement.
 func (m *FadingMeasurement) Measure(eval *placement.Evaluator, placements []*placement.Placement, src *rng.Source) ([]float64, error) {
 	if m.Realizations <= 0 {
-		return nil, fmt.Errorf("dynamics: Realizations must be positive, got %d", m.Realizations)
+		return nil, fmt.Errorf("fading measurement: Realizations must be positive, got %d", m.Realizations)
 	}
 	if m.session == nil {
 		// Clamp the workers to the realization count before sizing the
@@ -145,7 +146,7 @@ func (m *TraceMeasurement) Measure(eval *placement.Evaluator, placements []*plac
 	if m.synth == nil {
 		synth, err := trace.NewSynthesizer(m.RequestsPerUserPerHour, m.WindowS)
 		if err != nil {
-			return nil, fmt.Errorf("dynamics: %w", err)
+			return nil, err
 		}
 		cfg := m.Event
 		if cfg.CloudRateBps == 0 {
@@ -153,13 +154,13 @@ func (m *TraceMeasurement) Measure(eval *placement.Evaluator, placements []*plac
 		}
 		session, err := cachesim.NewServeSession(ins, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("dynamics: %w", err)
+			return nil, err
 		}
 		m.synth, m.session = synth, session
 	}
 	tr, err := m.synth.WindowMapped(ins.Workload(), src.SplitInto(&m.arrivalSrc, "arrivals"), m.UserKey)
 	if err != nil {
-		return nil, fmt.Errorf("dynamics: %w", err)
+		return nil, err
 	}
 	if cap(m.hits) < len(placements) {
 		m.hits = make([]float64, len(placements))
@@ -174,7 +175,7 @@ func (m *TraceMeasurement) Measure(eval *placement.Evaluator, placements []*plac
 		}
 		res, err := m.session.Serve(ins, p, tr, serveSrc.SplitIndexInto(&m.serveSrc, "serve", a))
 		if err != nil {
-			return nil, fmt.Errorf("dynamics: %w", err)
+			return nil, err
 		}
 		hits[a] = res.HitRatio
 		if !m.noRecord {

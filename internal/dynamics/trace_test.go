@@ -1,8 +1,12 @@
 package dynamics
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"trimcaching/internal/cachesim"
+	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
 )
 
@@ -172,5 +176,56 @@ func TestTraceTriggerReplacesOnTimeline(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("replacements counted but no step records one")
+	}
+}
+
+// countingAlgorithm counts the Place calls of the algorithm it wraps.
+type countingAlgorithm struct {
+	placement.Algorithm
+	places *int
+}
+
+func (c countingAlgorithm) Place(e *placement.Evaluator, caps []int64) (*placement.Placement, error) {
+	*c.places++
+	return c.Algorithm.Place(e, caps)
+}
+
+// TestTraceArrivalsRejectedBeforeSolve pins that NewEngine rejects bad
+// trace arrival parameters in Config.Validate, before the t = 0 solve of
+// any track, and that every measurement error reaches the caller with one
+// "dynamics:" prefix — including one the first Measure raises after the
+// solves (an invalid serving configuration).
+func TestTraceArrivalsRejectedBeforeSolve(t *testing.T) {
+	for _, tc := range []struct {
+		rate, window float64
+		cloudBps     float64
+		lateError    bool // raised by the first Measure, after the solves
+	}{
+		{rate: math.NaN(), window: 600},
+		{rate: math.Inf(1), window: 600},
+		{rate: -1, window: 600},
+		{rate: 60, window: math.NaN()},
+		{rate: 60, window: math.Inf(1)},
+		{rate: 60, window: 0},
+		{rate: 60, window: 600, cloudBps: -1, lateError: true},
+	} {
+		cfg := newTraceConfig(t, 52, Incremental, 1, 0, 0)
+		tm := cfg.Measurement.(*TraceMeasurement)
+		tm.RequestsPerUserPerHour, tm.WindowS = tc.rate, tc.window
+		tm.Event = cachesim.EventConfig{CloudRateBps: tc.cloudBps}
+		places := 0
+		for a := range cfg.Tracks {
+			cfg.Tracks[a].Algorithm = countingAlgorithm{cfg.Tracks[a].Algorithm, &places}
+		}
+		_, err := NewEngine(cfg, rng.New(1))
+		if err == nil {
+			t.Fatalf("rate %v, window %v, cloud %v: engine built", tc.rate, tc.window, tc.cloudBps)
+		}
+		if !tc.lateError && places != 0 {
+			t.Errorf("rate %v, window %v: %d Place calls before the error %q", tc.rate, tc.window, places, err)
+		}
+		if n := strings.Count(err.Error(), "dynamics:"); n != 1 {
+			t.Errorf("error %q carries %d \"dynamics:\" prefixes, want 1", err, n)
+		}
 	}
 }

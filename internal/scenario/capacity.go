@@ -1,8 +1,9 @@
 // This file is the partial-capacity degradation seam: SetServerCapacity
 // shrinks (or restores) one server's storage budget and incrementally
-// refreshes both packed reachability orientations so a warm placement
-// evaluator can repair over the reduced instance exactly as if it had been
-// built at that capacity from the start.
+// refreshes the server masks (the user masks are re-derived from them on
+// the next UserMask call) so a warm placement evaluator can repair over
+// the reduced instance exactly as if it had been built at that capacity
+// from the start.
 //
 // Capacity is orthogonal to the radio plane: a degraded server keeps its
 // link rates, its users' association geometry, and its role as a relay
@@ -30,10 +31,11 @@ import (
 // SetServerCapacity sets server m's storage budget to bits (negative
 // restores the unconstrained default) and incrementally refreshes the
 // instance: every model larger than the budget loses server m's bit from
-// both packed reachability orientations, and previously blocked models
-// that fit again regain exactly the verdict a fresh build would store —
-// so the instance is bit-identical to a cold build at the same capacity,
-// and a later restore is a bit-exact round trip.
+// the server masks, and previously blocked models that fit again regain
+// exactly the verdict a fresh build would store — so the instance is
+// bit-identical to a cold build at the same capacity, and a later restore
+// is a bit-exact round trip. When a bit toggles, the user masks are marked
+// stale; the next UserMask call re-derives them.
 //
 // The returned delta follows the SetServersDown contract, with one
 // deliberate widening: when the budget value changes, Pairs carries server
@@ -116,19 +118,13 @@ func (ins *Instance) SetServerCapacity(m int, bits int64) (*Delta, error) {
 	// (k, i, m) bit to the verdict fillReachRows would store: cleared when
 	// newly blocked; otherwise the direct verdict for m's own users (their
 	// covering rates are positive while m is up) and the relay verdict for
-	// everyone else. Ops land in deterministic order, exactly like
-	// SetServersDown's serial pass.
-	for len(ins.updWorkers) < 1 {
-		ins.updWorkers = append(ins.updWorkers, newUpdWorker(M, I, sw))
-	}
-	uw := ins.updWorkers[0]
-	uw.ops = uw.ops[:0]
+	// everyone else. The server's whole column is already in the delta, so
+	// only the rows change; the user masks are marked stale after.
 	covered := ins.updDirty
 	for _, k := range ins.topo.UsersOf(m) {
 		covered[k] = true
 	}
 	for k := 0; k < K; k++ {
-		track := ins.userHasMass[k]
 		direct := 0.0
 		if covered[k] {
 			covered[k] = false
@@ -145,32 +141,12 @@ func (ins *Instance) SetServerCapacity(m int, bits int64) (*Delta, error) {
 					want = relay > 0 && relay >= ins.minRelRate[k*I+i]
 				}
 			}
-			has := rows[i*sw+mw]&mb != 0
-			if has == want {
-				continue
-			}
-			if want {
-				rows[i*sw+mw] |= mb
-			} else {
-				rows[i*sw+mw] &^= mb
-			}
-			if track {
-				uw.emit(i, k, mw, want, mb)
+			if has := rows[i*sw+mw]&mb != 0; has != want {
+				rows[i*sw+mw] ^= mb
 			}
 		}
 	}
-
-	// Phase 2: same application as every other update path — written bits
-	// are unique per (user, model), so order never matters.
-	if shift := ins.flipBucketShift(); shift >= 0 && len(uw.ops) >= flipBucketMinOps {
-		ins.applyOpsBucketed(pairs, 1, len(uw.ops), shift)
-	} else {
-		touched := ins.touchedScratch()
-		for _, op := range uw.ops {
-			ins.applyMaskOp(op, touched)
-		}
-		ins.foldTouchedPairs(pairs, touched)
-	}
+	ins.usrStale = true
 
 	if bits < 0 {
 		ins.maybeDropCapState()

@@ -1,8 +1,9 @@
 // This file is the server-outage seam: SetServersDown takes servers out of
 // (or back into) service and incrementally refreshes every derived quantity
-// — link rates, relay rates, both packed reachability orientations — so a
-// warm placement evaluator can repair over the reduced server set exactly
-// as if the instance had been built without the down servers.
+// — link rates, relay rates, the server masks, and (marked stale, then
+// re-derived on the next UserMask call) the user masks — so a warm
+// placement evaluator can repair over the reduced server set exactly as if
+// the instance had been built without the down servers.
 //
 // An outage changes no association geometry: the topology still lists the
 // down server as covering its users (so recovery restores the same links),
@@ -55,13 +56,15 @@ func (ins *Instance) DownServers() []int {
 // SetServersDown marks the given servers out of service (down=true) or back
 // in service (down=false) and incrementally refreshes the instance, exactly
 // as ReviseUsers would after an equivalent rate change: down servers' link
-// rates drop to 0, relay rates are recomputed for their users, and both
-// packed reachability orientations lose (or regain) the servers' bits. The
-// returned delta follows the ReviseUsers contract — Pairs lists every
-// (server, model) pair whose user mask changed, so a warm-started evaluator
-// repairs over exactly the affected columns. Servers already in the
-// requested state are ignored; if nothing toggles, the delta carries the
-// current generation and an evaluator applies it as a no-op.
+// rates drop to 0, relay rates are recomputed for their users, and the
+// server masks lose (or regain) the servers' bits. When any server toggles,
+// the user masks are marked stale; the next UserMask call re-derives them.
+// The returned delta follows the ReviseUsers contract — Pairs lists every
+// (server, model) pair whose user mask changed for a user with request
+// mass, so a warm-started evaluator repairs over exactly the affected
+// columns. Servers already in the requested state are ignored; if nothing
+// toggles, the delta carries the current generation and an evaluator
+// applies it as a no-op.
 //
 // The delta and its slices are owned by the instance and valid until the
 // next update call, like every other update path.
@@ -137,17 +140,18 @@ func (ins *Instance) SetServersDown(servers []int, down bool) (*Delta, error) {
 		}
 	}
 
-	// One serial pass over the users, ascending, so ops land in a
-	// deterministic order. Users of a toggled server take the full fused
-	// recompute (their relay rate and direct verdicts both change); every
-	// other user only loses or regains the toggled servers' relay-broadcast
-	// bits, on exactly the rank prefix of models its unchanged relay rate
-	// qualifies — two binary-searched bounds instead of an O(I) rescan.
+	// One serial pass over the users, ascending. Users of a toggled server
+	// take the full fused recompute (their relay rate and direct verdicts
+	// both change); every other user only loses or regains the toggled
+	// servers' relay-broadcast bits, on exactly the rank prefix of models
+	// its unchanged relay rate qualifies — two binary-searched bounds
+	// instead of an O(I) rescan. Changed bits collect in worker 0's touched
+	// array, as in ReviseUsers.
 	for len(ins.updWorkers) < 1 {
 		ins.updWorkers = append(ins.updWorkers, newUpdWorker(M, I, sw))
 	}
 	uw := ins.updWorkers[0]
-	uw.ops = uw.ops[:0]
+	clear(uw.touched)
 	dirtyUsers := ins.updUsers[:0]
 	for k := 0; k < K; k++ {
 		track := ins.userHasMass[k]
@@ -191,24 +195,15 @@ func (ins *Instance) SetServersDown(servers []int, down bool) (*Delta, error) {
 					row[wd] |= word
 				}
 				if track {
-					uw.emit(i, k, wd, !down, word)
+					uw.touched[i*sw+wd] |= word
 				}
 			}
 		}
 	}
 	ins.updUsers = dirtyUsers
 
-	// Phase 2: same bucketed-or-direct application as ReviseUsers — written
-	// bits are unique per (user, server, model), so order never matters.
-	if shift := ins.flipBucketShift(); shift >= 0 && len(uw.ops) >= flipBucketMinOps {
-		ins.applyOpsBucketed(pairs, 1, len(uw.ops), shift)
-	} else {
-		touched := ins.touchedScratch()
-		for _, op := range uw.ops {
-			ins.applyMaskOp(op, touched)
-		}
-		ins.foldTouchedPairs(pairs, touched)
-	}
+	ins.foldTouchedPairs(pairs, uw.touched)
+	ins.usrStale = true
 
 	ins.gen++
 	ins.updDelta.Gen = ins.gen

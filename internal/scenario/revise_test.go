@@ -16,6 +16,12 @@ import (
 // be swapped) plus the parent workload supplying real rows.
 func reviseFixture(t *testing.T) (*Instance, *workload.Workload, *workload.Workload, geom.Area, []geom.Point) {
 	t.Helper()
+	return sizedReviseFixture(t, 5, 18)
+}
+
+// sizedReviseFixture is reviseFixture with M servers and K users.
+func sizedReviseFixture(t *testing.T, M, K int) (*Instance, *workload.Workload, *workload.Workload, geom.Area, []geom.Point) {
+	t.Helper()
 	src := rng.New(21)
 	lib, err := libgen.GenerateLoRA(libgen.DefaultLoRAConfig(12))
 	if err != nil {
@@ -25,8 +31,7 @@ func reviseFixture(t *testing.T) (*Instance, *workload.Workload, *workload.Workl
 	if err != nil {
 		t.Fatal(err)
 	}
-	const K = 18
-	servers := area.SamplePoints(src.Split("servers"), 5)
+	servers := area.SamplePoints(src.Split("servers"), M)
 	users := area.SamplePoints(src.Split("users"), K)
 	wcfg := wireless.DefaultConfig()
 	wcfg.BackhaulBps = 1e9
@@ -77,17 +82,10 @@ func sameInstanceState(t *testing.T, label string, got, want *Instance) {
 	}
 	for m := 0; m < M; m++ {
 		for i := 0; i < I; i++ {
-			// Zero-mass users are untracked in the inverted index (their
-			// bits may lag the reach rows), so compare the masks bit by bit
-			// for mass-carrying users and through the mass sums overall.
-			gm, wm := got.UserMask(m, i), want.UserMask(m, i)
-			for k := 0; k < K; k++ {
-				if !rowHasMass(want.Workload().ProbRow(k)) {
-					continue
-				}
-				if gm.Has(k) != wm.Has(k) {
-					t.Fatalf("%s: user mask (%d,%d) differs at user %d", label, m, i, k)
-				}
+			// Every user's bits are exact once derived, zero-mass users
+			// included.
+			if !got.UserMask(m, i).Equal(want.UserMask(m, i)) {
+				t.Fatalf("%s: user mask (%d,%d) differs", label, m, i)
 			}
 			if got.hitMass(m, i) != want.hitMass(m, i) {
 				t.Fatalf("%s: hit mass (%d,%d) %v, want %v", label, m, i, got.hitMass(m, i), want.hitMass(m, i))

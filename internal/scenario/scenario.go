@@ -26,7 +26,8 @@ import (
 
 // Instance is a problem instance. It is immutable except through
 // ReviseUsers, which moves users and incrementally refreshes every derived
-// quantity; callers that need a frozen snapshot use Rebuild.
+// quantity (the user masks on their next read), and the outage and
+// capacity seams; callers that need a frozen snapshot use Rebuild.
 type Instance struct {
 	topo *topology.Topology
 	lib  *modellib.Library
@@ -75,21 +76,25 @@ type Instance struct {
 	// Word-packed I1(m,k,i) under the average channel, in both orientations
 	// the algorithms need: server masks answer "which servers can serve
 	// request (k,i)" with one AND, user masks answer "which users does
-	// placing (m,i) newly cover" with one AND-NOT sweep.
+	// placing (m,i) newly cover" with one AND-NOT sweep. The update paths
+	// keep only the server masks current and set usrStale; UserMask
+	// re-derives the user masks from them on its first call after a change.
 	serverWords int
 	userWords   int
 	reachSrv    []uint64 // [(k*I+i)*serverWords + w], bit m
 	reachUsr    []uint64 // [(i*M+m)*userWords + w], bit k — model-major
+	usrStale    bool     // reachUsr lags reachSrv (syncUserMasks)
 
 	// Incremental-update state: gen counts update calls (warm-start
 	// caches key their validity on it), the scratch below is reused across
 	// calls so a delta update performs no steady-state allocation. Dirty
 	// users are processed in parallel — their rate columns and reach rows
-	// are disjoint — with inverted-index flips collected per worker and
-	// applied serially, so results are bit-identical for any worker count.
-	// revGen counts ReviseUsers calls that swapped workload rows, so caches
-	// derived from probabilities (the evaluator's transposed table) can
-	// detect missed revisions.
+	// are disjoint — with each worker ORing the (model, server word) bits
+	// it changed into its own touched array; OR is order-free, so results
+	// are bit-identical for any worker count. revGen counts ReviseUsers
+	// calls that swapped workload rows, so caches derived from
+	// probabilities (the evaluator's transposed table) can detect missed
+	// revisions.
 	gen           int
 	revGen        int
 	updDirty      []bool   // per-user dirty flag scratch
@@ -97,14 +102,9 @@ type Instance struct {
 	updUsers      []int    // dirty-user list scratch
 	updFullRow    []uint64 // all-servers mask, serverWords
 	updWorkers    []*updWorker
-	updOps        []maskOp   // bucket-ordered op scratch
-	updOff        []int      // per-bucket boundary scratch
-	updCur        []int      // per-bucket write cursor scratch
-	updTouched    []uint64   // per-(model, server-word) touched masks, I*serverWords
 	updMaxWorkers int        // caller-imposed update worker bound; 0 = GOMAXPROCS
 	rankBuf       []rankPair // per-user rank rebuild scratch (ReviseUsers)
 	updErrs       []error    // per-worker error scratch
-	updBounds     []int      // bucket-aligned split scratch (applyOpsBucketed)
 	updRevised    []int      // Delta.Revised scratch
 	updDelta      Delta      // the reused delta returned by ReviseUsers
 	moveScratch   *topology.MoveScratch
@@ -257,13 +257,7 @@ func newInstance(topo *topology.Topology, lib *modellib.Library, work *workload.
 		ins.reachSrv = make([]uint64, K*I*ins.serverWords)
 		ins.fillReach(ins.avgRate, ins.bestRelay, ins.reachSrv)
 		ins.reachUsr = make([]uint64, M*I*ins.userWords)
-		for k := 0; k < K; k++ {
-			for i := 0; i < I; i++ {
-				ins.ServerMask(k, i).ForEach(func(m int) {
-					bitset.Set(ins.reachUsr[(i*M+m)*ins.userWords:]).Set(k)
-				})
-			}
-		}
+		ins.usrStale = true
 	}
 	ins.totalMass = work.TotalMass()
 	ins.userHasMass = make([]bool, K)
@@ -421,7 +415,8 @@ type Delta struct {
 	// association load changed.
 	Users []int
 	// Pairs packs the (server, model) pairs — bit m*I+i — whose user
-	// reachability mask changed. Placement warm starts recompute exactly
+	// reachability mask changed at a user with request mass (a zero-mass
+	// user's bits move no gain). Placement warm starts recompute exactly
 	// these marginal gains and reuse the rest. For revised users (see
 	// ReviseUsers) every pair their reach rows touch is included, changed
 	// or not: the mask may be unchanged while the probability under it is
@@ -469,13 +464,15 @@ func (ins *Instance) Rebuild(users []geom.Point) (*Instance, error) {
 }
 
 // ReviseUsers moves user moved[j] to pos[j] and incrementally refreshes the
-// association sets, average rates, relay rates, and both packed
-// reachability orientations, bit-identical to Rebuild on the full updated
-// position vector but touching only the users the move affects: the moved
-// users plus the users of servers whose load changed. Per-link shadowing,
-// when present, stays attached to the (server, user) index pair. The
-// returned delta reports the changed reachability pairs for warm-start
-// consumers; a pure move passes nil revised and massOnly lists.
+// association sets, average rates, relay rates, and the server masks,
+// bit-identical to Rebuild on the full updated position vector but touching
+// only the users the move affects: the moved users plus the users of
+// servers whose load changed. The user masks are not kept current: a call
+// that recomputed any user marks them stale, and the next UserMask call
+// re-derives them. Per-link shadowing, when present, stays attached to the
+// (server, user) index pair. The returned delta reports the changed
+// reachability pairs for warm-start consumers; a pure move passes nil
+// revised and massOnly lists.
 //
 // It also revises workload rows: revised lists users whose rows in the
 // instance's workload were swapped (via workload.SetUserRows) since the last
@@ -550,10 +547,10 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 	ins.updUsers = dirtyUsers
 
 	// Phase 1, parallel over dirty users: rate columns, relay rates, and
-	// reach rows are disjoint per user, so workers write them directly;
-	// inverted-index updates land in per-worker op buffers. Phase 2 applies
-	// the ops — written bits are unique per (user, server, model), so the
-	// outcome is bit-identical for any worker count. A single-worker run
+	// reach rows are disjoint per user, so workers write them directly, and
+	// each worker ORs the (model, server word) bits it changed into its own
+	// touched array. Phase 2 ORs the arrays together — OR is order-free, so
+	// the outcome is bit-identical for any worker count. A single-worker run
 	// stays on the calling goroutine: no spawns, no allocation.
 	workers := len(dirtyUsers) / minUsersPerWorker
 	if gmp := runtime.GOMAXPROCS(0); workers > gmp {
@@ -575,14 +572,15 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 	for w := range errs {
 		errs[w] = nil
 	}
+	for _, uw := range ins.updWorkers[:workers] {
+		clear(uw.touched)
+	}
 	if workers == 1 {
-		ins.updWorkers[0].ops = ins.updWorkers[0].ops[:0]
 		ins.updateUserRange(dirtyUsers, errs, 0)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo, hi := w*len(dirtyUsers)/workers, (w+1)*len(dirtyUsers)/workers
-			ins.updWorkers[w].ops = ins.updWorkers[w].ops[:0]
 			wg.Add(1)
 			// The share is passed by value: capturing dirtyUsers itself would
 			// move the slice variable to the heap on every call, including
@@ -600,60 +598,22 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 		}
 	}
 
-	// Written bits are unique per (user, server, model), so the final
-	// inverted-index state is the same for any application order. Mass
-	// updates (a checkpoint's walk dirties most users) therefore go through
-	// the bucketed path: counting-sorting the ops by model block confines
-	// each batch's writes to a cache-resident run of reachUsr rows (the
-	// index is model-major), where the direct loop pays a full cache miss
-	// per op on a gigabyte-scale index. Small deltas keep the direct loop —
-	// bucketing has a fixed two-pass cost that only pays for itself in
-	// bulk.
-	if ins.updDelta.Pairs == nil {
-		ins.updDelta.Pairs = bitset.New(M * I)
-	} else {
-		ins.updDelta.Pairs.Zero()
-	}
-	pairs := ins.updDelta.Pairs
-	total := 0
-	for _, uw := range ins.updWorkers[:workers] {
-		total += len(uw.ops)
-	}
-	if shift := ins.flipBucketShift(); shift >= 0 && total >= flipBucketMinOps {
-		ins.applyOpsBucketed(pairs, workers, total, shift)
-	} else {
-		touched := ins.touchedScratch()
-		for _, uw := range ins.updWorkers[:workers] {
-			for _, op := range uw.ops {
-				ins.applyMaskOp(op, touched)
-			}
+	touched := ins.updWorkers[0].touched
+	for _, uw := range ins.updWorkers[1:workers] {
+		for j, word := range uw.touched {
+			touched[j] |= word
 		}
-		ins.foldTouchedPairs(pairs, touched)
 	}
 	var revCopy []int
 	if len(revised)+len(massOnly) > 0 {
 		// A revised user's request mass changed under masks that may not
-		// have: every pair its reach rows touch carries a stale gain. A
-		// user regaining mass was untracked (its inverted-index bits may be
-		// stale), so its UserMask bits are reconciled from its reach rows
-		// first — clears of stale bits need no pair marking, since a
-		// zero-mass bit never contributed to any gain.
+		// have: every pair its reach rows touch carries a stale gain.
+		n := len(touched) // one user's reach rows, I*serverWords
 		markRows := func(k int) {
-			sw := ins.serverWords
-			hasMass := rowHasMass(ins.work.ProbRow(k))
-			if hasMass && !ins.userHasMass[k] {
-				ins.reconcileUserBits(k)
+			for j, word := range ins.reachSrv[k*n : (k+1)*n] {
+				touched[j] |= word
 			}
-			rows := ins.reachSrv[k*I*sw : (k+1)*I*sw]
-			for i := 0; i < I; i++ {
-				for wd, word := range rows[i*sw : (i+1)*sw] {
-					for ; word != 0; word &= word - 1 {
-						m := wd<<6 | mbits.TrailingZeros64(word)
-						pairs.Set(m*I + i)
-					}
-				}
-			}
-			ins.userHasMass[k] = hasMass
+			ins.userHasMass[k] = rowHasMass(ins.work.ProbRow(k))
 		}
 		for _, k := range revised {
 			ins.updForce[k] = false
@@ -668,6 +628,10 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 		ins.revGen++
 		ins.updRevised = append(append(ins.updRevised[:0], revised...), massOnly...)
 		revCopy = ins.updRevised
+	}
+	ins.foldTouchedPairs(ins.resetPairs(), touched)
+	if len(dirtyUsers) > 0 {
+		ins.usrStale = true
 	}
 	ins.gen++
 	// The delta and every slice it carries are owned by the instance and
@@ -696,27 +660,6 @@ func (ins *Instance) updateUserRange(dirtyUsers []int, errs []error, w int) {
 		if err := ins.updateUser(k, oldCovering, uw); err != nil {
 			errs[w] = err
 			return
-		}
-	}
-}
-
-// reconcileUserBits rewrites user k's inverted-index bits from its reach
-// rows: clear everywhere, then set the row bits. Untracked (zero-mass)
-// users accumulate stale bits; this runs when one regains mass.
-func (ins *Instance) reconcileUserBits(k int) {
-	M, I := ins.NumServers(), ins.NumModels()
-	uw := ins.userWords
-	for p := 0; p < M*I; p++ {
-		bitset.Set(ins.reachUsr[p*uw : (p+1)*uw]).Clear(k)
-	}
-	sw := ins.serverWords
-	rows := ins.reachSrv[k*I*sw : (k+1)*I*sw]
-	for i := 0; i < I; i++ {
-		for wd, word := range rows[i*sw : (i+1)*sw] {
-			for ; word != 0; word &= word - 1 {
-				m := wd<<6 | mbits.TrailingZeros64(word)
-				bitset.Set(ins.reachUsr[(i*M+m)*uw : (i*M+m+1)*uw]).Set(k)
-			}
 		}
 	}
 }
@@ -750,34 +693,6 @@ func (ins *Instance) ensureUpdScratch() {
 // for trivially small dirty sets.
 const minUsersPerWorker = 32
 
-// maskOp is one deferred inverted-index update: set or clear user k's bit
-// in the user masks of pairs (m, i) for every server m in one word of a
-// server-bit mask. One op carries a whole word of the per-bit flips the
-// update pass used to record — a relay crossing, which flips a user's
-// verdict on every non-covering server at once, is one op per server word
-// instead of one per server, and a coverage-changed recompute emits at
-// most two ops per (model, server word) from its row diff. Head layout:
-// model i in bits 40..63, user k in bits 8..39, server word index in bits
-// 1..7, the set/clear verdict in bit 0 (so I < 2^24, K < 2^32, and
-// serverWords < 2^7 — far beyond any instance the generators produce).
-type maskOp struct {
-	head uint64
-	mask uint64 // server bits within word word(), bit position m&63
-}
-
-func packMaskOp(i, k, wd int, set bool, mask uint64) maskOp {
-	head := uint64(i)<<40 | uint64(uint32(k))<<8 | uint64(wd)<<1
-	if set {
-		head |= 1
-	}
-	return maskOp{head: head, mask: mask}
-}
-
-func (op maskOp) model() int  { return int(op.head >> 40) }
-func (op maskOp) user() int   { return int(uint32(op.head >> 8)) }
-func (op maskOp) word() int   { return int(op.head >> 1 & 0x7f) }
-func (op maskOp) isSet() bool { return op.head&1 != 0 }
-
 // updWorker is one parallel update worker's scratch.
 type updWorker struct {
 	oldRate  []float64 // old covering rates, indexed by server
@@ -785,7 +700,10 @@ type updWorker struct {
 	dirBits  []uint64  // matching single-word bit masks
 	covMask  []uint64  // covering-servers mask, serverWords
 	rows     []uint64  // recompute scratch (multi-word masks), I*serverWords
-	ops      []maskOp
+	// touched[i*serverWords+w] collects the server bits of word w whose
+	// user mask for model i this worker changed; ReviseUsers folds the
+	// workers' arrays into Delta.Pairs.
+	touched []uint64
 }
 
 func newUpdWorker(M, I, serverWords int) *updWorker {
@@ -795,77 +713,8 @@ func newUpdWorker(M, I, serverWords int) *updWorker {
 		dirBits:  make([]uint64, 0, M),
 		covMask:  make([]uint64, serverWords),
 		rows:     make([]uint64, I*serverWords),
+		touched:  make([]uint64, I*serverWords),
 	}
-}
-
-// emit records a deferred inverted-index update for one server word.
-func (w *updWorker) emit(i, k, wd int, set bool, mask uint64) {
-	w.ops = append(w.ops, packMaskOp(i, k, wd, set, mask))
-}
-
-// flipBucketWindowWords sizes one op bucket's reachUsr window, in words:
-// 1<<18 words = 2 MiB, small enough to sit in L2/L3 while a bucket's
-// writes land. Variable (not const) so tests can shrink it to force
-// multi-bucket runs on toy instances.
-var flipBucketWindowWords = 1 << 18
-
-// flipBucketMinOps gates the bucketed path: below this many ops the two
-// extra passes over the op list cost more than the cache misses they
-// save. Variable so tests can drive the bucketed path on small deltas.
-var flipBucketMinOps = 1 << 12
-
-// flipBucketShift returns s such that buckets of 1<<s consecutive models
-// (reachUsr is model-major, so one model's M rows are contiguous) cover a
-// window of at most flipBucketWindowWords, or -1 when the whole index
-// fits in one bucket and bucketing cannot help.
-func (ins *Instance) flipBucketShift() int {
-	blockWords := ins.NumServers() * ins.userWords
-	models := flipBucketWindowWords / blockWords
-	shift := 0
-	for models > 1 {
-		models >>= 1
-		shift++
-	}
-	if (ins.NumModels()-1)>>shift == 0 {
-		return -1
-	}
-	return shift
-}
-
-// applyMaskOp flips user op.user()'s bit in every pair the op's
-// server-mask word covers. Changed pairs are not marked per bit: the op's
-// whole mask is OR-ed into the touched scratch (one word per (model,
-// server word)), which foldTouchedPairs expands once after all ops land.
-// Parallel appliers own disjoint model ranges, so they share the scratch
-// without synchronization.
-func (ins *Instance) applyMaskOp(op maskOp, touched []uint64) {
-	uwords := ins.userWords
-	M := ins.NumServers()
-	i, k, wd := op.model(), op.user(), op.word()
-	kw, kb := k>>6, uint(k&63)
-	touched[i*ins.serverWords+wd] |= op.mask
-	rowBase := (i*M+wd<<6)*uwords + kw
-	if op.isSet() {
-		for mask := op.mask; mask != 0; mask &= mask - 1 {
-			ins.reachUsr[rowBase+mbits.TrailingZeros64(mask)*uwords] |= 1 << kb
-		}
-	} else {
-		for mask := op.mask; mask != 0; mask &= mask - 1 {
-			ins.reachUsr[rowBase+mbits.TrailingZeros64(mask)*uwords] &^= 1 << kb
-		}
-	}
-}
-
-// touchedScratch returns the zeroed per-(model, server-word) touched
-// masks for one phase-2 application.
-func (ins *Instance) touchedScratch() []uint64 {
-	n := ins.NumModels() * ins.serverWords
-	if cap(ins.updTouched) < n {
-		ins.updTouched = make([]uint64, n)
-	}
-	touched := ins.updTouched[:n]
-	clear(touched)
-	return touched
 }
 
 // foldTouchedPairs marks pairs.Set(m*I+i) for every touched (m, i).
@@ -881,83 +730,6 @@ func (ins *Instance) foldTouchedPairs(pairs bitset.Set, touched []uint64) {
 	}
 }
 
-// applyOpsBucketed is the bulk phase-2 path: scatter the workers' op
-// buffers into model-block buckets (counting sort on model>>shift), then
-// apply bucket by bucket, so each batch's reachUsr writes stay inside one
-// cache-resident block of model rows. Written bits are unique per update,
-// so the reordered application is bit-identical to the direct loop. With
-// more than one worker the buckets are split into contiguous ranges
-// applied in parallel — disjoint model ranges touch disjoint reachUsr
-// rows and disjoint touched words, so the appliers share both without
-// synchronization.
-func (ins *Instance) applyOpsBucketed(pairs bitset.Set, workers, total, shift int) {
-	I := ins.NumModels()
-	buckets := (I-1)>>shift + 1
-	if cap(ins.updOps) < total {
-		ins.updOps = make([]maskOp, total)
-	}
-	ops := ins.updOps[:total]
-	if cap(ins.updOff) < buckets+1 {
-		ins.updOff = make([]int, buckets+1)
-		ins.updCur = make([]int, buckets)
-	}
-	off := ins.updOff[:buckets+1]
-	cur := ins.updCur[:buckets]
-	clear(off)
-	for _, uw := range ins.updWorkers[:workers] {
-		for _, op := range uw.ops {
-			off[op.model()>>shift+1]++
-		}
-	}
-	for b := 0; b < buckets; b++ {
-		off[b+1] += off[b]
-		cur[b] = off[b]
-	}
-	for _, uw := range ins.updWorkers[:workers] {
-		for _, op := range uw.ops {
-			b := op.model() >> shift
-			ops[cur[b]] = op
-			cur[b]++
-		}
-	}
-	touched := ins.touchedScratch()
-	apply := func(ops []maskOp) {
-		for _, op := range ops {
-			ins.applyMaskOp(op, touched)
-		}
-	}
-	if workers <= 1 {
-		apply(ops)
-		ins.foldTouchedPairs(pairs, touched)
-		return
-	}
-	// Bucket-aligned split: applier w starts at the first bucket whose ops
-	// begin at or after w's even share of the total.
-	if cap(ins.updBounds) < workers+1 {
-		ins.updBounds = make([]int, workers+1)
-	}
-	bounds := ins.updBounds[:workers+1]
-	bounds[0] = 0
-	bounds[workers] = total
-	for w := 1; w < workers; w++ {
-		b := sort.SearchInts(off, w*total/workers)
-		bounds[w] = off[min(b, buckets)]
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		if bounds[w] == bounds[w+1] {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			apply(ops[bounds[w]:bounds[w+1]])
-		}(w)
-	}
-	wg.Wait()
-	ins.foldTouchedPairs(pairs, touched)
-}
-
 // updateUser refreshes one dirty user: rates and relay rate first (with
 // the old covering rates captured for the flip search), then the reach
 // rows — threshold flips when the coverage set is unchanged, a fused
@@ -968,11 +740,10 @@ func (ins *Instance) applyOpsBucketed(pairs bitset.Set, workers, total, shift in
 // their servers' loads, and their shadowing gains are all unchanged.
 //
 // Zero-mass users (userHasMass false before this update) are untracked:
-// their reach rows are kept exact, but no inverted-index flips are emitted
-// — their UserMask bits carry no request mass, so every consumer is
-// bitwise unaffected by their staleness, and the shard layer's ghost bands
-// stop paying per-bit bookkeeping. ReviseUsers reconciles the bits when a
-// user regains mass.
+// their reach rows are kept exact, but their changes add no pairs to the
+// delta — their UserMask bits carry no request mass, so no marginal gain
+// moves with them, and the shard layer's ghost bands pay no diffing.
+// ReviseUsers marks every pair of a user that regains mass.
 func (ins *Instance) updateUser(k int, oldCovering []int, w *updWorker) error {
 	K := ins.NumUsers()
 	newCovering := ins.topo.ServersCovering(k)
@@ -1043,9 +814,8 @@ func (ins *Instance) fillRankRows(k int) {
 	buildRankRow(ro, rv, ins.minRelRate[k*I:(k+1)*I], ins.rankBuf)
 }
 
-// SetUpdateWorkers bounds the parallel user-update phase of ReviseUsers
-// (and the bucketed flip application that follows it); 0 restores the
-// default GOMAXPROCS bound. Results are bit-identical
+// SetUpdateWorkers bounds the parallel user-update phase of ReviseUsers;
+// 0 restores the default GOMAXPROCS bound. Results are bit-identical
 // for any bound — the engines thread their Workers pin through so a
 // single-goroutine configuration really runs single-goroutine here too.
 func (ins *Instance) SetUpdateWorkers(n int) { ins.updMaxWorkers = n }
@@ -1118,10 +888,10 @@ func flipRange(vals []float64, oldRate, newRate float64) (lo, hi int, set bool) 
 
 // flipUserRows applies a same-coverage rate change to user k's reach rows:
 // binary-search the user's threshold ranks for the verdicts the relay and
-// per-server rate changes crossed, and toggle exactly those bits in both
-// packed orientations — O(M·log I + flips) instead of an O(I) refill.
-// track false (zero-mass user) updates the rows but records no inverted-
-// index ops.
+// per-server rate changes crossed, and toggle exactly those bits —
+// O(M·log I + flips) instead of an O(I) refill — recording them in the
+// worker's touched array. track false (zero-mass user) updates the rows
+// but records nothing.
 func (ins *Instance) flipUserRows(k int, covering []int, oldRelay, newRelay float64, w *updWorker, track bool) {
 	K, I := ins.NumUsers(), ins.NumModels()
 	sw := ins.serverWords
@@ -1156,8 +926,8 @@ func (ins *Instance) flipUserRows(k int, covering []int, oldRelay, newRelay floa
 				} else {
 					row[wd] &^= word
 				}
-				if track && word != 0 {
-					w.emit(i, k, wd, set, word)
+				if track {
+					w.touched[i*sw+wd] |= word
 				}
 			}
 		}
@@ -1184,18 +954,18 @@ func (ins *Instance) flipUserRows(k int, covering []int, oldRelay, newRelay floa
 				row.Clear(m)
 			}
 			if track {
-				w.emit(i, k, mw, set, mb)
+				w.touched[i*sw+mw] |= mb
 			}
 		}
 	}
 }
 
 // recomputeUserRows is the coverage-changed fallback: recompute user k's
-// rows in one fused pass — verdict, diff against the stored row, inverted-
-// index op, store — with the covering rates hoisted out of the model
-// loop. The verdicts are the same compares fillReachRows performs, so the
-// result stays bit-identical to a full rebuild. track false stores the
-// rows without diffing or op recording (zero-mass users).
+// rows in one fused pass — verdict, diff against the stored row into the
+// worker's touched array, store — with the covering rates hoisted out of
+// the model loop. The verdicts are the same compares fillReachRows
+// performs, so the result stays bit-identical to a full rebuild. track
+// false stores the rows without diffing (zero-mass users).
 func (ins *Instance) recomputeUserRows(k int, covering []int, w *updWorker, track bool) {
 	K, I := ins.NumUsers(), ins.NumModels()
 	sw := ins.serverWords
@@ -1235,41 +1005,18 @@ func (ins *Instance) recomputeUserRows(k int, covering []int, w *updWorker, trac
 			if capBlock != nil {
 				word &^= capBlock[i]
 			}
-			if !track {
-				rows[i] = word
-				continue
-			}
-			diff := rows[i] ^ word
-			if diff == 0 {
-				continue
+			if track {
+				w.touched[i] |= rows[i] ^ word
 			}
 			rows[i] = word
-			if sm := word & diff; sm != 0 {
-				w.emit(i, k, 0, true, sm)
-			}
-			if cm := diff &^ word; cm != 0 {
-				w.emit(i, k, 0, false, cm)
-			}
 		}
 		return
 	}
 	ins.fillReachRows(k, covering, ins.avgRate, relay, bitset.Set(ins.updFullRow), w.rows)
 	rows := ins.reachSrv[k*I*sw : (k+1)*I*sw]
 	if track {
-		for i := 0; i < I; i++ {
-			for wd := 0; wd < sw; wd++ {
-				newWord := w.rows[i*sw+wd]
-				diff := rows[i*sw+wd] ^ newWord
-				if diff == 0 {
-					continue
-				}
-				if sm := newWord & diff; sm != 0 {
-					w.emit(i, k, wd, true, sm)
-				}
-				if cm := diff &^ newWord; cm != 0 {
-					w.emit(i, k, wd, false, cm)
-				}
-			}
+		for j, word := range w.rows {
+			w.touched[j] |= rows[j] ^ word
 		}
 	}
 	copy(rows, w.rows)
@@ -1294,15 +1041,13 @@ func (ins *Instance) MemoryFootprint() memprof.Footprint {
 	f.Topology = ins.topo.MemoryBytes()
 	f.Scratch = int64(cap(ins.updDirty)+cap(ins.updForce)+cap(ins.userHasMass)+cap(ins.down)) * 1
 	f.Scratch += int64(cap(ins.capBits)+cap(ins.capBlock)) * 8
-	f.Scratch += int64(cap(ins.updUsers)+cap(ins.updOff)+cap(ins.updCur)+cap(ins.updBounds)+cap(ins.updRevised)) * 8
-	f.Scratch += int64(cap(ins.updFullRow)+cap(ins.updTouched)) * 8
-	f.Scratch += int64(cap(ins.updOps)) * 16
+	f.Scratch += int64(cap(ins.updUsers)+cap(ins.updRevised)) * 8
+	f.Scratch += int64(cap(ins.updFullRow)) * 8
 	f.Scratch += int64(cap(ins.rankBuf)) * 16
 	f.Scratch += int64(cap(ins.updDelta.Pairs)) * 8
 	for _, uw := range ins.updWorkers {
 		f.Scratch += int64(cap(uw.oldRate)+cap(uw.dirRates))*8 +
-			int64(cap(uw.dirBits)+cap(uw.covMask)+cap(uw.rows))*8 +
-			int64(cap(uw.ops))*16
+			int64(cap(uw.dirBits)+cap(uw.covMask)+cap(uw.rows)+cap(uw.touched))*8
 	}
 	if ins.moveScratch != nil {
 		f.Scratch += ins.moveScratch.MemoryBytes()
@@ -1358,15 +1103,84 @@ func (ins *Instance) ServerMask(k, i int) bitset.Set {
 // model i within their deadlines under the average channel. The returned
 // slice aliases internal state; callers must treat it as read-only.
 //
-// Bits of zero-mass users (all-zero probability rows — the shard layer's
-// ghosts and parked slots) may lag their reach rows on delta-updated
-// instances: such users are untracked until they regain mass, which is
-// invisible to every mass computation (their contribution is exactly
-// zero) and reconciled by ReviseUsers before mass returns.
+// The update paths keep only the server masks current and mark the user
+// masks stale, so the first UserMask call after construction or a change
+// re-derives every user mask from the server masks (syncUserMasks), and
+// later calls read the stored masks. That first call writes: it must not
+// run concurrently with another call on the same instance. The placement
+// solvers are its only callers, one at a time per instance.
 func (ins *Instance) UserMask(m, i int) bitset.Set {
+	if ins.usrStale {
+		ins.syncUserMasks()
+	}
 	uw := ins.userWords
 	off := (i*ins.NumServers() + m) * uw
 	return bitset.Set(ins.reachUsr[off : off+uw])
+}
+
+// syncUserMasks re-derives the user masks from the server masks with one
+// 64×64 bit transpose per 64-user block b, model i and server word w: the
+// block's row words reachSrv[((64b+j)·I+i)·sw+w], zero past K, become word
+// b of the rows reachUsr[(i·M+64w+m)·uw+b] of the word's servers m. Every
+// word is rewritten, so afterwards every user's bits are exact. The cost
+// does not depend on how much changed: about K·I·sw/64 transposes.
+func (ins *Instance) syncUserMasks() {
+	M, K, I := ins.NumServers(), ins.NumUsers(), ins.NumModels()
+	sw, uw := ins.serverWords, ins.userWords
+	var blk [64]uint64
+	for b := 0; b < uw; b++ {
+		users := min(64, K-64*b)
+		rows := ins.reachSrv[64*b*I*sw:]
+		for w := 0; w < sw; w++ {
+			servers := min(64, M-64*w)
+			width := 1 << mbits.Len(uint(servers-1))
+			for i := 0; i < I; i++ {
+				for j := 0; j < users; j++ {
+					blk[j] = rows[(j*I+i)*sw+w]
+				}
+				clear(blk[users:])
+				transpose64(&blk, width)
+				dst := ins.reachUsr[(i*M+64*w)*uw+b:]
+				for m := 0; m < servers; m++ {
+					dst[m*uw] = blk[m]
+				}
+			}
+		}
+	}
+	ins.usrStale = false
+}
+
+// transposeMasks[s] selects the low 2^s bits of every 2^(s+1)-bit chunk:
+// the columns that swap stage j = 2^s of transpose64 pairs with j above.
+var transposeMasks = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
+}
+
+// transpose64 transposes the 64×64 bit matrix a in place — bit c of a[r]
+// moves to bit r of a[c] — for an input whose set bits all lie below
+// width, a power of two no larger than 64. Only the first width rows of
+// the result are meaningful. A full transpose runs six swap stages, j =
+// 32, 16, …, 1, stage j exchanging the j-weight bit of the row index with
+// that of the column index. For j ≥ width no set bit's column has that
+// bit, so those stages reduce to merges of row k+j into the high bits of
+// row k over the rows still live; the log2(width) stages below width swap
+// within the first width rows.
+func transpose64(a *[64]uint64, width int) {
+	j := 32
+	for ; j >= width; j >>= 1 {
+		for k := 0; k < j; k++ {
+			a[k] |= a[k+j] << uint(j)
+		}
+	}
+	for ; j > 0; j >>= 1 {
+		mask := transposeMasks[mbits.TrailingZeros(uint(j))]
+		for k := 0; k < width; k = (k + j + 1) &^ j {
+			t := (a[k]>>uint(j) ^ a[k+j]) & mask
+			a[k] ^= t << uint(j)
+			a[k+j] ^= t
+		}
+	}
 }
 
 // ServerMaskWords returns the number of words in each server mask.

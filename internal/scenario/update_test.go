@@ -61,12 +61,13 @@ func assertInstancesEqual(t *testing.T, got, want *Instance) {
 			t.Fatalf("reachSrv word %d = %#x, rebuild %#x", w, got.reachSrv[w], v)
 		}
 	}
-	for w, v := range want.reachUsr {
-		if got.reachUsr[w] != v {
-			t.Fatalf("reachUsr word %d = %#x, rebuild %#x", w, got.reachUsr[w], v)
+	for m := 0; m < M; m++ {
+		for i := 0; i < I; i++ {
+			if g, w := got.UserMask(m, i), want.UserMask(m, i); !g.Equal(w) {
+				t.Fatalf("user mask (%d,%d) = %#x, rebuild %#x", m, i, []uint64(g), []uint64(w))
+			}
 		}
 	}
-	_ = I
 }
 
 // TestUpdateUsersMatchesRebuild is the tentpole's golden equivalence: after
@@ -137,65 +138,50 @@ func TestUpdateUsersParallelMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestUpdateUsersBucketedFlipsMatchRebuild forces the pair-bucketed flip
-// application (the bulk path that keeps each batch's inverted-index writes
-// inside one cache window) by shrinking the bucket knobs, and pins it
-// against both a twin instance on the default direct path and a fresh
-// rebuild: same reachability words and the same delta pair set, serial and
-// parallel.
-func TestUpdateUsersBucketedFlipsMatchRebuild(t *testing.T) {
+// TestUpdateUsersWorkerCountsMatchRebuild runs twin instances through the
+// same walk, one at SetUpdateWorkers(1) and one at SetUpdateWorkers(3), and
+// pins them against each other and a fresh rebuild: the workers' touched
+// arrays OR together in any order, so the delta pair sets and both mask
+// orientations must be identical.
+func TestUpdateUsersWorkerCountsMatchRebuild(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	oldWin, oldMin := flipBucketWindowWords, flipBucketMinOps
-	defer func() { flipBucketWindowWords, flipBucketMinOps = oldWin, oldMin }()
-
-	for _, workers := range []int{1, 3} {
-		flipBucketWindowWords, flipBucketMinOps = oldWin, oldMin
-		ins, pop, walk := walkInstance(t, 8, 150, 41)
-		twin, tpop, twalk := walkInstance(t, 8, 150, 41)
-		ins.SetUpdateWorkers(workers)
-		twin.SetUpdateWorkers(workers)
-		all := make([]int, ins.NumUsers())
-		for k := range all {
-			all[k] = k
-		}
-		if shift := ins.flipBucketShift(); shift >= 0 {
-			t.Fatalf("fixture too large: whole index already spans buckets (shift %d)", shift)
-		}
-		for cp := 1; cp <= 3; cp++ {
-			for s := 0; s < 60; s++ {
-				if err := pop.Step(5, walk); err != nil {
-					t.Fatal(err)
-				}
-				if err := tpop.Step(5, twalk); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Bucketed on ins: tiny window (multiple buckets even at this
-			// size) and no op floor. Direct on twin: default knobs keep the
-			// fixture below both gates.
-			flipBucketWindowWords, flipBucketMinOps = 4*ins.userWords, 1
-			if ins.flipBucketShift() < 0 {
-				t.Fatal("shrunken window must produce multiple buckets")
-			}
-			delta, err := ins.ReviseUsers(nil, nil, all, pop.Positions())
-			if err != nil {
+	ins, pop, walk := walkInstance(t, 8, 150, 41)
+	twin, tpop, twalk := walkInstance(t, 8, 150, 41)
+	ins.SetUpdateWorkers(1)
+	twin.SetUpdateWorkers(3)
+	all := make([]int, ins.NumUsers())
+	for k := range all {
+		all[k] = k
+	}
+	for cp := 1; cp <= 3; cp++ {
+		for s := 0; s < 60; s++ {
+			if err := pop.Step(5, walk); err != nil {
 				t.Fatal(err)
 			}
-			flipBucketWindowWords, flipBucketMinOps = oldWin, oldMin
-			tdelta, err := twin.ReviseUsers(nil, nil, all, tpop.Positions())
-			if err != nil {
+			if err := tpop.Step(5, twalk); err != nil {
 				t.Fatal(err)
 			}
-			if !delta.Pairs.Equal(tdelta.Pairs) {
-				t.Fatalf("workers %d cp %d: bucketed delta pairs differ from direct path", workers, cp)
-			}
-			assertInstancesEqual(t, ins, twin)
-			want, err := ins.Rebuild(pop.Positions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertInstancesEqual(t, ins, want)
 		}
+		delta, err := ins.ReviseUsers(nil, nil, all, pop.Positions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tdelta, err := twin.ReviseUsers(nil, nil, all, tpop.Positions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !delta.Pairs.Any() || !delta.Pairs.Equal(tdelta.Pairs) {
+			t.Fatalf("cp %d: delta pairs at 1 and 3 workers differ (or are empty)", cp)
+		}
+		if len(twin.updWorkers) < 3 {
+			t.Fatalf("cp %d: twin ran %d update workers, want 3", cp, len(twin.updWorkers))
+		}
+		assertInstancesEqual(t, ins, twin)
+		want, err := ins.Rebuild(pop.Positions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertInstancesEqual(t, ins, want)
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"trimcaching/internal/scenario"
 	"trimcaching/internal/stats"
 	"trimcaching/internal/topology"
+	"trimcaching/internal/trace"
 	"trimcaching/internal/workload"
 )
 
@@ -63,6 +64,14 @@ type TraceConfig struct {
 	// Event configures the serving simulator; a zero CloudRateBps selects
 	// cachesim.DefaultEventConfig.
 	Event cachesim.EventConfig
+}
+
+// windowS returns the serving window length, defaulted to the checkpoint.
+func (t *TraceConfig) windowS(checkpointMin int) float64 {
+	if t.WindowS == 0 {
+		return float64(checkpointMin) * 60
+	}
+	return t.WindowS
 }
 
 // Config parameterizes one sharded timeline run. The dynamics fields
@@ -153,11 +162,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("shard: Realizations must be positive")
 	}
 	if c.Trace != nil {
-		if c.Trace.RequestsPerUserPerHour < 0 {
-			return fmt.Errorf("shard: Trace.RequestsPerUserPerHour must be >= 0, got %v", c.Trace.RequestsPerUserPerHour)
-		}
-		if c.Trace.WindowS < 0 {
-			return fmt.Errorf("shard: Trace.WindowS must be >= 0, got %v", c.Trace.WindowS)
+		if err := trace.CheckArrivals(c.Trace.RequestsPerUserPerHour, c.Trace.windowS(c.CheckpointMin)); err != nil {
+			return fmt.Errorf("shard: %w", err)
 		}
 	}
 	if c.Mode != dynamics.Incremental && c.Mode != dynamics.Rebuild {
@@ -668,13 +674,9 @@ func (e *Engine) buildCell(sh *cell, locals []int) error {
 	sh.traceMeas = nil
 	var meas dynamics.Measurement
 	if e.cfg.Trace != nil {
-		windowS := e.cfg.Trace.WindowS
-		if windowS == 0 {
-			windowS = float64(e.cfg.CheckpointMin) * 60
-		}
 		tm := &dynamics.TraceMeasurement{
 			RequestsPerUserPerHour: e.cfg.Trace.RequestsPerUserPerHour,
-			WindowS:                windowS,
+			WindowS:                e.cfg.Trace.windowS(e.cfg.CheckpointMin),
 			Event:                  e.cfg.Trace.Event,
 			// Cell 0 keeps the unsalted serving stream, so a Shards=1 run
 			// (and cell 0 of any run) serves bit-identically to the

@@ -215,6 +215,25 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 
+	// Trace arrival parameters get the synthesizer's own check, so NaN and
+	// infinities fail here rather than in a cell's first measurement.
+	// WindowS 0 selects the checkpoint length and is valid.
+	for _, tc := range []struct{ rate, window float64 }{
+		{math.NaN(), 0}, {math.Inf(1), 0}, {-1, 0},
+		{30, math.NaN()}, {30, math.Inf(1)}, {30, -1},
+	} {
+		cfg = base()
+		cfg.Trace = &TraceConfig{RequestsPerUserPerHour: tc.rate, WindowS: tc.window}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("trace rate %v, window %v accepted", tc.rate, tc.window)
+		}
+	}
+	cfg = base()
+	cfg.Trace = &TraceConfig{RequestsPerUserPerHour: 30}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("default trace window rejected: %v", err)
+	}
+
 	// Far more shards than the deployment supports: some cell owns no
 	// servers and construction must fail loudly.
 	cfg = base()

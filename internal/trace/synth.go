@@ -43,19 +43,29 @@ type Synthesizer struct {
 // handoffs — and each request is synthesized by exactly one cell.
 type UserMap func(slot int) (global int, owned bool)
 
-// NewSynthesizer validates the arrival parameters. A zero rate is allowed
-// and synthesizes empty windows (a silent cell still measures: zero
-// requests); the window length must be positive. Both must be finite: a NaN
-// would synthesize nothing without an error, and +Inf would never end a
-// window.
+// NewSynthesizer validates the arrival parameters (CheckArrivals) and
+// returns a synthesizer for them.
 func NewSynthesizer(ratePerUserPerHour, windowS float64) (*Synthesizer, error) {
-	if !(ratePerUserPerHour >= 0) || math.IsInf(ratePerUserPerHour, 1) {
-		return nil, fmt.Errorf("trace: RequestsPerUserPerHour must be finite and >= 0, got %v", ratePerUserPerHour)
-	}
-	if !(windowS > 0) || math.IsInf(windowS, 1) {
-		return nil, fmt.Errorf("trace: window length must be positive and finite, got %v", windowS)
+	if err := CheckArrivals(ratePerUserPerHour, windowS); err != nil {
+		return nil, err
 	}
 	return &Synthesizer{ratePerUserPerHour: ratePerUserPerHour, windowS: windowS}, nil
+}
+
+// CheckArrivals reports whether a synthesizer accepts the arrival
+// parameters. A zero rate is allowed and synthesizes empty windows (a
+// silent cell still measures: zero requests); the window length must be
+// positive. Both must be finite: a NaN would synthesize nothing without an
+// error, and +Inf would never end a window. The engine configurations call
+// it in their Validate, so a bad value fails before any solve runs.
+func CheckArrivals(ratePerUserPerHour, windowS float64) error {
+	if !(ratePerUserPerHour >= 0) || math.IsInf(ratePerUserPerHour, 1) {
+		return fmt.Errorf("trace: RequestsPerUserPerHour must be finite and >= 0, got %v", ratePerUserPerHour)
+	}
+	if !(windowS > 0) || math.IsInf(windowS, 1) {
+		return fmt.Errorf("trace: window length must be positive and finite, got %v", windowS)
+	}
+	return nil
 }
 
 // WindowMapped synthesizes one measurement window's request arrivals
