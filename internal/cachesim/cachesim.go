@@ -53,16 +53,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports the first invalid field, if any.
+// Validate reports the first invalid field, if any. A NaN or infinite rate
+// or duration is invalid: Poisson would draw no request from it.
 func (c Config) Validate() error {
-	if c.RequestsPerUserPerHour <= 0 {
-		return fmt.Errorf("cachesim: RequestsPerUserPerHour must be positive, got %v", c.RequestsPerUserPerHour)
+	if !positiveFinite(c.RequestsPerUserPerHour) {
+		return fmt.Errorf("cachesim: RequestsPerUserPerHour must be positive and finite, got %v", c.RequestsPerUserPerHour)
 	}
-	if c.DurationS <= 0 {
-		return fmt.Errorf("cachesim: DurationS must be positive, got %v", c.DurationS)
+	if !positiveFinite(c.DurationS) {
+		return fmt.Errorf("cachesim: DurationS must be positive and finite, got %v", c.DurationS)
 	}
-	if c.CloudRateBps <= 0 {
-		return fmt.Errorf("cachesim: CloudRateBps must be positive, got %v", c.CloudRateBps)
+	if !positiveFinite(c.CloudRateBps) {
+		return fmt.Errorf("cachesim: CloudRateBps must be positive and finite, got %v", c.CloudRateBps)
 	}
 	return nil
 }

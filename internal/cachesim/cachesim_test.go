@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math"
 	"testing"
 
 	"trimcaching/internal/libgen"
@@ -43,6 +44,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RequestsPerUserPerHour = 0 },
 		func(c *Config) { c.DurationS = 0 },
 		func(c *Config) { c.CloudRateBps = 0 },
+		func(c *Config) { c.RequestsPerUserPerHour = math.NaN() },
+		func(c *Config) { c.RequestsPerUserPerHour = math.Inf(1) },
+		func(c *Config) { c.DurationS = math.NaN() },
+		func(c *Config) { c.DurationS = math.Inf(1) },
+		func(c *Config) { c.CloudRateBps = math.NaN() },
+		func(c *Config) { c.CloudRateBps = math.Inf(1) },
 	}
 	for i, mut := range muts {
 		c := DefaultConfig()

@@ -31,10 +31,15 @@ func DefaultEventConfig() EventConfig {
 
 // Validate reports the first invalid field, if any.
 func (c EventConfig) Validate() error {
-	if c.CloudRateBps <= 0 {
-		return fmt.Errorf("cachesim: CloudRateBps must be positive, got %v", c.CloudRateBps)
+	if !positiveFinite(c.CloudRateBps) {
+		return fmt.Errorf("cachesim: CloudRateBps must be positive and finite, got %v", c.CloudRateBps)
 	}
 	return nil
+}
+
+// positiveFinite reports whether v is positive and finite; NaN is not.
+func positiveFinite(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1)
 }
 
 // EventResult summarizes an event-driven run. Unlike Result (the closed-form

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math"
 	"testing"
 
 	"trimcaching/internal/placement"
@@ -34,10 +35,12 @@ func TestServeTraceValidation(t *testing.T) {
 	if _, err := ServeTrace(ins, p, nil, DefaultEventConfig(), rng.New(2)); err == nil {
 		t.Fatal("nil trace must error")
 	}
-	bad := DefaultEventConfig()
-	bad.CloudRateBps = 0
-	if _, err := ServeTrace(ins, p, tr, bad, rng.New(2)); err == nil {
-		t.Fatal("bad config must error")
+	for _, cloudBps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		bad := DefaultEventConfig()
+		bad.CloudRateBps = cloudBps
+		if _, err := ServeTrace(ins, p, tr, bad, rng.New(2)); err == nil {
+			t.Fatalf("CloudRateBps %v must error", cloudBps)
+		}
 	}
 	wrong := placement.NewPlacement(1, 1)
 	if _, err := ServeTrace(ins, wrong, tr, DefaultEventConfig(), rng.New(2)); err == nil {

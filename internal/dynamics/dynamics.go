@@ -199,6 +199,12 @@ func (c Config) Validate() error {
 		if err := trace.CheckArrivals(m.RequestsPerUserPerHour, m.WindowS); err != nil {
 			return fmt.Errorf("dynamics: %w", err)
 		}
+		// A zero CloudRateBps selects the default serving configuration.
+		if m.Event.CloudRateBps != 0 {
+			if err := m.Event.Validate(); err != nil {
+				return fmt.Errorf("dynamics: %w", err)
+			}
+		}
 	}
 	if c.Mode != Incremental && c.Mode != Rebuild {
 		return fmt.Errorf("dynamics: unknown mode %d", int(c.Mode))

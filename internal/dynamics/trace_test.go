@@ -191,15 +191,13 @@ func (c countingAlgorithm) Place(e *placement.Evaluator, caps []int64) (*placeme
 }
 
 // TestTraceArrivalsRejectedBeforeSolve pins that NewEngine rejects bad
-// trace arrival parameters in Config.Validate, before the t = 0 solve of
-// any track, and that every measurement error reaches the caller with one
-// "dynamics:" prefix — including one the first Measure raises after the
-// solves (an invalid serving configuration).
+// trace arrival parameters and a bad serving configuration in
+// Config.Validate, before the t = 0 solve of any track, and that the error
+// reaches the caller with one "dynamics:" prefix.
 func TestTraceArrivalsRejectedBeforeSolve(t *testing.T) {
 	for _, tc := range []struct {
 		rate, window float64
 		cloudBps     float64
-		lateError    bool // raised by the first Measure, after the solves
 	}{
 		{rate: math.NaN(), window: 600},
 		{rate: math.Inf(1), window: 600},
@@ -207,7 +205,9 @@ func TestTraceArrivalsRejectedBeforeSolve(t *testing.T) {
 		{rate: 60, window: math.NaN()},
 		{rate: 60, window: math.Inf(1)},
 		{rate: 60, window: 0},
-		{rate: 60, window: 600, cloudBps: -1, lateError: true},
+		{rate: 60, window: 600, cloudBps: -1},
+		{rate: 60, window: 600, cloudBps: math.NaN()},
+		{rate: 60, window: 600, cloudBps: math.Inf(1)},
 	} {
 		cfg := newTraceConfig(t, 52, Incremental, 1, 0, 0)
 		tm := cfg.Measurement.(*TraceMeasurement)
@@ -221,8 +221,8 @@ func TestTraceArrivalsRejectedBeforeSolve(t *testing.T) {
 		if err == nil {
 			t.Fatalf("rate %v, window %v, cloud %v: engine built", tc.rate, tc.window, tc.cloudBps)
 		}
-		if !tc.lateError && places != 0 {
-			t.Errorf("rate %v, window %v: %d Place calls before the error %q", tc.rate, tc.window, places, err)
+		if places != 0 {
+			t.Errorf("rate %v, window %v, cloud %v: %d Place calls before the error %q", tc.rate, tc.window, tc.cloudBps, places, err)
 		}
 		if n := strings.Count(err.Error(), "dynamics:"); n != 1 {
 			t.Errorf("error %q carries %d \"dynamics:\" prefixes, want 1", err, n)

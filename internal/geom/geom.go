@@ -42,9 +42,8 @@ func NewArea(side float64) (Area, error) {
 	return Area{Side: side}, nil
 }
 
-// Contains reports whether p lies inside the area (inclusive). Only tests
-// call it, as the stays-inside oracle of mobility's TestWalkerStaysInsideArea
-// and TestWalkerInvariantProperty and topology's TestGenerateCounts.
+// Contains reports whether p lies inside the area (inclusive). A point it
+// accepts needs no Reflect: the fold would return it unchanged.
 func (a Area) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= a.Side && p.Y >= 0 && p.Y <= a.Side
 }
@@ -66,7 +65,8 @@ func (a Area) SamplePoints(src *rng.Source, n int) []Point {
 // Reflect maps an arbitrary point back into the area by mirror reflection at
 // the boundaries, and returns the reflected point together with the sign
 // flips to apply to the velocity components. Mobility steps that would leave
-// the square bounce off its walls.
+// the square bounce off its walls; the walk calls Reflect only for a point
+// Contains rejects.
 func (a Area) Reflect(p Point) (Point, float64, float64) {
 	x, sx := reflect1D(p.X, a.Side)
 	y, sy := reflect1D(p.Y, a.Side)
@@ -75,14 +75,12 @@ func (a Area) Reflect(p Point) (Point, float64, float64) {
 
 // reflect1D folds v into [0, side] via repeated mirror reflection and
 // returns the coordinate plus the velocity sign (+1 or -1). A v already
-// inside skips the fold: Mod(v, 2·side) is exactly v there.
+// inside comes back unchanged with sign +1: Mod(v, 2·side) is exactly v
+// there.
 func reflect1D(v, side float64) (float64, float64) {
 	sign := 1.0
 	if side <= 0 {
 		return 0, sign
-	}
-	if v >= 0 && v <= side {
-		return v, sign
 	}
 	period := 2 * side
 	v = math.Mod(v, period)

@@ -161,8 +161,7 @@ func TestReflectProperty(t *testing.T) {
 	}
 }
 
-// refFold is reflect1D without its inside fast path: the math.Mod fold
-// alone.
+// refFold is the boundary fold of one coordinate.
 func refFold(v, side float64) (float64, float64) {
 	period := 2 * side
 	v = math.Mod(v, period)
@@ -175,20 +174,27 @@ func refFold(v, side float64) (float64, float64) {
 	return v, 1
 }
 
-// TestReflectMatchesFold pins reflect1D's fast path to the plain fold bit
-// for bit at the walls, their neighbours, far outside, and at NaN and ±Inf.
+// TestReflectMatchesFold pins what lets the walk skip Reflect for a point
+// Contains accepts: Reflect returns such a point bit for bit, with signs
+// +1, and folds any other. It checks the walls, their neighbours, far
+// outside, and NaN and ±Inf.
 func TestReflectMatchesFold(t *testing.T) {
 	for _, side := range []float64{50, 275, 1264.9} {
+		a := Area{Side: side}
 		var xs []float64
 		for _, v := range []float64{0, side, 2 * side, 1e6 * side, -1e6 * side} {
 			xs = append(xs, v, -v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
 		}
 		xs = append(xs, math.Copysign(0, -1), side/3, math.NaN(), math.Inf(1), math.Inf(-1))
 		for _, v := range xs {
-			got, gotSign := reflect1D(v, side)
-			want, wantSign := refFold(v, side)
-			if math.Float64bits(got) != math.Float64bits(want) || gotSign != wantSign {
-				t.Errorf("side %v: reflect1D(%v) = %v, %v; fold = %v, %v", side, v, got, gotSign, want, wantSign)
+			p := Point{X: v, Y: side / 3}
+			want, wantSign := v, 1.0
+			if !a.Contains(p) {
+				want, wantSign = refFold(v, side)
+			}
+			got, sx, sy := a.Reflect(p)
+			if math.Float64bits(got.X) != math.Float64bits(want) || sx != wantSign || got.Y != p.Y || sy != 1 {
+				t.Errorf("side %v: Reflect(%v) = %v, %v, %v; want x %v, signs %v, 1", side, p, got, sx, sy, want, wantSign)
 			}
 		}
 	}

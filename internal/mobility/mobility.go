@@ -8,6 +8,7 @@ package mobility
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"trimcaching/internal/geom"
 	"trimcaching/internal/rng"
@@ -68,33 +69,8 @@ func PaperParams(c Class) (Params, error) {
 	}
 }
 
-// Walker is one moving user.
-type Walker struct {
-	class   Class
-	params  Params
-	pos     geom.Point
-	speed   float64 // m/s
-	heading float64 // radians
-}
-
-// NewWalker creates a walker at pos with the paper's initial draws: speed
-// uniform in the class range, orientation uniform in [0, π].
-func NewWalker(pos geom.Point, class Class, src *rng.Source) (*Walker, error) {
-	p, err := PaperParams(class)
-	if err != nil {
-		return nil, err
-	}
-	return &Walker{
-		class:   class,
-		params:  p,
-		pos:     pos,
-		speed:   src.Uniform(p.SpeedMinMS, p.SpeedMaxMS),
-		heading: src.Uniform(0, math.Pi),
-	}, nil
-}
-
 // checkDuration rejects a step duration that is not positive and finite: a
-// NaN or infinite one would move the walker to (NaN, NaN).
+// NaN or infinite one would move the walkers to (NaN, NaN).
 func checkDuration(dtS float64) error {
 	if !(dtS > 0) || math.IsInf(dtS, 1) {
 		return fmt.Errorf("mobility: step duration must be positive and finite, got %v", dtS)
@@ -102,87 +78,127 @@ func checkDuration(dtS float64) error {
 	return nil
 }
 
-// step advances the walker by dtS seconds inside area: draw a new
-// acceleration and angular velocity, update speed and heading, move, and
-// reflect off the boundary. dtS must pass checkDuration. Its products are
-// wrapped in float64 conversions so no architecture fuses them into
-// multiply-adds.
-func (w *Walker) step(dtS float64, area geom.Area, src *rng.Source) {
-	acc := src.Uniform(-w.params.AccMaxMS2, w.params.AccMaxMS2)
-	w.speed += float64(acc * dtS)
-	if w.speed < 0 {
-		w.speed = 0
-	}
-	if w.speed > w.params.SpeedCapMS {
-		w.speed = w.params.SpeedCapMS
-	}
-	angVel := src.Uniform(-w.params.AngVelMaxRadS, w.params.AngVelMaxRadS)
-	w.heading += float64(angVel * dtS)
+// walkChunk is how many walkers Step advances per batch of drawn words.
+const walkChunk = 256
 
-	sin, cos := sincos(w.heading)
-	d := w.speed * dtS
-	reflected, sx, sy := area.Reflect(w.pos.Add(float64(d*cos), float64(d*sin)))
-	w.pos = reflected
-	if sx < 0 || sy < 0 {
-		// Mirror the heading on the axis that bounced.
-		w.heading = math.Atan2(sin*sy, cos*sx)
-	}
-}
-
-// Population is a set of walkers sharing an area.
+// Population is a set of walkers sharing an area, held as arrays: walker i
+// is at pos[i], moves at speed[i] m/s on heading[i] radians, and follows
+// params[class[i]].
 type Population struct {
 	area    geom.Area
-	walkers []Walker
+	params  [3]Params // pedestrian, bike, vehicle
+	pos     []geom.Point
+	speed   []float64
+	heading []float64
+	class   []uint8
+	words   [2 * walkChunk]uint64 // one chunk's draws, reused by every Step
 }
 
 // NewPopulation creates walkers at the given positions, cycling through the
 // three paper classes (pedestrian, bike, vehicle) so each class gets about a
-// third of the users.
+// third of the users. Each walker draws its initial speed, uniform in its
+// class range, then its heading, uniform in [0, π], in walker order.
 func NewPopulation(area geom.Area, positions []geom.Point, src *rng.Source) (*Population, error) {
 	if len(positions) == 0 {
 		return nil, fmt.Errorf("mobility: at least one user required")
 	}
-	classes := []Class{Pedestrian, Bike, Vehicle}
-	p := &Population{area: area, walkers: make([]Walker, len(positions))}
-	for i, pos := range positions {
-		w, err := NewWalker(pos, classes[i%len(classes)], src)
+	n := len(positions)
+	p := &Population{
+		area:    area,
+		pos:     slices.Clone(positions),
+		speed:   make([]float64, n),
+		heading: make([]float64, n),
+		class:   make([]uint8, n),
+	}
+	for c, class := range []Class{Pedestrian, Bike, Vehicle} {
+		params, err := PaperParams(class)
 		if err != nil {
 			return nil, err
 		}
-		p.walkers[i] = *w
+		p.params[c] = params
+	}
+	for i := range p.pos {
+		k := i % len(p.params)
+		p.class[i] = uint8(k)
+		p.speed[i] = src.Uniform(p.params[k].SpeedMinMS, p.params[k].SpeedMaxMS)
+		p.heading[i] = src.Uniform(0, math.Pi)
 	}
 	return p, nil
 }
 
 // Step advances every walker by dtS seconds, which must be positive and
-// finite.
+// finite: each draws an acceleration and an angular velocity, updates its
+// speed and heading, moves, and bounces off the area's boundary. Walkers
+// take two words of src each, in walker order, a chunk of walkChunk at a
+// time.
 func (p *Population) Step(dtS float64, src *rng.Source) error {
 	if err := checkDuration(dtS); err != nil {
 		return err
 	}
-	for i := range p.walkers {
-		p.walkers[i].step(dtS, p.area, src)
+	for lo := 0; lo < len(p.pos); lo += walkChunk {
+		hi := min(lo+walkChunk, len(p.pos))
+		words := p.words[:2*(hi-lo)]
+		src.Fill(words)
+		p.update(p.speed[lo:hi], p.heading[lo:hi], p.class[lo:hi], words, dtS)
+		p.move(p.pos[lo:hi], p.speed[lo:hi], p.heading[lo:hi], dtS)
 	}
 	return nil
 }
 
+// update draws each walker's acceleration and angular velocity from its two
+// words and updates its speed and heading. Products are wrapped in float64
+// conversions so no architecture fuses them into multiply-adds.
+//
+// The speed clamp to [0, SpeedCapMS] is min(max(·, 0), cap), which amd64
+// compiles without a branch. It differs from "if < 0, 0; if > cap, cap"
+// only on −0, which max turns into +0, and the clamped sum is never −0: a
+// round-to-nearest sum is −0 only when both addends are, and a speed never
+// is, since initial speeds are at least SpeedMinMS > 0 and the clamp
+// returns +0 for anything at or below zero.
+func (p *Population) update(speed, heading []float64, class []uint8, words []uint64, dtS float64) {
+	for i := range speed {
+		c := &p.params[class[i]]
+		acc := rng.UniformWord(words[2*i], -c.AccMaxMS2, c.AccMaxMS2)
+		speed[i] = min(max(speed[i]+float64(acc*dtS), 0), c.SpeedCapMS)
+		angVel := rng.UniformWord(words[2*i+1], -c.AngVelMaxRadS, c.AngVelMaxRadS)
+		heading[i] += float64(angVel * dtS)
+	}
+}
+
+// move translates each walker along its heading. Only a walker that left
+// the area is folded back in, and only a bounce mirrors its heading, on the
+// axis that bounced.
+func (p *Population) move(pos []geom.Point, speed, heading []float64, dtS float64) {
+	for i := range pos {
+		sin, cos := sincos(heading[i])
+		d := speed[i] * dtS
+		next := pos[i].Add(float64(d*cos), float64(d*sin))
+		if !p.area.Contains(next) {
+			var sx, sy float64
+			next, sx, sy = p.area.Reflect(next)
+			if sx < 0 || sy < 0 {
+				heading[i] = math.Atan2(sin*sy, cos*sx)
+			}
+		}
+		pos[i] = next
+	}
+}
+
 // Positions returns the current position of every walker.
 func (p *Population) Positions() []geom.Point {
-	return p.PositionsInto(make([]geom.Point, len(p.walkers)))
+	return p.PositionsInto(make([]geom.Point, len(p.pos)))
 }
 
 // PositionsInto writes the current position of every walker into dst, which
 // must have one slot per walker, and returns it. Time-stepped loops reuse
 // one buffer across checkpoints.
 func (p *Population) PositionsInto(dst []geom.Point) []geom.Point {
-	for i := range p.walkers {
-		dst[i] = p.walkers[i].pos
-	}
+	copy(dst[:len(p.pos)], p.pos)
 	return dst
 }
 
 // Len returns the number of walkers.
-func (p *Population) Len() int { return len(p.walkers) }
+func (p *Population) Len() int { return len(p.pos) }
 
 // SlotsPerCheckpoint returns how many slotS-second slots make up one
 // checkpointMin-minute checkpoint, rounded to the nearest slot. Fewer than

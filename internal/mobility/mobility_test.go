@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -49,19 +50,34 @@ func TestPaperParams(t *testing.T) {
 	}
 }
 
+// classParams returns the parameters NewPopulation gives walker i: the
+// classes cycle pedestrian, bike, vehicle.
+func classParams(t testing.TB, i int) Params {
+	t.Helper()
+	p, err := PaperParams([]Class{Pedestrian, Bike, Vehicle}[i%3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestWalkerInitialDraws(t *testing.T) {
 	area := testArea(t)
 	src := rng.New(1)
-	for i := 0; i < 200; i++ {
-		w, err := NewWalker(area.SamplePoint(src), Bike, src)
-		if err != nil {
-			t.Fatal(err)
+	pop, err := NewPopulation(area, area.SamplePoints(src, 600), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pop.Len() {
+		p := classParams(t, i)
+		if got := pop.params[pop.class[i]]; got != p {
+			t.Fatalf("walker %d: params %+v, want %+v", i, got, p)
 		}
-		if w.speed < 2 || w.speed > 8 {
-			t.Fatalf("bike initial speed %v", w.speed)
+		if s := pop.speed[i]; s < p.SpeedMinMS || s > p.SpeedMaxMS {
+			t.Fatalf("walker %d: initial speed %v outside [%v, %v]", i, s, p.SpeedMinMS, p.SpeedMaxMS)
 		}
-		if w.class != Bike {
-			t.Fatal("class")
+		if h := pop.heading[i]; h < 0 || h > math.Pi {
+			t.Fatalf("walker %d: initial heading %v outside [0, π]", i, h)
 		}
 	}
 }
@@ -69,18 +85,20 @@ func TestWalkerInitialDraws(t *testing.T) {
 func TestWalkerStaysInsideArea(t *testing.T) {
 	area := testArea(t)
 	src := rng.New(2)
-	for _, class := range []Class{Pedestrian, Bike, Vehicle} {
-		w, err := NewWalker(area.SamplePoint(src), class, src)
-		if err != nil {
+	pop, err := NewPopulation(area, area.SamplePoints(src, 3), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 2000; step++ {
+		if err := pop.Step(5, src); err != nil {
 			t.Fatal(err)
 		}
-		for step := 0; step < 2000; step++ {
-			w.step(5, area, src)
-			if !area.Contains(w.pos) {
-				t.Fatalf("%s left the area at step %d: %v", class, step, w.pos)
+		for i := range pop.Len() {
+			if !area.Contains(pop.pos[i]) {
+				t.Fatalf("walker %d left the area at step %d: %v", i, step, pop.pos[i])
 			}
-			if w.speed < 0 {
-				t.Fatalf("negative speed %v", w.speed)
+			if pop.speed[i] < 0 || math.Signbit(pop.speed[i]) {
+				t.Fatalf("walker %d: negative speed %v", i, pop.speed[i])
 			}
 		}
 	}
@@ -89,18 +107,19 @@ func TestWalkerStaysInsideArea(t *testing.T) {
 func TestWalkerSpeedCapped(t *testing.T) {
 	area := testArea(t)
 	src := rng.New(3)
-	w, err := NewWalker(geom.Point{X: 500, Y: 500}, Vehicle, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := PaperParams(Vehicle)
+	center := geom.Point{X: 500, Y: 500}
+	pop, err := NewPopulation(area, []geom.Point{center, center, center}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 5000; step++ {
-		w.step(5, area, src)
-		if w.speed > p.SpeedCapMS+1e-9 {
-			t.Fatalf("speed %v exceeds cap %v", w.speed, p.SpeedCapMS)
+		if err := pop.Step(5, src); err != nil {
+			t.Fatal(err)
+		}
+		for i := range pop.Len() {
+			if p := classParams(t, i); pop.speed[i] > p.SpeedCapMS {
+				t.Fatalf("walker %d: speed %v exceeds cap %v", i, pop.speed[i], p.SpeedCapMS)
+			}
 		}
 	}
 }
@@ -108,17 +127,17 @@ func TestWalkerSpeedCapped(t *testing.T) {
 func TestWalkerActuallyMoves(t *testing.T) {
 	area := testArea(t)
 	src := rng.New(4)
-	w, err := NewWalker(geom.Point{X: 500, Y: 500}, Vehicle, src)
+	center := geom.Point{X: 500, Y: 500}
+	pop, err := NewPopulation(area, []geom.Point{center, center, center}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := w.pos
-	var moved float64
 	for step := 0; step < 10; step++ {
-		w.step(5, area, src)
+		if err := pop.Step(5, src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	moved = start.Dist(w.pos)
-	if moved < 1 {
+	if moved := center.Dist(pop.pos[2]); moved < 1 {
 		t.Fatalf("vehicle moved only %v m in 50 s", moved)
 	}
 }
@@ -148,13 +167,39 @@ func TestStepInvalidDuration(t *testing.T) {
 	}
 }
 
-// refStep is the walker's step before the fast path, kept as its reference:
-// math.Cos and math.Sin, called again on a bounce, rng's Uniform as
-// lo + (hi-lo)*Float64, and the math.Mod fold of refFold. It reports
+// refWalker is one walker of the reference walk.
+type refWalker struct {
+	params  Params
+	pos     geom.Point
+	speed   float64 // m/s
+	heading float64 // radians
+}
+
+// refUniform is rng's Uniform as lo + (hi-lo)*Float64.
+func refUniform(src *rng.Source, lo, hi float64) float64 {
+	return lo + (hi-lo)*src.Float64()
+}
+
+// newRefWalkers is NewPopulation as a per-walker loop: classes cycle
+// pedestrian, bike, vehicle, and each walker draws its speed, then its
+// heading.
+func newRefWalkers(t testing.TB, positions []geom.Point, src *rng.Source) []refWalker {
+	ws := make([]refWalker, len(positions))
+	for i, pos := range positions {
+		p := classParams(t, i)
+		ws[i] = refWalker{params: p, pos: pos}
+		ws[i].speed = refUniform(src, p.SpeedMinMS, p.SpeedMaxMS)
+		ws[i].heading = refUniform(src, 0, math.Pi)
+	}
+	return ws
+}
+
+// refStep is one walker's step before the fast path, kept as its
+// reference: math.Cos and math.Sin, called again on a bounce, refUniform,
+// the speed clamp as two ifs, and the math.Mod fold of refFold. It reports
 // whether the walker bounced.
-func refStep(w *Walker, dtS float64, area geom.Area, src *rng.Source) bool {
-	uniform := func(lo, hi float64) float64 { return lo + (hi-lo)*src.Float64() }
-	acc := uniform(-w.params.AccMaxMS2, w.params.AccMaxMS2)
+func refStep(w *refWalker, dtS float64, area geom.Area, src *rng.Source) bool {
+	acc := refUniform(src, -w.params.AccMaxMS2, w.params.AccMaxMS2)
 	w.speed += acc * dtS
 	if w.speed < 0 {
 		w.speed = 0
@@ -162,7 +207,7 @@ func refStep(w *Walker, dtS float64, area geom.Area, src *rng.Source) bool {
 	if w.speed > w.params.SpeedCapMS {
 		w.speed = w.params.SpeedCapMS
 	}
-	angVel := uniform(-w.params.AngVelMaxRadS, w.params.AngVelMaxRadS)
+	angVel := refUniform(src, -w.params.AngVelMaxRadS, w.params.AngVelMaxRadS)
 	w.heading += angVel * dtS
 
 	next := w.pos.Add(w.speed*dtS*math.Cos(w.heading), w.speed*dtS*math.Sin(w.heading))
@@ -177,7 +222,8 @@ func refStep(w *Walker, dtS float64, area geom.Area, src *rng.Source) bool {
 	return false
 }
 
-// refFold is geom's boundary fold without its inside fast path.
+// refFold is geom's boundary fold, applied to every coordinate, inside or
+// not.
 func refFold(v, side float64) (float64, float64) {
 	period := 2 * side
 	v = math.Mod(v, period)
@@ -190,44 +236,107 @@ func refFold(v, side float64) (float64, float64) {
 	return v, 1
 }
 
-// TestWalkerMatchesReference walks every class side by side with refStep
-// and compares positions, speeds and headings bit for bit: in a 50 m area,
-// where over a third of the slots bounce (vehicles about half), and in a
-// paper-scale 1000 m one.
-func TestWalkerMatchesReference(t *testing.T) {
-	const slots = 2000
-	bits := func(w *Walker) [4]uint64 {
-		return [4]uint64{math.Float64bits(w.pos.X), math.Float64bits(w.pos.Y), math.Float64bits(w.speed), math.Float64bits(w.heading)}
+// walkerMismatch returns "" when walker i of pop holds ref's position,
+// speed and heading bit for bit, and a description otherwise.
+func walkerMismatch(pop *Population, i int, ref *refWalker) string {
+	got := [4]uint64{math.Float64bits(pop.pos[i].X), math.Float64bits(pop.pos[i].Y), math.Float64bits(pop.speed[i]), math.Float64bits(pop.heading[i])}
+	want := [4]uint64{math.Float64bits(ref.pos.X), math.Float64bits(ref.pos.Y), math.Float64bits(ref.speed), math.Float64bits(ref.heading)}
+	if got == want {
+		return ""
 	}
+	return fmt.Sprintf("walker %d: (x, y, speed, heading) bits %#x, reference %#x", i, got, want)
+}
+
+// walkAgainstReference draws a population of n walkers in area from seed's
+// "mobility" stream, steps it slots times by dtS on seed's "walk" stream
+// and refStep on a twin, walker by walker in order, and fails on the first
+// walker whose bits differ, or if the two walk streams end at different
+// places. It returns the reference's bounce count.
+func walkAgainstReference(t testing.TB, seed uint64, n int, area geom.Area, slots int, dtS float64) int {
+	t.Helper()
+	positions := area.SamplePoints(rng.New(seed), n)
+	pop, err := NewPopulation(area, positions, rng.New(seed).Split("mobility"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := newRefWalkers(t, positions, rng.New(seed).Split("mobility"))
+	for i := range refs {
+		if msg := walkerMismatch(pop, i, &refs[i]); msg != "" {
+			t.Fatalf("%d walkers, %v m, before the first slot: %s", n, area.Side, msg)
+		}
+	}
+	src, refSrc := rng.New(seed).Split("walk"), rng.New(seed).Split("walk")
+	bounces := 0
+	for slot := 0; slot < slots; slot++ {
+		if err := pop.Step(dtS, src); err != nil {
+			t.Fatal(err)
+		}
+		for i := range refs {
+			if refStep(&refs[i], dtS, area, refSrc) {
+				bounces++
+			}
+			if msg := walkerMismatch(pop, i, &refs[i]); msg != "" {
+				t.Fatalf("%d walkers, %v m, %v s, slot %d: %s", n, area.Side, dtS, slot, msg)
+			}
+		}
+	}
+	if got, want := src.Uint64(), refSrc.Uint64(); got != want {
+		t.Fatalf("%d walkers, %v m: the walk stream's next word is %#x, the reference's %#x", n, area.Side, got, want)
+	}
+	return bounces
+}
+
+// TestPopulationStepMatchesReference steps populations of sizes around the
+// chunk length side by side with refStep, walker by walker, and compares
+// positions, speeds and headings bit for bit after every slot: in a 50 m
+// area, where over a third of the slots bounce, and in a paper-scale 1000 m
+// one. Both must leave the walk stream at the same place.
+func TestPopulationStepMatchesReference(t *testing.T) {
+	const slots = 2000
+	sizes := []int{1, walkChunk - 1, walkChunk, walkChunk + 1, 2*walkChunk + 7}
 	for _, side := range []float64{50, 1000} {
 		area, err := geom.NewArea(side)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounces := 0
-		for _, class := range []Class{Pedestrian, Bike, Vehicle} {
-			seed := uint64(side) + uint64(class)
-			init := rng.New(seed)
-			w, err := NewWalker(area.SamplePoint(init), class, init)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := *w
-			src, refSrc := rng.New(seed).Split("walk"), rng.New(seed).Split("walk")
-			for slot := 0; slot < slots; slot++ {
-				w.step(5, area, src)
-				if refStep(&ref, 5, area, refSrc) {
-					bounces++
-				}
-				if got, want := bits(w), bits(&ref); got != want {
-					t.Fatalf("%v m, %s, slot %d: (x, y, speed, heading) bits %#x, reference %#x", side, class, slot, got, want)
-				}
-			}
+		bounces, walkerSlots := 0, 0
+		for _, n := range sizes {
+			bounces += walkAgainstReference(t, uint64(side)+uint64(n), n, area, slots, 5)
+			walkerSlots += n * slots
 		}
-		if side == 50 && bounces < slots {
-			t.Fatalf("%v m area: only %d of %d slots bounced, want a third", side, bounces, 3*slots)
+		if side == 50 && 3*bounces < walkerSlots {
+			t.Fatalf("%v m area: only %d of %d walker-slots bounced, want a third", side, bounces, walkerSlots)
 		}
 	}
+}
+
+// FuzzPopulationStep checks Population.Step against refStep bit for bit on
+// arbitrary seeds, population sizes from 1 to 3·walkChunk+1, area sides,
+// slot counts and slot lengths in (0, 1200] s.
+func FuzzPopulationStep(f *testing.F) {
+	f.Add(uint64(1), uint16(0), 1000.0, uint8(10), 5.0)
+	f.Add(uint64(2), uint16(walkChunk), 50.0, uint8(40), 5.0)
+	f.Add(uint64(3), uint16(2*walkChunk+7), 1264.9, uint8(3), 1200.0)
+	f.Add(uint64(4), uint16(3*walkChunk), 1e-3, uint8(5), 0.25)
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, side float64, slots uint8, dtS float64) {
+		n := 1 + int(size)%(3*walkChunk+1)
+		side = math.Abs(side)
+		if side > 1e5 {
+			side = math.Mod(side, 1e5)
+		}
+		area, err := geom.NewArea(side)
+		if err != nil {
+			return
+		}
+		dtS = math.Abs(dtS)
+		if dtS > 1200 {
+			dtS = math.Mod(dtS, 1200)
+		}
+		if !(dtS > 0) {
+			return
+		}
+		walkAgainstReference(t, seed, n, area, 1+int(slots)%32, dtS)
+	})
 }
 
 func TestPopulation(t *testing.T) {
@@ -242,8 +351,10 @@ func TestPopulation(t *testing.T) {
 		t.Fatalf("len %d", pop.Len())
 	}
 	// Classes cycle: pedestrian, bike, vehicle, pedestrian, ...
-	if pop.walkers[0].class != Pedestrian || pop.walkers[1].class != Bike || pop.walkers[2].class != Vehicle {
-		t.Fatal("class cycling broken")
+	for i, class := range []Class{Pedestrian, Bike, Vehicle, Pedestrian} {
+		if want, err := PaperParams(class); err != nil || pop.params[pop.class[i]] != want {
+			t.Fatalf("walker %d is not a %s: %v", i, class, err)
+		}
 	}
 	before := pop.Positions()
 	if err := pop.Step(5, src); err != nil {
@@ -271,27 +382,28 @@ func TestPopulationEmpty(t *testing.T) {
 	}
 }
 
-// Property: after arbitrary step sequences walkers remain inside the area
-// with bounded speed.
+// Property: after arbitrary step sequences walkers of every class remain
+// inside the area with bounded speed.
 func TestWalkerInvariantProperty(t *testing.T) {
 	area := testArea(t)
 	f := func(seed uint64, steps uint8) bool {
 		src := rng.New(seed)
-		w, err := NewWalker(area.SamplePoint(src), Bike, src)
-		if err != nil {
-			return false
-		}
-		p, err := PaperParams(Bike)
+		pop, err := NewPopulation(area, area.SamplePoints(src, 3), src)
 		if err != nil {
 			return false
 		}
 		for s := 0; s < int(steps%64)+1; s++ {
-			w.step(5, area, src)
-			if !area.Contains(w.pos) || w.speed < 0 || w.speed > p.SpeedCapMS+1e-9 {
+			if err := pop.Step(5, src); err != nil {
 				return false
 			}
-			if math.IsNaN(w.pos.X) || math.IsNaN(w.pos.Y) {
-				return false
+			for i := range pop.Len() {
+				p := classParams(t, i)
+				if !area.Contains(pop.pos[i]) || pop.speed[i] < 0 || pop.speed[i] > p.SpeedCapMS {
+					return false
+				}
+				if math.IsNaN(pop.pos[i].X) || math.IsNaN(pop.pos[i].Y) {
+					return false
+				}
 			}
 		}
 		return true

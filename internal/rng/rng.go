@@ -55,16 +55,35 @@ func splitmix64(state uint64) (uint64, uint64) {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Source) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var w uint64
+	w, r.s[0], r.s[1], r.s[2], r.s[3] = next(r.s[0], r.s[1], r.s[2], r.s[3])
+	return w
+}
+
+// Fill writes the next len(dst) words of the stream into dst, the words as
+// many Uint64 calls would return, and leaves the source where they would.
+// It keeps the state in locals across the batch, which Uint64, too large to
+// inline, cannot.
+func (r *Source) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i], s0, s1, s2, s3 = next(s0, s1, s2, s3)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// next is one xoshiro256** step: the output word of state (s0, s1, s2, s3)
+// and the state after it.
+func next(s0, s1, s2, s3 uint64) (w, n0, n1, n2, n3 uint64) {
+	w = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return w, s0, s1, s2, s3
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -159,12 +178,20 @@ func SaltSeed(seed uint64, label string) uint64 {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return UniformWord(r.Uint64(), 0, 1)
 }
 
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *Source) Uniform(lo, hi float64) float64 {
-	return lo + float64((hi-lo)*r.Float64()) // no fused multiply-add on any architecture
+	return UniformWord(r.Uint64(), lo, hi)
+}
+
+// UniformWord maps one drawn word to a uniform float64 in [lo, hi): the
+// value Uniform(lo, hi) returns when it draws w. Callers that draw a batch
+// with Fill convert it with this. At lo = 0 and hi = 1 it is Float64's
+// value, since 0 + u is u for every u in [0, 1).
+func UniformWord(w uint64, lo, hi float64) float64 {
+	return lo + float64((hi-lo)*(float64(w>>11)*(1.0/(1<<53)))) // no fused multiply-add on any architecture
 }
 
 // Intn returns a uniform int in [0, n). n must be positive.

@@ -383,3 +383,45 @@ func TestFloat64Property(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFillMatchesUint64 pins Fill to as many Uint64 calls: the same words,
+// and the stream left at the same place. UniformWord on those words must
+// give Uniform's values bit for bit, and Float64, which adds a zero lo, the
+// word's top 53 bits over 2^53, +0 included.
+func TestFillMatchesUint64(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 512} {
+		fill, one := New(uint64(n)+3), New(uint64(n)+3)
+		fill.Uint64()
+		one.Uint64()
+		words := make([]uint64, n)
+		fill.Fill(words)
+		for i, w := range words {
+			if want := one.Uint64(); w != want {
+				t.Fatalf("length %d, word %d: Fill gave %#x, Uint64 %#x", n, i, w, want)
+			}
+		}
+		if got, want := fill.Uint64(), one.Uint64(); got != want {
+			t.Fatalf("length %d: after Fill the next word is %#x, after Uint64 calls %#x", n, got, want)
+		}
+	}
+	words := make([]uint64, 512)
+	New(9).Fill(words)
+	uni := New(9)
+	bounds := [][2]float64{{0, 1}, {-0.3, 0.3}, {-math.Pi / 2, math.Pi / 2}, {5.5, 20}, {0, 1264.9}}
+	for i, w := range words {
+		b := bounds[i%len(bounds)]
+		got, want := UniformWord(w, b[0], b[1]), uni.Uniform(b[0], b[1])
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("word %d: UniformWord(%#x, %v, %v) = %v, Uniform %v", i, w, b[0], b[1], got, want)
+		}
+	}
+	fl, one := New(10), New(10)
+	for i := 0; i < 512; i++ {
+		if got, want := fl.Float64(), float64(one.Uint64()>>11)/(1<<53); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: Float64 %v, want %v", i, got, want)
+		}
+	}
+	if got := UniformWord(1<<11-1, 0, 1); math.Float64bits(got) != 0 {
+		t.Fatalf("UniformWord of a word with no top bits = %v, want +0", got)
+	}
+}

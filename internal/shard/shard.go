@@ -165,6 +165,12 @@ func (c Config) Validate() error {
 		if err := trace.CheckArrivals(c.Trace.RequestsPerUserPerHour, c.Trace.windowS(c.CheckpointMin)); err != nil {
 			return fmt.Errorf("shard: %w", err)
 		}
+		// A zero CloudRateBps selects the default serving configuration.
+		if c.Trace.Event.CloudRateBps != 0 {
+			if err := c.Trace.Event.Validate(); err != nil {
+				return fmt.Errorf("shard: %w", err)
+			}
+		}
 	}
 	if c.Mode != dynamics.Incremental && c.Mode != dynamics.Rebuild {
 		return fmt.Errorf("shard: unknown mode %d", int(c.Mode))

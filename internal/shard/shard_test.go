@@ -3,8 +3,10 @@ package shard
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"trimcaching/internal/cachesim"
 	"trimcaching/internal/dynamics"
 	"trimcaching/internal/geom"
 	"trimcaching/internal/placement"
@@ -167,6 +169,41 @@ func TestMakeGrid(t *testing.T) {
 	}
 	if got := g.cellOf(geom.Point{X: 0, Y: 0}); got != 0 {
 		t.Errorf("origin landed in cell %d, want 0", got)
+	}
+}
+
+// countingAlgorithm counts the Place calls of the algorithm it wraps.
+type countingAlgorithm struct {
+	placement.Algorithm
+	places *int
+}
+
+func (c countingAlgorithm) Place(e *placement.Evaluator, caps []int64) (*placement.Placement, error) {
+	*c.places++
+	return c.Algorithm.Place(e, caps)
+}
+
+// TestTraceServingRejectedBeforeSolve pins that NewEngine rejects an
+// invalid serving configuration in Config.Validate, before any cell solves,
+// and that the error carries one "shard:" prefix.
+func TestTraceServingRejectedBeforeSolve(t *testing.T) {
+	for _, cloudBps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		cfg := smokeShardConfig(t, 2, 1, dynamics.Incremental)
+		cfg.Trace = &TraceConfig{RequestsPerUserPerHour: 30, Event: cachesim.EventConfig{CloudRateBps: cloudBps}}
+		places := 0
+		for a := range cfg.Tracks {
+			cfg.Tracks[a].Algorithm = countingAlgorithm{cfg.Tracks[a].Algorithm, &places}
+		}
+		_, err := NewEngine(cfg, rng.New(1))
+		if err == nil {
+			t.Fatalf("cloud %v: engine built", cloudBps)
+		}
+		if places != 0 {
+			t.Errorf("cloud %v: %d Place calls before the error %q", cloudBps, places, err)
+		}
+		if n := strings.Count(err.Error(), "shard:"); n != 1 || strings.Contains(err.Error(), "dynamics:") {
+			t.Errorf("error %q carries %d \"shard:\" prefixes, want 1 and no \"dynamics:\"", err, n)
+		}
 	}
 }
 
