@@ -74,8 +74,8 @@ func (r *Source) Fill(dst []uint64) {
 
 // next is one xoshiro256** step: the output word of state (s0, s1, s2, s3)
 // and the state after it.
-func next(s0, s1, s2, s3 uint64) (w, n0, n1, n2, n3 uint64) {
-	w = rotl(s1*5, 7) * 9
+func next(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64, uint64) {
+	w := rotl(s1*5, 7) * 9
 	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
