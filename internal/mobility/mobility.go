@@ -92,6 +92,8 @@ type Population struct {
 	heading []float64
 	class   []uint8
 	words   [2 * walkChunk]uint64 // one chunk's draws, reused by every Step
+	sin     [walkChunk]float64    // the chunk's sines and cosines of heading
+	cos     [walkChunk]float64
 }
 
 // NewPopulation creates walkers at the given positions, cycling through the
@@ -165,19 +167,21 @@ func (p *Population) update(speed, heading []float64, class []uint8, words []uin
 	}
 }
 
-// move translates each walker along its heading. Only a walker that left
-// the area is folded back in, and only a bounce mirrors its heading, on the
-// axis that bounced.
+// move computes the chunk's sines and cosines of heading, then translates
+// each walker along its heading. Only a walker that left the area is
+// folded back in, and only a bounce mirrors its heading, on the axis that
+// bounced.
 func (p *Population) move(pos []geom.Point, speed, heading []float64, dtS float64) {
+	sin, cos := p.sin[:len(pos)], p.cos[:len(pos)]
+	sincos(sin, cos, heading)
 	for i := range pos {
-		sin, cos := sincos(heading[i])
 		d := speed[i] * dtS
-		next := pos[i].Add(float64(d*cos), float64(d*sin))
+		next := pos[i].Add(float64(d*cos[i]), float64(d*sin[i]))
 		if !p.area.Contains(next) {
 			var sx, sy float64
 			next, sx, sy = p.area.Reflect(next)
 			if sx < 0 || sy < 0 {
-				heading[i] = math.Atan2(sin*sy, cos*sx)
+				heading[i] = math.Atan2(sin[i]*sy, cos[i]*sx)
 			}
 		}
 		pos[i] = next

@@ -2,20 +2,22 @@ package mobility
 
 import "math"
 
-// sincos returns math.Sincos(x) bit for bit, as the standard library
-// computes it without fused multiply-adds (amd64). It is the same algorithm:
-// the same three-part π/4 reduction, the same _sin/_cos polynomials in the
-// same operation order. Only the octant handling differs: where
-// math.Sincos branches on the octant, sincos selects the swap with a mask
-// and applies the signs as sign-bit XORs. Headings spread over every
-// octant, so those branches mispredict in the walk.
+// sincos sets sin[i], cos[i] to math.Sincos(xs[i]) bit for bit for every
+// i < len(xs), as the standard library computes it without fused
+// multiply-adds (amd64). It is the same algorithm: the same three-part π/4
+// reduction, the same _sin/_cos polynomials in the same operation order.
+// Only the octant handling differs: where math.Sincos branches on the
+// octant, sincos selects the swap with a mask and applies the signs as
+// sign-bit XORs. Headings spread over every octant, so those branches
+// mispredict in the walk. It takes a slice so the walk computes a chunk's
+// sines and cosines without a call per walker.
 //
 // Every product is wrapped in an explicit float64 conversion, which the Go
 // spec makes round, so no architecture fuses it into a multiply-add.
 //
 // The port covers 0 < |x| < 2^29, where the three-part reduction is exact.
 // ±0, ±Inf, NaN and |x| ≥ 2^29 go to math.Sincos.
-func sincos(x float64) (sin, cos float64) {
+func sincos(sin, cos, xs []float64) {
 	const (
 		pi4A    = 7.85398125648498535156e-1  // 0x3fe921fb40000000, Pi/4 split into three parts
 		pi4B    = 3.77489470793079817668e-8  // 0x3e64442d00000000,
@@ -37,39 +39,43 @@ func sincos(x float64) (sin, cos float64) {
 		cos4 = -1.38888888888730564116e-3  // 0xbf56c16c16c14f91
 		cos5 = 4.16666666666665929218e-2   // 0x3fa555555555554b
 	)
-	xb := math.Float64bits(x)
-	ax := math.Float64frombits(xb &^ signBit)
-	if !(ax > 0 && ax < reduce) {
-		return math.Sincos(x)
+	sin, cos = sin[:len(xs)], cos[:len(xs)]
+	for i, x := range xs {
+		xb := math.Float64bits(x)
+		ax := math.Float64frombits(xb &^ signBit)
+		if !(ax > 0 && ax < reduce) {
+			sin[i], cos[i] = math.Sincos(x)
+			continue
+		}
+		// Signed conversions: |x|/(Pi/4) < 2^30 fits either way, and amd64
+		// converts unsigned integers to and from floats with a branch.
+		j := int64(float64(ax * (4 / math.Pi))) // integer part of |x|/(Pi/4)
+		j += j & 1                              // map zeros to origin
+		y := float64(j)
+		z := ((ax - float64(y*pi4A)) - float64(y*pi4B)) - float64(y*pi4C)
+
+		zz := float64(z * z)
+		cp := float64(cos0*zz) + cos1
+		cp = float64(cp*zz) + cos2
+		cp = float64(cp*zz) + cos3
+		cp = float64(cp*zz) + cos4
+		cp = float64(cp*zz) + cos5
+		c := (1.0 - float64(0.5*zz)) + float64(float64(zz*zz)*cp)
+		sp := float64(sin0*zz) + sin1
+		sp = float64(sp*zz) + sin2
+		sp = float64(sp*zz) + sin3
+		sp = float64(sp*zz) + sin4
+		sp = float64(sp*zz) + sin5
+		s := z + float64(float64(z*zz)*sp)
+
+		// j is even now, and q = j/2 mod 4 is the quadrant of |x|. Quadrants 1
+		// and 3 swap sine and cosine, 2 and 3 negate the sine, 1 and 2 the
+		// cosine; a negative x negates the sine once more.
+		q := uint64(j>>1) & 3
+		swap := -(q & 1) // all ones in quadrants 1 and 3
+		sb, cb := math.Float64bits(s), math.Float64bits(c)
+		sinBits := (sb&^swap | cb&swap) ^ (q>>1)<<63 ^ xb&signBit
+		cosBits := (cb&^swap | sb&swap) ^ (q>>1^q)&1<<63
+		sin[i], cos[i] = math.Float64frombits(sinBits), math.Float64frombits(cosBits)
 	}
-	// Signed conversions: |x|/(Pi/4) < 2^30 fits either way, and amd64
-	// converts unsigned integers to and from floats with a branch.
-	j := int64(float64(ax * (4 / math.Pi))) // integer part of |x|/(Pi/4)
-	j += j & 1                              // map zeros to origin
-	y := float64(j)
-	z := ((ax - float64(y*pi4A)) - float64(y*pi4B)) - float64(y*pi4C)
-
-	zz := float64(z * z)
-	cp := float64(cos0*zz) + cos1
-	cp = float64(cp*zz) + cos2
-	cp = float64(cp*zz) + cos3
-	cp = float64(cp*zz) + cos4
-	cp = float64(cp*zz) + cos5
-	c := (1.0 - float64(0.5*zz)) + float64(float64(zz*zz)*cp)
-	sp := float64(sin0*zz) + sin1
-	sp = float64(sp*zz) + sin2
-	sp = float64(sp*zz) + sin3
-	sp = float64(sp*zz) + sin4
-	sp = float64(sp*zz) + sin5
-	s := z + float64(float64(z*zz)*sp)
-
-	// j is even now, and q = j/2 mod 4 is the quadrant of |x|. Quadrants 1
-	// and 3 swap sine and cosine, 2 and 3 negate the sine, 1 and 2 the
-	// cosine; a negative x negates the sine once more.
-	q := uint64(j>>1) & 3
-	swap := -(q & 1) // all ones in quadrants 1 and 3
-	sb, cb := math.Float64bits(s), math.Float64bits(c)
-	sinBits := (sb&^swap | cb&swap) ^ (q>>1)<<63 ^ xb&signBit
-	cosBits := (cb&^swap | sb&swap) ^ (q>>1^q)&1<<63
-	return math.Float64frombits(sinBits), math.Float64frombits(cosBits)
 }

@@ -8,13 +8,15 @@ import (
 	"trimcaching/internal/rng"
 )
 
-// sincosMismatch describes how sincos(x) differs from math.Sincos(x) or
-// from math.Sin(x), math.Cos(x), or returns "" if it has their bits. The
-// references are the standard library as amd64 compiles it, without fused
-// multiply-adds. A NaN matches any NaN from math.Sin and math.Cos, which
-// return a NaN input as it came.
+// sincosMismatch describes how sincos on x alone differs from
+// math.Sincos(x) or from math.Sin(x), math.Cos(x), or returns "" if it has
+// their bits. The references are the standard library as amd64 compiles
+// it, without fused multiply-adds. A NaN matches any NaN from math.Sin and
+// math.Cos, which return a NaN input as it came.
 func sincosMismatch(x float64) string {
-	sin, cos := sincos(x)
+	var s, c [1]float64
+	sincos(s[:], c[:], []float64{x})
+	sin, cos := s[0], c[0]
 	wantSin, wantCos := math.Sincos(x)
 	if math.Float64bits(sin) != math.Float64bits(wantSin) || math.Float64bits(cos) != math.Float64bits(wantCos) {
 		return fmt.Sprintf("sincos(%v [%#016x]) = %v, %v; math.Sincos = %v, %v", x, math.Float64bits(x), sin, cos, wantSin, wantCos)
@@ -63,6 +65,16 @@ func TestSincosMatchesMath(t *testing.T) {
 	}
 	for _, x := range edges {
 		checkSincos(t, x)
+	}
+	// One call over all the edges, ports and fallbacks mixed, gives each
+	// its own result.
+	sin, cos := make([]float64, len(edges)), make([]float64, len(edges))
+	sincos(sin, cos, edges)
+	for i, x := range edges {
+		wantSin, wantCos := math.Sincos(x)
+		if math.Float64bits(sin[i]) != math.Float64bits(wantSin) || math.Float64bits(cos[i]) != math.Float64bits(wantCos) {
+			t.Fatalf("edge %d in one call: sincos(%v) = %v, %v; math.Sincos = %v, %v", i, x, sin[i], cos[i], wantSin, wantCos)
+		}
 	}
 }
 
