@@ -13,8 +13,8 @@ type Footprint struct {
 	// Reach counts both packed reachability orientations (server masks and
 	// the model-major inverted index).
 	Reach int64 `json:"reach_bytes"`
-	// Rank counts the threshold rank index (order and value rows, both
-	// orientations).
+	// Rank counts the threshold rank index (a uint16 model order per
+	// user and direction; the thresholds it sorts count under Rates).
 	Rank int64 `json:"rank_bytes"`
 	// Rates counts the average-rate table, relay rates, and QoS thresholds.
 	Rates int64 `json:"rate_bytes"`

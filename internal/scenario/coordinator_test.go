@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 
 	"trimcaching/internal/geom"
@@ -59,17 +60,18 @@ func TestGenerateCoordinatorDrawIdentity(t *testing.T) {
 				t.Fatalf("user %d model %d prob %v, want %v", k, i, gotRow[i], wantRow[i])
 			}
 		}
-		wd, wv, wr, wrv := full.UserRankRows(k)
-		gd, gv, gr, grv := coord.UserRankRows(k)
-		for j := range wd {
-			if gd[j] != wd[j] || gv[j] != wv[j] {
-				t.Fatalf("user %d direct rank row diverged at %d", k, j)
-			}
+		I := full.NumModels()
+		if !slices.Equal(coord.minDirRate[k*I:(k+1)*I], full.minDirRate[k*I:(k+1)*I]) ||
+			!slices.Equal(coord.minRelRate[k*I:(k+1)*I], full.minRelRate[k*I:(k+1)*I]) {
+			t.Fatalf("user %d thresholds diverged", k)
 		}
-		for j := range wr {
-			if gr[j] != wr[j] || grv[j] != wrv[j] {
-				t.Fatalf("user %d relay rank row diverged at %d", k, j)
-			}
+		wd, wr := full.UserRankRows(k)
+		gd, gr := coord.UserRankRows(k)
+		if !slices.Equal(gd, wd) {
+			t.Fatalf("user %d direct rank order diverged", k)
+		}
+		if !slices.Equal(gr, wr) {
+			t.Fatalf("user %d relay rank order diverged", k)
 		}
 	}
 }
@@ -104,9 +106,10 @@ func TestCoordinatorRejectsPositionState(t *testing.T) {
 }
 
 // TestCoordinatorFootprint pins what the coordinator actually saves: no
-// reachability words, no rate tables, while the rank index and workload
-// match the full instance's. This is the memory-accounting seam the K=1M
-// benchmark reports through.
+// reachability words, no rate tables, while the rank index (two uint16
+// model orders per user and model, no sorted threshold copies) and
+// workload match the full instance's. This is the memory-accounting seam
+// the K=1M benchmark reports through.
 func TestCoordinatorFootprint(t *testing.T) {
 	full, coord := coordinatorTestGen(t)
 	ff, cf := full.MemoryFootprint(), coord.MemoryFootprint()
@@ -119,8 +122,8 @@ func TestCoordinatorFootprint(t *testing.T) {
 	if cf.Rates >= ff.Rates {
 		t.Fatalf("coordinator rate bytes %d not below full instance's %d", cf.Rates, ff.Rates)
 	}
-	if cf.Rank != ff.Rank {
-		t.Fatalf("rank bytes diverged: %d vs %d", cf.Rank, ff.Rank)
+	if want := int64(4 * full.NumUsers() * full.NumModels()); cf.Rank != want || ff.Rank != want {
+		t.Fatalf("rank bytes %d (coordinator) and %d (full), want 4·K·I = %d", cf.Rank, ff.Rank, want)
 	}
 	if cf.Total() <= 0 || cf.Total() >= ff.Total() {
 		t.Fatalf("coordinator total %d, want in (0, %d)", cf.Total(), ff.Total())

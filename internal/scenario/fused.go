@@ -500,9 +500,9 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 			continue // no link, so no direct or relay verdict in any realization
 		}
 		lo := int(linkStart[k])
-		relVals := ins.flipRelVals[k*I : (k+1)*I]
+		relThr := ins.minRelRate[k*I : (k+1)*I]
 		relOrder := ins.flipRelOrder[k*I : (k+1)*I]
-		dirVals := ins.flipDirVals[k*I : (k+1)*I]
+		dirThr := ins.minDirRate[k*I : (k+1)*I]
 		dirOrder := ins.flipDirOrder[k*I : (k+1)*I]
 		probs := ins.work.ProbRow(k)
 		for a := 0; a < P; a++ {
@@ -542,7 +542,7 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 					}
 				}
 			}
-			scanRankPrefixes(events[:ne], dirVals, dirOrder, dirSnap, wi)
+			scanRankPrefixes(events[:ne], dirThr, dirOrder, dirSnap, wi)
 			userRelay := relay[k*block+r0 : k*block+r0+n]
 			ne = 0
 			for c, rate := range userRelay {
@@ -553,7 +553,7 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 					clear(relSnap[c*wi : (c+1)*wi])
 				}
 			}
-			scanRankPrefixes(events[:ne], relVals, relOrder, relSnap, wi)
+			scanRankPrefixes(events[:ne], relThr, relOrder, relSnap, wi)
 			for c, relayRate := range userRelay {
 				if relayRate <= 0 && nd[c] == 0 {
 					continue // every indicator word is zero: nothing to add
@@ -584,12 +584,12 @@ func (ins *Instance) fusedHitMassBlocked(block int, cols [][]uint64, dst []float
 }
 
 // scanRankPrefixes sorts events by ascending rate and walks one rank row
-// (models by ascending threshold, with the sorted thresholds) once. At
-// each event the prefix stops at the first threshold above the rate —
-// searchGreater's cutoff, reached by the same predicate — and the
-// prefix's model mask lands in the event's wi-word slot of snaps. Equal
-// rates share a cutoff, so their order in the sort does not matter.
-func scanRankPrefixes(events []fadeEvent, vals []float64, order []int32, snaps []uint64, wi int) {
+// (the order sorting threshold row thr) once. At each event the prefix
+// stops at the first threshold above the rate — searchGreater's cutoff,
+// reached by the same predicate — and the prefix's model mask lands in the
+// event's wi-word slot of snaps. Equal rates share a cutoff, so their
+// order in the sort does not matter.
+func scanRankPrefixes(events []fadeEvent, thr []float64, order []uint16, snaps []uint64, wi int) {
 	for x := 1; x < len(events); x++ {
 		e, y := events[x], x
 		for ; y > 0 && events[y-1].rate > e.rate; y-- {
@@ -597,7 +597,6 @@ func scanRankPrefixes(events []fadeEvent, vals []float64, order []int32, snaps [
 		}
 		events[y] = e
 	}
-	order = order[:len(vals)]
 	p, prev := 0, []uint64(nil)
 	for _, e := range events {
 		snap := snaps[e.slot*wi : (e.slot+1)*wi]
@@ -606,7 +605,7 @@ func scanRankPrefixes(events []fadeEvent, vals []float64, order []int32, snaps [
 		} else {
 			copy(snap, prev)
 		}
-		for ; p < len(vals) && !(vals[p] > e.rate); p++ {
+		for ; p < len(order) && !(thr[order[p]] > e.rate); p++ {
 			i := order[p]
 			snap[i>>6] |= 1 << uint(i&63)
 		}

@@ -302,19 +302,20 @@ func TestFadeScratchRejectsOtherServerCount(t *testing.T) {
 }
 
 // TestRankIndexBuiltAtConstruction pins the construction-time rank index:
-// a fresh instance must expose sorted per-user rank rows without any
-// in-place update having run.
+// a fresh instance must expose per-user rank rows that sort the user's
+// thresholds without any in-place update having run.
 func TestRankIndexBuiltAtConstruction(t *testing.T) {
 	ins := buildInstance(t, 6, 12, 3, 50)
 	I := ins.NumModels()
 	for k := 0; k < ins.NumUsers(); k++ {
-		do, dv, ro, rv := ins.UserRankRows(k)
-		if len(do) != I || len(dv) != I || len(ro) != I || len(rv) != I {
-			t.Fatalf("user %d: rank rows %d/%d/%d/%d, want %d", k, len(do), len(dv), len(ro), len(rv), I)
+		do, ro := ins.UserRankRows(k)
+		if len(do) != I || len(ro) != I {
+			t.Fatalf("user %d: rank rows %d/%d, want %d", k, len(do), len(ro), I)
 		}
+		dt, rt := ins.minDirRate[k*I:(k+1)*I], ins.minRelRate[k*I:(k+1)*I]
 		for j := 1; j < I; j++ {
-			if dv[j] < dv[j-1] || rv[j] < rv[j-1] {
-				t.Fatalf("user %d: rank values not ascending at %d", k, j)
+			if dt[do[j]] < dt[do[j-1]] || rt[ro[j]] < rt[ro[j-1]] {
+				t.Fatalf("user %d: thresholds not ascending through the order at rank %d", k, j)
 			}
 		}
 	}

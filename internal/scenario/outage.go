@@ -22,15 +22,16 @@ import (
 	"trimcaching/internal/bitset"
 )
 
-// searchGreater returns the first index j with vals[j] > x in an ascending
-// slice — the rank-prefix cutoff |{j : vals[j] ≤ x}| of the verdicts a rate
-// x qualifies. Equivalent to sort.Search over the same predicate, inlined
-// off the closure path for the outage refresh's per-user loop.
-func searchGreater(vals []float64, x float64) int {
-	lo, hi := 0, len(vals)
+// searchGreater returns the first rank j with thr[order[j]] > x in a rank
+// row order that sorts thr ascending — the rank-prefix cutoff
+// |{j : thr[order[j]] ≤ x}| of the verdicts a rate x qualifies. It is the
+// one cutoff search: the flip ranges, the outage refresh and the fused
+// kernel's prefix walk all stop at the same predicate.
+func searchGreater(thr []float64, order []uint16, x float64) int {
+	lo, hi := 0, len(order)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if vals[mid] > x {
+		if thr[order[mid]] > x {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -173,8 +174,8 @@ func (ins *Instance) SetServersDown(servers []int, down bool) (*Delta, error) {
 		if relay <= 0 {
 			continue // uncovered: all rows are zero and stay zero
 		}
-		cut := searchGreater(ins.flipRelVals[k*I:(k+1)*I], relay)
 		relOrder := ins.flipRelOrder[k*I : (k+1)*I]
+		cut := searchGreater(ins.minRelRate[k*I:(k+1)*I], relOrder, relay)
 		rows := ins.reachSrv[k*I*sw : (k+1)*I*sw]
 		for j := 0; j < cut; j++ {
 			i := int(relOrder[j])

@@ -12,7 +12,6 @@ import (
 	mbits "math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"trimcaching/internal/bitset"
@@ -119,25 +118,26 @@ type Instance struct {
 	// index — a rate change old→new flips exactly the verdicts whose
 	// threshold lies between them, two binary searches instead of an
 	// I-element rescan — and the fused measurement kernel enumerates
-	// qualifying verdicts as rank prefixes of the same rows.
-	flipDirOrder []int32   // flipDirOrder[k*I+j]: model at rank j of user k's direct thresholds
-	flipDirVals  []float64 // flipDirVals[k*I+j] = minDirRate[k, flipDirOrder[k*I+j]]
-	flipRelOrder []int32
-	flipRelVals  []float64
+	// qualifying verdicts as rank prefixes of the same rows, reading the
+	// sorted thresholds through the order from minDirRate/minRelRate.
+	flipDirOrder []uint16 // flipDirOrder[k*I+j]: model at rank j of user k's direct thresholds
+	flipRelOrder []uint16
 
 	// rankProvider optionally supplies precomputed rank rows instead of the
 	// O(I log I) per-user sort (see NewRanked).
 	rankProvider RankProvider
 }
 
-// RankProvider fills user k's rank rows (dirOrder/dirVals and
-// relOrder/relVals, each I long) from an external source and reports
-// whether it did. The filled rows must be exactly what buildRankRow would
-// produce from the user's current thresholds — the shard layer satisfies
-// this by copying the global instance's rows for the bound user, whose
-// thresholds are identical by construction. Returning false falls back to
-// the sort.
-type RankProvider func(k int, dirOrder []int32, dirVals []float64, relOrder []int32, relVals []float64) bool
+// maxModels is the largest library the uint16 rank orders can index.
+const maxModels = 1 << 16
+
+// RankProvider fills user k's rank rows (dirOrder and relOrder, each I
+// long) from an external source and reports whether it did. The filled
+// rows must sort the user's current thresholds exactly as buildRankRow
+// would — the shard layer satisfies this by copying the global instance's
+// rows for the bound user, whose thresholds are identical by construction.
+// Returning false falls back to the sort.
+type RankProvider func(k int, dirOrder, relOrder []uint16) bool
 
 // New validates the components and precomputes rates, latencies, and I1.
 func New(topo *topology.Topology, lib *modellib.Library, work *workload.Workload, wcfg wireless.Config) (*Instance, error) {
@@ -192,6 +192,10 @@ func newInstance(topo *topology.Topology, lib *modellib.Library, work *workload.
 	if work.NumModels() != lib.NumModels() {
 		return nil, fmt.Errorf("scenario: workload has %d models, library has %d",
 			work.NumModels(), lib.NumModels())
+	}
+	if lib.NumModels() > maxModels {
+		return nil, fmt.Errorf("scenario: library has %d models, the rank index holds at most %d",
+			lib.NumModels(), maxModels)
 	}
 	if math.Abs(wcfg.CoverageRadiusM-topo.CoverageRadius()) > 1e-9 {
 		return nil, fmt.Errorf("scenario: wireless coverage radius %v differs from topology's %v",
@@ -784,10 +788,8 @@ func (ins *Instance) updateUser(k int, oldCovering []int, w *updWorker) error {
 // provider short-circuits the per-user sorts.
 func (ins *Instance) buildFlipIndex() {
 	K, I := ins.NumUsers(), ins.NumModels()
-	ins.flipDirOrder = make([]int32, K*I)
-	ins.flipDirVals = make([]float64, K*I)
-	ins.flipRelOrder = make([]int32, K*I)
-	ins.flipRelVals = make([]float64, K*I)
+	ins.flipDirOrder = make([]uint16, K*I)
+	ins.flipRelOrder = make([]uint16, K*I)
 	if ins.rankProvider != nil {
 		ins.rankBuf = make([]rankPair, I)
 		for k := 0; k < K; k++ {
@@ -795,23 +797,20 @@ func (ins *Instance) buildFlipIndex() {
 		}
 		return
 	}
-	buildRanks(ins.flipDirOrder, ins.flipDirVals, ins.minDirRate, K, I)
-	buildRanks(ins.flipRelOrder, ins.flipRelVals, ins.minRelRate, K, I)
+	buildRanks(ins.flipDirOrder, ins.minDirRate, K, I)
+	buildRanks(ins.flipRelOrder, ins.minRelRate, K, I)
 }
 
 // fillRankRows fills user k's rank rows through the provider when it can,
 // sorting otherwise. The flip index and rankBuf must exist.
 func (ins *Instance) fillRankRows(k int) {
 	I := ins.NumModels()
-	do := ins.flipDirOrder[k*I : (k+1)*I]
-	dv := ins.flipDirVals[k*I : (k+1)*I]
-	ro := ins.flipRelOrder[k*I : (k+1)*I]
-	rv := ins.flipRelVals[k*I : (k+1)*I]
-	if ins.rankProvider != nil && ins.rankProvider(k, do, dv, ro, rv) {
+	do, ro := ins.UserRankRows(k)
+	if ins.rankProvider != nil && ins.rankProvider(k, do, ro) {
 		return
 	}
-	buildRankRow(do, dv, ins.minDirRate[k*I:(k+1)*I], ins.rankBuf)
-	buildRankRow(ro, rv, ins.minRelRate[k*I:(k+1)*I], ins.rankBuf)
+	buildRankRow(do, ins.minDirRate[k*I:(k+1)*I], ins.rankBuf)
+	buildRankRow(ro, ins.minRelRate[k*I:(k+1)*I], ins.rankBuf)
 }
 
 // SetUpdateWorkers bounds the parallel user-update phase of ReviseUsers;
@@ -821,39 +820,37 @@ func (ins *Instance) fillRankRows(k int) {
 func (ins *Instance) SetUpdateWorkers(n int) { ins.updMaxWorkers = n }
 
 // UserRankRows returns user k's rank rows — models by ascending direct and
-// relay rate threshold with the matching sorted values. The index exists
-// from construction. The slices alias internal state; treat as read-only.
-func (ins *Instance) UserRankRows(k int) (dirOrder []int32, dirVals []float64, relOrder []int32, relVals []float64) {
+// relay rate threshold. The index exists from construction. The slices
+// alias internal state; treat as read-only.
+func (ins *Instance) UserRankRows(k int) (dirOrder, relOrder []uint16) {
 	I := ins.NumModels()
-	return ins.flipDirOrder[k*I : (k+1)*I], ins.flipDirVals[k*I : (k+1)*I],
-		ins.flipRelOrder[k*I : (k+1)*I], ins.flipRelVals[k*I : (k+1)*I]
+	return ins.flipDirOrder[k*I : (k+1)*I], ins.flipRelOrder[k*I : (k+1)*I]
 }
 
 // rankPair is one (threshold, model) entry of the rank index build.
 type rankPair struct {
 	v float64
-	i int32
+	i uint16
 }
 
 // buildRanks fills, per user, the model permutation sorted by ascending
-// threshold and the matching sorted threshold values. Ties order
-// arbitrarily: every consumer (flip ranges, rank prefix cutoffs) selects
-// by value boundary, so equal-threshold models are always taken as a
-// block. Sorting (value, index) pairs through slices.SortFunc keeps the
-// comparator inlined — sort.Slice's reflection-based swapper tripled the
-// one-time index cost at LoRA scale.
-func buildRanks(order []int32, vals, thresholds []float64, K, I int) {
+// threshold. Ties order arbitrarily: every consumer (flip ranges, rank
+// prefix cutoffs) selects by value boundary, so equal-threshold models are
+// always taken as a block. Sorting (value, index) pairs through
+// slices.SortFunc keeps the comparator inlined — sort.Slice's
+// reflection-based swapper tripled the one-time index cost at LoRA scale.
+func buildRanks(order []uint16, thresholds []float64, K, I int) {
 	pairs := make([]rankPair, I)
 	for k := 0; k < K; k++ {
-		buildRankRow(order[k*I:(k+1)*I], vals[k*I:(k+1)*I], thresholds[k*I:(k+1)*I], pairs)
+		buildRankRow(order[k*I:(k+1)*I], thresholds[k*I:(k+1)*I], pairs)
 	}
 }
 
 // buildRankRow fills one user's rank row from its threshold row; pairs is
 // an I-element scratch.
-func buildRankRow(order []int32, vals, thresholds []float64, pairs []rankPair) {
+func buildRankRow(order []uint16, thresholds []float64, pairs []rankPair) {
 	for j := range pairs {
-		pairs[j] = rankPair{v: thresholds[j], i: int32(j)}
+		pairs[j] = rankPair{v: thresholds[j], i: uint16(j)}
 	}
 	slices.SortFunc(pairs, func(a, b rankPair) int {
 		switch {
@@ -867,22 +864,21 @@ func buildRankRow(order []int32, vals, thresholds []float64, pairs []rankPair) {
 	})
 	for j, p := range pairs {
 		order[j] = p.i
-		vals[j] = p.v
 	}
 }
 
 // flipRange returns the rank interval [lo, hi) of thresholds crossed by a
-// rate change old→new: thresholds t with min(old,new) < t ≤ max(old,new).
-// Exactly these verdicts (rate ≥ t) flip; rising rates set them, falling
-// rates clear them.
-func flipRange(vals []float64, oldRate, newRate float64) (lo, hi int, set bool) {
+// rate change old→new: thresholds t with min(old,new) < t ≤ max(old,new),
+// in the rank row order that sorts thr. Exactly these verdicts (rate ≥ t)
+// flip; rising rates set them, falling rates clear them.
+func flipRange(thr []float64, order []uint16, oldRate, newRate float64) (lo, hi int, set bool) {
 	a, b := oldRate, newRate
 	set = newRate > oldRate
 	if !set {
 		a, b = b, a
 	}
-	lo = sort.Search(len(vals), func(j int) bool { return vals[j] > a })
-	hi = lo + sort.Search(len(vals)-lo, func(j int) bool { return vals[lo+j] > b })
+	lo = searchGreater(thr, order, a)
+	hi = lo + searchGreater(thr, order[lo:], b)
 	return lo, hi, set
 }
 
@@ -909,9 +905,8 @@ func (ins *Instance) flipUserRows(k int, covering []int, oldRelay, newRelay floa
 		nonCov := bitset.Set(w.rows[:sw]) // borrow row scratch for the mask
 		nonCov.CopyFrom(bitset.Set(ins.updFullRow))
 		nonCov.AndNot(cov)
-		relVals := ins.flipRelVals[k*I : (k+1)*I]
 		relOrder := ins.flipRelOrder[k*I : (k+1)*I]
-		lo, hi, set := flipRange(relVals, oldRelay, newRelay)
+		lo, hi, set := flipRange(ins.minRelRate[k*I:(k+1)*I], relOrder, oldRelay, newRelay)
 		for j := lo; j < hi; j++ {
 			i := int(relOrder[j])
 			row := bitset.Set(rows[i*sw : (i+1)*sw])
@@ -933,7 +928,7 @@ func (ins *Instance) flipUserRows(k int, covering []int, oldRelay, newRelay floa
 		}
 	}
 
-	dirVals := ins.flipDirVals[k*I : (k+1)*I]
+	dirThr := ins.minDirRate[k*I : (k+1)*I]
 	dirOrder := ins.flipDirOrder[k*I : (k+1)*I]
 	for _, m := range covering {
 		oldRate, newRate := w.oldRate[m], ins.avgRate[m*K+k]
@@ -941,7 +936,7 @@ func (ins *Instance) flipUserRows(k int, covering []int, oldRelay, newRelay floa
 			continue
 		}
 		mw, mb := m>>6, uint64(1)<<uint(m&63)
-		lo, hi, set := flipRange(dirVals, oldRate, newRate)
+		lo, hi, set := flipRange(dirThr, dirOrder, oldRate, newRate)
 		for j := lo; j < hi; j++ {
 			i := int(dirOrder[j])
 			if ins.capBlock != nil && ins.capBlock[i*sw+mw]&mb != 0 {
@@ -983,24 +978,31 @@ func (ins *Instance) recomputeUserRows(k int, covering []int, w *updWorker, trac
 		}
 	}
 	if sw == 1 {
-		fullWord := ins.updFullRow[0]
-		if relay <= 0 {
-			fullWord = 0 // relay verdict constant-false; compare below can't pass
+		// A positive-rate covering server's bit is its direct verdict and
+		// every other bit the relay broadcast, so both verdicts are selects.
+		var base uint64
+		if relay > 0 {
+			base = ins.updFullRow[0]
+			for _, b := range dirBits {
+				base &^= b
+			}
 		}
+		dirBits = dirBits[:len(dirRates)]
 		capBlock := ins.capBlock
 		rows := ins.reachSrv[k*I : (k+1)*I : (k+1)*I]
 		minRel, minDir := minRel[:len(rows)], minDir[:len(rows)]
 		for i := range rows {
-			var word uint64
-			if relay >= minRel[i] {
-				word = fullWord
+			word := base
+			if !(relay >= minRel[i]) {
+				word = 0
 			}
+			mi := minDir[i]
 			for j, direct := range dirRates {
-				if direct >= minDir[i] {
-					word |= dirBits[j]
-				} else {
-					word &^= dirBits[j]
+				b := dirBits[j]
+				if !(direct >= mi) {
+					b = 0
 				}
+				word |= b
 			}
 			if capBlock != nil {
 				word &^= capBlock[i]
@@ -1031,8 +1033,7 @@ func (ins *Instance) recomputeUserRows(k int, covering []int, w *updWorker, trac
 func (ins *Instance) MemoryFootprint() memprof.Footprint {
 	var f memprof.Footprint
 	f.Reach = int64(cap(ins.reachSrv)+cap(ins.reachUsr)) * 8
-	f.Rank = int64(cap(ins.flipDirOrder)+cap(ins.flipRelOrder))*4 +
-		int64(cap(ins.flipDirVals)+cap(ins.flipRelVals))*8
+	f.Rank = int64(cap(ins.flipDirOrder)+cap(ins.flipRelOrder)) * 2
 	f.Rates = int64(cap(ins.avgRate)+cap(ins.bestRelay)+cap(ins.minDirRate)+cap(ins.minRelRate)+cap(ins.sizeBits)) * 8
 	for m := range ins.shadow {
 		f.Rates += int64(cap(ins.shadow[m])) * 8

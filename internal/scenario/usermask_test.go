@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"trimcaching/internal/bitset"
@@ -167,58 +168,73 @@ func FuzzTranspose64(f *testing.F) {
 	})
 }
 
+// checkpointShapes are the operating points of cmd/bench's mobility-fading
+// (M = 16, K = 6000, I = 250) and fault-churn (M = 36, K = 500, I = 1000)
+// workloads.
+var checkpointShapes = []struct {
+	name                 string
+	servers, users, lora int
+	activeProb, backhaul float64
+}{
+	{"mobility-fading", 16, 6000, 250, 0.04, 1e9},
+	{"fault-churn", 36, 500, 1000, 0.02, 1e8},
+}
+
+// walkedCheckpoint builds the instance of checkpointShapes[c] and walks
+// its users through one ten-minute checkpoint (120 slots of 5 s). It
+// returns the instance, still at the starting positions, the starting
+// positions and the walked ones.
+func walkedCheckpoint(b *testing.B, c int) (*Instance, []geom.Point, []geom.Point) {
+	b.Helper()
+	shape := checkpointShapes[c]
+	lcfg := libgen.DefaultLoRAConfig(shape.lora)
+	lcfg.FoundationParams = 1_000_000_000
+	lib, err := libgen.GenerateLoRA(lcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := wireless.DefaultConfig()
+	w.BackhaulBps = shape.backhaul
+	w.ActiveProb = shape.activeProb
+	wl := workload.DefaultConfig()
+	wl.DeadlineMinS, wl.DeadlineMaxS = 60, 180
+	wl.InferMinS, wl.InferMaxS = 1, 5
+	side := 1000 * math.Sqrt(float64(shape.servers)/10)
+	src := rng.New(1)
+	ins, err := Generate(lib, GenConfig{
+		Topology: topology.Config{AreaSideM: side, NumServers: shape.servers, NumUsers: shape.users, CoverageRadiusM: w.CoverageRadiusM, ServerLayout: topology.LayoutGrid},
+		Wireless: w,
+		Workload: wl,
+	}, src.Split("instance"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := ins.Topology().UserPositions()
+	pop, err := mobility.NewPopulation(ins.Topology().Area(), start, src.Split("mobility"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	walk := src.Split("walk")
+	for s := 0; s < 120; s++ {
+		if err := pop.Step(5, walk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ins, start, slices.Clone(pop.Positions())
+}
+
 // BenchmarkUserMaskSync times one derivation of the user masks after a
 // checkpoint's ReviseUsers — a ten-minute walk of every user — at the
-// operating points of cmd/bench's mobility-fading (M = 16, K = 6000,
-// I = 250) and fault-churn (M = 36, K = 500, I = 1000) workloads. It
-// reports the cost per (user, model).
+// checkpointShapes. It reports the cost per (user, model).
 func BenchmarkUserMaskSync(b *testing.B) {
-	for _, c := range []struct {
-		name                 string
-		servers, users, lora int
-		activeProb, backhaul float64
-	}{
-		{"mobility-fading", 16, 6000, 250, 0.04, 1e9},
-		{"fault-churn", 36, 500, 1000, 0.02, 1e8},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			lcfg := libgen.DefaultLoRAConfig(c.lora)
-			lcfg.FoundationParams = 1_000_000_000
-			lib, err := libgen.GenerateLoRA(lcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := wireless.DefaultConfig()
-			w.BackhaulBps = c.backhaul
-			w.ActiveProb = c.activeProb
-			wl := workload.DefaultConfig()
-			wl.DeadlineMinS, wl.DeadlineMaxS = 60, 180
-			wl.InferMinS, wl.InferMaxS = 1, 5
-			side := 1000 * math.Sqrt(float64(c.servers)/10)
-			src := rng.New(1)
-			ins, err := Generate(lib, GenConfig{
-				Topology: topology.Config{AreaSideM: side, NumServers: c.servers, NumUsers: c.users, CoverageRadiusM: w.CoverageRadiusM, ServerLayout: topology.LayoutGrid},
-				Wireless: w,
-				Workload: wl,
-			}, src.Split("instance"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			pop, err := mobility.NewPopulation(ins.Topology().Area(), ins.Topology().UserPositions(), src.Split("mobility"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			walk := src.Split("walk")
-			for s := 0; s < 120; s++ {
-				if err := pop.Step(5, walk); err != nil {
-					b.Fatal(err)
-				}
-			}
-			all := make([]int, c.users)
+	for c, shape := range checkpointShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			ins, _, walked := walkedCheckpoint(b, c)
+			all := make([]int, shape.users)
 			for k := range all {
 				all[k] = k
 			}
-			if _, err := ins.ReviseUsers(nil, nil, all, pop.Positions()); err != nil {
+			if _, err := ins.ReviseUsers(nil, nil, all, walked); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -226,7 +242,49 @@ func BenchmarkUserMaskSync(b *testing.B) {
 				ins.usrStale = true
 				ins.UserMask(0, 0)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.users*c.lora), "ns/user-model")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.users*shape.lora), "ns/user-model")
+		})
+	}
+}
+
+// BenchmarkReviseUsers times one checkpoint's ReviseUsers at one update
+// worker, at the checkpointShapes: every user moves from its starting to
+// its walked position, or back. It reports the cost per recomputed user —
+// one whose coverage changed, so the refresh re-derives its reach rows
+// rather than flipping the crossed verdicts — the same count both ways.
+func BenchmarkReviseUsers(b *testing.B) {
+	for c, shape := range checkpointShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			ins, start, walked := walkedCheckpoint(b, c)
+			ins.SetUpdateWorkers(1)
+			all := make([]int, shape.users)
+			for k := range all {
+				all[k] = k
+			}
+			before := make([][]int, shape.users)
+			for k := range before {
+				before[k] = slices.Clone(ins.Topology().ServersCovering(k))
+			}
+			if _, err := ins.ReviseUsers(nil, nil, all, walked); err != nil {
+				b.Fatal(err)
+			}
+			recomputed := 0
+			for k := range before {
+				if !slices.Equal(before[k], ins.Topology().ServersCovering(k)) {
+					recomputed++
+				}
+			}
+			if recomputed == 0 {
+				b.Fatal("the walk changed no user's coverage")
+			}
+			targets := [2][]geom.Point{start, walked}
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				if _, err := ins.ReviseUsers(nil, nil, all, targets[it%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*recomputed), "ns/recomputed-user")
 		})
 	}
 }

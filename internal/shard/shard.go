@@ -599,16 +599,14 @@ func (e *Engine) buildCell(sh *cell, locals []int) error {
 	// (parked) slots fall back to the sort.
 	var provider scenario.RankProvider
 	if e.cfg.Shards > 1 {
-		provider = func(slot int, do []int32, dv []float64, ro []int32, rv []float64) bool {
+		provider = func(slot int, do, ro []uint16) bool {
 			g := sh.slots[slot]
 			if g < 0 {
 				return false
 			}
-			gdo, gdv, gro, grv := ins.UserRankRows(int(g))
+			gdo, gro := ins.UserRankRows(int(g))
 			copy(do, gdo)
-			copy(dv, gdv)
 			copy(ro, gro)
-			copy(rv, grv)
 			return true
 		}
 	}
