@@ -48,6 +48,7 @@ import (
 
 	"trimcaching/internal/dynamics"
 	"trimcaching/internal/placement"
+	"trimcaching/internal/pool"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/sim"
 )
@@ -442,10 +443,7 @@ func benchMeasurement(out *kernelPhase, warmEngine func(dynamics.Mode) (*dynamic
 	}
 	// Mirror the session's auto split: GOMAXPROCS workers clamped to the
 	// realization count, realizations divided evenly across them.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > realizations {
-		workers = realizations
-	}
+	workers := pool.Size(0, realizations)
 	out.Ops = ops
 	out.Realizations = realizations
 	out.BlockSize = (realizations + workers - 1) / workers

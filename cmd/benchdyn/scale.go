@@ -10,9 +10,9 @@ package main
 // throughput, bytes pinned per user with the full by-component footprint
 // breakdown (the MemoryFootprint seam threaded up from the instances,
 // evaluators, and cells), steady-state heap allocations per checkpoint
-// (runtime Mallocs delta over the timed window; the worker pools' goroutine
-// spawns keep it nonzero at Workers >= 2, and the pooled refresh/handoff
-// path keeps it tiny), and the process's peak RSS.
+// (runtime Mallocs delta over the timed window: per-user coverage rows and
+// cell ref lists still outgrowing their capacity, and cell grows; the worker
+// pool adds 2 per parallel call), and the process's peak RSS.
 
 import (
 	"fmt"
@@ -62,9 +62,11 @@ type scaleRun struct {
 	// AllocsPerCheckpoint is the steady-state heap allocation count per
 	// timed checkpoint (Mallocs delta / checkpoints). The zero-allocation
 	// contract is pinned at Workers = 1 by the AllocsPerRun regression
-	// tests; at Workers >= 2 the residue is the worker pools' goroutine
-	// machinery, so a healthy row is small but never zero — the schema
-	// validator rejects 0 as broken accounting.
+	// tests on a smoke config. At scale, per-user high-water marks still
+	// grow in the timed window — coverage rows in MoveUsersInPlace, cell
+	// grows, the plan's ref lists — at Workers = 1 and 2 alike, while the
+	// worker pool adds 2 per parallel call. The schema validator rejects 0
+	// as broken accounting.
 	AllocsPerCheckpoint float64 `json:"allocs_per_checkpoint"`
 	// FootprintTotalBytes is the accounted footprint's component sum;
 	// Footprint is its by-component breakdown.

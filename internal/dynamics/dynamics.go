@@ -188,12 +188,18 @@ func (c Config) Validate() error {
 	if c.Measurement == nil && c.Realizations <= 0 {
 		return fmt.Errorf("dynamics: Realizations must be positive")
 	}
+	if c.Workers < 0 {
+		return fmt.Errorf("dynamics: Workers must be >= 0, got %d", c.Workers)
+	}
 	// The measurements' own parameters are checked here too, so a bad
 	// value fails before the t = 0 solve rather than in the first Measure.
 	switch m := c.Measurement.(type) {
 	case *FadingMeasurement:
 		if m.Realizations <= 0 {
 			return fmt.Errorf("dynamics: FadingMeasurement.Realizations must be positive, got %d", m.Realizations)
+		}
+		if m.Workers < 0 {
+			return fmt.Errorf("dynamics: FadingMeasurement.Workers must be >= 0, got %d", m.Workers)
 		}
 	case *TraceMeasurement:
 		if err := trace.CheckArrivals(m.RequestsPerUserPerHour, m.WindowS); err != nil {

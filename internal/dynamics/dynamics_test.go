@@ -186,7 +186,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SlotS = 1300 }, // rounds to no slot per 10 min checkpoint
 		func(c *Config) { c.SlotS = math.NaN() },
 		func(c *Config) { c.Realizations = 0 },
+		func(c *Config) { c.Workers = -1 },
 		func(c *Config) { c.Measurement = &FadingMeasurement{} },
+		func(c *Config) { c.Measurement = &FadingMeasurement{Realizations: 4, Workers: -1} },
 		func(c *Config) { c.Measurement = &TraceMeasurement{RequestsPerUserPerHour: math.NaN(), WindowS: 600} },
 		func(c *Config) { c.Mode = Mode(99) },
 	}

@@ -2,10 +2,10 @@ package dynamics
 
 import (
 	"fmt"
-	"runtime"
 
 	"trimcaching/internal/cachesim"
 	"trimcaching/internal/placement"
+	"trimcaching/internal/pool"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/sim"
 	"trimcaching/internal/trace"
@@ -60,14 +60,7 @@ func (m *FadingMeasurement) Measure(eval *placement.Evaluator, placements []*pla
 		// Clamp the workers to the realization count before sizing the
 		// session, so no per-worker buffers are allocated that Evaluate can
 		// never use.
-		workers := m.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > m.Realizations {
-			workers = m.Realizations
-		}
-		m.session = sim.NewFadingSession(eval.Instance(), workers)
+		m.session = sim.NewFadingSession(eval.Instance(), pool.Size(m.Workers, m.Realizations))
 	}
 	// The result buffer is measurement-owned and reused: valid until the
 	// next Measure call, so the steady-state checkpoint loop allocates

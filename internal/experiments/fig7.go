@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"trimcaching/internal/dynamics"
 	"trimcaching/internal/modellib"
 	"trimcaching/internal/placement"
+	"trimcaching/internal/pool"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/scenario"
 	"trimcaching/internal/stats"
@@ -76,37 +75,21 @@ func runFig7(opt Options, salt string, tracks []dynamics.Track) ([]stats.Series,
 	realizations := max(opt.Realizations/4, 10)
 	root := rng.New(rng.SaltSeed(opt.Seed, salt))
 	results := make([]*dynamics.Result, opt.Topologies)
-	errs := make([]error, opt.Topologies)
-
-	workers := opt.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	err = pool.Run(pool.Size(opt.Workers, opt.Topologies), opt.Topologies, pool.Func(func(_, t int) error {
+		var err error
+		if results[t], err = fig7Trial(lib, tracks, realizations, root.SplitIndex("trial", t)); err != nil {
+			return fmt.Errorf("experiments: %s trial %d: %w", salt, t, err)
+		}
+		return nil
+	}))
+	if err != nil {
+		return nil, nil, err
 	}
-	workers = min(workers, opt.Topologies)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				results[t], errs[t] = fig7Trial(lib, tracks, realizations, root.SplitIndex("trial", t))
-			}
-		}()
-	}
-	for t := range results {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
 
 	replacements := make([]int, len(tracks))
-	for t, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: %s trial %d: %w", salt, t, err)
-		}
+	for _, res := range results {
 		for a := range tracks {
-			replacements[a] += results[t].Replacements[a]
+			replacements[a] += res.Replacements[a]
 		}
 	}
 	series := make([]stats.Series, len(tracks))

@@ -188,6 +188,9 @@ func (c GalleryConfig) Validate() error {
 	if c.Shards <= 0 {
 		return fmt.Errorf("gallery: Shards must be positive, got %d", c.Shards)
 	}
+	if c.Workers < 0 {
+		return fmt.Errorf("gallery: Workers must be >= 0, got %d", c.Workers)
+	}
 	if c.RecoveryFrac < 0 || c.RecoveryFrac > 1 {
 		return fmt.Errorf("gallery: RecoveryFrac %v outside [0, 1]", c.RecoveryFrac)
 	}

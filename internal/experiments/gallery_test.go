@@ -184,6 +184,35 @@ func TestGalleryTargetsAgree(t *testing.T) {
 	}
 }
 
+// TestGalleryConfigValidate checks that Validate rejects each bad field of
+// a gallery config, which is decoded from JSON and so carries any value.
+func TestGalleryConfigValidate(t *testing.T) {
+	base, err := GalleryScenario("churn", DefaultGalleryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts := map[string]func(*GalleryConfig){
+		"zero servers":          func(c *GalleryConfig) { c.Servers = 0 },
+		"negative reserve":      func(c *GalleryConfig) { c.ReserveModels = -1 },
+		"checkpoint > duration": func(c *GalleryConfig) { c.CheckpointMin = c.DurationMin + 1 },
+		"zero realizations":     func(c *GalleryConfig) { c.Realizations = 0 },
+		"zero shards":           func(c *GalleryConfig) { c.Shards = 0 },
+		"negative workers":      func(c *GalleryConfig) { c.Workers = -1 },
+		"recovery above 1":      func(c *GalleryConfig) { c.RecoveryFrac = 1.5 },
+		"event past the end":    func(c *GalleryConfig) { c.Timeline.Events[0].Checkpoint = 99 },
+		"unknown event kind":    func(c *GalleryConfig) { c.Timeline.Events[0].Kind = "meteor" },
+		"grow beyond reserve":   func(c *GalleryConfig) { c.ReserveModels = 1 },
+	}
+	for name, mut := range muts {
+		cfg := base
+		cfg.Timeline.Events = append([]Event(nil), base.Timeline.Events...)
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestGalleryRejectsFrozenWalk: a slot over twice its checkpoint's length
 // rounds to no slot per checkpoint, so every user would stand still; a
 // gallery config (read from JSON) must reject it instead of replaying a

@@ -10,14 +10,13 @@ import (
 	"fmt"
 	"math"
 	mbits "math/bits"
-	"runtime"
 	"slices"
-	"sync"
 
 	"trimcaching/internal/bitset"
 	"trimcaching/internal/geom"
 	"trimcaching/internal/memprof"
 	"trimcaching/internal/modellib"
+	"trimcaching/internal/pool"
 	"trimcaching/internal/topology"
 	"trimcaching/internal/wireless"
 	"trimcaching/internal/workload"
@@ -87,11 +86,11 @@ type Instance struct {
 	// Incremental-update state: gen counts update calls (warm-start
 	// caches key their validity on it), the scratch below is reused across
 	// calls so a delta update performs no steady-state allocation. Dirty
-	// users are processed in parallel — their rate columns and reach rows
-	// are disjoint — with each worker ORing the (model, server word) bits
-	// it changed into its own touched array; OR is order-free, so results
-	// are bit-identical for any worker count. revGen counts ReviseUsers
-	// calls that swapped workload rows, so caches derived from
+	// users are processed in parallel shares — their rate columns and reach
+	// rows are disjoint — with each share ORing the (model, server word)
+	// bits it changed into its own touched array; OR is order-free, so
+	// results are bit-identical for any worker count. revGen counts
+	// ReviseUsers calls that swapped workload rows, so caches derived from
 	// probabilities (the evaluator's transposed table) can detect missed
 	// revisions.
 	gen           int
@@ -102,8 +101,8 @@ type Instance struct {
 	updFullRow    []uint64 // all-servers mask, serverWords
 	updWorkers    []*updWorker
 	updMaxWorkers int        // caller-imposed update worker bound; 0 = GOMAXPROCS
+	updRun        updRun     // the update phase's pool task, reused
 	rankBuf       []rankPair // per-user rank rebuild scratch (ReviseUsers)
-	updErrs       []error    // per-worker error scratch
 	updRevised    []int      // Delta.Revised scratch
 	updDelta      Delta      // the reused delta returned by ReviseUsers
 	moveScratch   *topology.MoveScratch
@@ -550,56 +549,23 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 	}
 	ins.updUsers = dirtyUsers
 
-	// Phase 1, parallel over dirty users: rate columns, relay rates, and
-	// reach rows are disjoint per user, so workers write them directly, and
-	// each worker ORs the (model, server word) bits it changed into its own
-	// touched array. Phase 2 ORs the arrays together — OR is order-free, so
-	// the outcome is bit-identical for any worker count. A single-worker run
-	// stays on the calling goroutine: no spawns, no allocation.
-	workers := len(dirtyUsers) / minUsersPerWorker
-	if gmp := runtime.GOMAXPROCS(0); workers > gmp {
-		workers = gmp
-	}
-	if ins.updMaxWorkers > 0 && workers > ins.updMaxWorkers {
-		workers = ins.updMaxWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// Phase 1, parallel over contiguous shares of the dirty users: rate
+	// columns, relay rates, and reach rows are disjoint per user, so shares
+	// write them directly, and each share ORs the (model, server word) bits
+	// it changed into its own touched array. Phase 2 ORs the arrays
+	// together — OR is order-free, so the outcome is bit-identical for any
+	// worker count. A single share runs on the calling goroutine: no
+	// spawns, no allocation.
+	workers := pool.Size(ins.updMaxWorkers, len(dirtyUsers)/minUsersPerWorker)
 	for len(ins.updWorkers) < workers {
 		ins.updWorkers = append(ins.updWorkers, newUpdWorker(M, I, ins.serverWords))
-	}
-	if cap(ins.updErrs) < workers {
-		ins.updErrs = make([]error, workers)
-	}
-	errs := ins.updErrs[:workers]
-	for w := range errs {
-		errs[w] = nil
 	}
 	for _, uw := range ins.updWorkers[:workers] {
 		clear(uw.touched)
 	}
-	if workers == 1 {
-		ins.updateUserRange(dirtyUsers, errs, 0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*len(dirtyUsers)/workers, (w+1)*len(dirtyUsers)/workers
-			wg.Add(1)
-			// The share is passed by value: capturing dirtyUsers itself would
-			// move the slice variable to the heap on every call, including
-			// single-worker calls that never reach this branch.
-			go func(w int, share []int) {
-				defer wg.Done()
-				ins.updateUserRange(share, errs, w)
-			}(w, dirtyUsers[lo:hi])
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	ins.updRun = updRun{ins: ins, users: dirtyUsers, shares: workers}
+	if err := pool.Run(workers, workers, &ins.updRun); err != nil {
+		return nil, err
 	}
 
 	touched := ins.updWorkers[0].touched
@@ -650,22 +616,29 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 	return &ins.updDelta, nil
 }
 
-// updateUserRange refreshes one worker's share of the dirty users,
-// recording the first error in errs[w]. A user moved by the current call
-// diffs against its parked pre-move coverage row; any other dirty user's
-// coverage is unchanged, so the live row is the old row.
-func (ins *Instance) updateUserRange(dirtyUsers []int, errs []error, w int) {
-	uw := ins.updWorkers[w]
-	for _, k := range dirtyUsers {
+// updRun is ReviseUsers' pool task: task s refreshes the s-th of shares
+// contiguous slices of users on scratch updWorkers[s].
+type updRun struct {
+	ins    *Instance
+	users  []int
+	shares int
+}
+
+// Do implements pool.Task. A user moved by the current call diffs against
+// its parked pre-move coverage row; any other dirty user's coverage is
+// unchanged, so the live row is the old row.
+func (r *updRun) Do(_, s int) error {
+	ins, n := r.ins, len(r.users)
+	for _, k := range r.users[s*n/r.shares : (s+1)*n/r.shares] {
 		oldCovering, movedNow := ins.moveScratch.OldCovering(k)
 		if !movedNow {
 			oldCovering = ins.topo.ServersCovering(k)
 		}
-		if err := ins.updateUser(k, oldCovering, uw); err != nil {
-			errs[w] = err
-			return
+		if err := ins.updateUser(k, oldCovering, ins.updWorkers[s]); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // reviseThresholds recomputes user k's QoS rate thresholds and rank rows
@@ -697,7 +670,7 @@ func (ins *Instance) ensureUpdScratch() {
 // for trivially small dirty sets.
 const minUsersPerWorker = 32
 
-// updWorker is one parallel update worker's scratch.
+// updWorker is one update share's scratch.
 type updWorker struct {
 	oldRate  []float64 // old covering rates, indexed by server
 	dirRates []float64 // gathered covering rates
@@ -813,10 +786,12 @@ func (ins *Instance) fillRankRows(k int) {
 	buildRankRow(ro, ins.minRelRate[k*I:(k+1)*I], ins.rankBuf)
 }
 
-// SetUpdateWorkers bounds the parallel user-update phase of ReviseUsers;
-// 0 restores the default GOMAXPROCS bound. Results are bit-identical
-// for any bound — the engines thread their Workers pin through so a
-// single-goroutine configuration really runs single-goroutine here too.
+// SetUpdateWorkers bounds the parallel user-update phase of ReviseUsers,
+// which runs one worker per 32 dirty users up to the bound; 0 restores the
+// default GOMAXPROCS bound, and an explicit bound is honoured as given.
+// Results are bit-identical for any bound — the engines thread their
+// Workers pin through so a single-goroutine configuration really runs
+// single-goroutine here too.
 func (ins *Instance) SetUpdateWorkers(n int) { ins.updMaxWorkers = n }
 
 // UserRankRows returns user k's rank rows — models by ascending direct and

@@ -108,12 +108,12 @@ func TestUpdateUsersMatchesRebuild(t *testing.T) {
 }
 
 // TestUpdateUsersParallelMatchesRebuild drives the parallel update path —
-// enough dirty users that UpdateUsers shards them across workers — and
+// enough dirty users that ReviseUsers splits them into several shares — and
 // pins it against the rebuild, checking worker parallelism changes
-// nothing (flip application is deferred and order-independent).
+// nothing (the shares' touched arrays OR together in any order).
 func TestUpdateUsersParallelMatchesRebuild(t *testing.T) {
-	// UpdateUsers clamps its worker count to GOMAXPROCS; raise it so the
-	// sharded path actually runs even on single-CPU CI machines (the race
+	// ReviseUsers' default worker bound is GOMAXPROCS; raise it so the
+	// parallel path actually runs even on single-CPU CI machines (the race
 	// detector checks happens-before edges regardless of physical cores).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ins, pop, walk := walkInstance(t, 8, 150, 29)
@@ -140,11 +140,11 @@ func TestUpdateUsersParallelMatchesRebuild(t *testing.T) {
 
 // TestUpdateUsersWorkerCountsMatchRebuild runs twin instances through the
 // same walk, one at SetUpdateWorkers(1) and one at SetUpdateWorkers(3), and
-// pins them against each other and a fresh rebuild: the workers' touched
+// pins them against each other and a fresh rebuild: the shares' touched
 // arrays OR together in any order, so the delta pair sets and both mask
-// orientations must be identical.
+// orientations must be identical. An explicit bound is honoured at any
+// GOMAXPROCS, so the twin runs three shares even on one CPU.
 func TestUpdateUsersWorkerCountsMatchRebuild(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ins, pop, walk := walkInstance(t, 8, 150, 41)
 	twin, tpop, twalk := walkInstance(t, 8, 150, 41)
 	ins.SetUpdateWorkers(1)

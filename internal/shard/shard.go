@@ -31,7 +31,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"trimcaching/internal/cachesim"
@@ -39,6 +38,7 @@ import (
 	"trimcaching/internal/geom"
 	"trimcaching/internal/memprof"
 	"trimcaching/internal/mobility"
+	"trimcaching/internal/pool"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/scenario"
 	"trimcaching/internal/stats"
@@ -177,6 +177,9 @@ func (c Config) Validate() error {
 	}
 	if c.Shards <= 0 {
 		return fmt.Errorf("shard: Shards must be positive, got %d", c.Shards)
+	}
+	if c.Workers < 0 || c.MeasureWorkers < 0 {
+		return fmt.Errorf("shard: Workers and MeasureWorkers must be >= 0, got %d and %d", c.Workers, c.MeasureWorkers)
 	}
 	return nil
 }
@@ -393,6 +396,7 @@ type Engine struct {
 
 	cells   []*cell
 	workers int
+	cellRun cellRun // the checkpoint's cell task, reused
 
 	checkpoints int
 
@@ -448,17 +452,11 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		park:         geom.Point{X: -(side + 4*radius), Y: -(side + 4*radius)},
 		owner:        make([]int32, gt.NumUsers()),
 		refs:         make([][]ref, gt.NumUsers()),
-		workers:      cfg.Workers,
+		workers:      pool.Size(cfg.Workers, cfg.Shards),
 		checkpoints:  cfg.DurationMin / cfg.CheckpointMin,
 		replacedBase: make([]int, len(cfg.Tracks)),
 		zeroRow:      make([]float64, cfg.Instance.NumModels()),
 		headroom:     headroom,
-	}
-	if e.workers <= 0 {
-		e.workers = runtime.GOMAXPROCS(0)
-	}
-	if e.workers > cfg.Shards {
-		e.workers = cfg.Shards
 	}
 
 	// Server partition by position.
@@ -646,14 +644,8 @@ func (e *Engine) buildCell(sh *cell, locals []int) error {
 		// Workers:1 engine over 8 shards runs cells serially, so each cell's
 		// measurement may use the whole budget, and an explicit Workers pin
 		// caps the budget itself.
-		budget := runtime.GOMAXPROCS(0)
-		if e.cfg.Workers > 0 && e.cfg.Workers < budget {
-			budget = e.cfg.Workers
-		}
-		measureWorkers = budget / e.workers
-		if measureWorkers < 1 {
-			measureWorkers = 1
-		}
+		budget := pool.Size(e.cfg.Workers, runtime.GOMAXPROCS(0))
+		measureWorkers = max(1, budget/e.workers)
 	}
 	// Stateful triggers are cloned per cell (fresh history; see
 	// Config.Tracks). A grown cell passes through here again, so its
@@ -968,7 +960,8 @@ func (e *Engine) Checkpoint(cp int) (Step, error) {
 	if err := e.plan(); err != nil {
 		return Step{}, err
 	}
-	if err := e.runCells(cp); err != nil {
+	e.cellRun = cellRun{e: e, cp: cp}
+	if err := pool.Run(e.workers, len(e.cells), &e.cellRun); err != nil {
 		return Step{}, err
 	}
 	return e.aggregate(float64(cp * e.cfg.CheckpointMin)), nil
@@ -1162,49 +1155,19 @@ func (sh *cell) revise(slot int, level int8) {
 	sh.revTouch = append(sh.revTouch, slot)
 }
 
-// runCells refreshes and steps every cell on the worker pool. Cells are
-// independent (private instances, evaluators, and measurement scratch;
-// shared state is read-only), so the pool is a pure wall-clock lever:
-// results are bit-identical for any worker count. A single-worker engine
-// steps the cells inline — no channel, no goroutines — so the Workers:1
-// steady-state checkpoint allocates nothing.
-func (e *Engine) runCells(cp int) error {
-	if e.workers <= 1 {
-		for _, sh := range e.cells {
-			if err := e.runCell(sh, cp); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range next {
-				if err := e.runCell(e.cells[c], cp); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-		}()
-	}
-	for c := range e.cells {
-		next <- c
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
+// cellRun is the engine's pool task for one checkpoint: task c refreshes
+// and steps cell c. Cells are independent (private instances, evaluators,
+// and measurement scratch; shared state is read-only), so the pool is a
+// pure wall-clock lever: results are bit-identical for any worker count.
+// The task lives in the engine, so a Workers:1 checkpoint steps the cells
+// inline and allocates nothing.
+type cellRun struct {
+	e  *Engine
+	cp int
 }
+
+// Do implements pool.Task.
+func (r *cellRun) Do(_, c int) error { return r.e.runCell(r.e.cells[c], r.cp) }
 
 // runCell applies one cell's pending batches and steps its engine.
 func (e *Engine) runCell(sh *cell, cp int) error {

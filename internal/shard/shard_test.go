@@ -242,6 +242,16 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("capacity length mismatch accepted")
 	}
+	cfg = base()
+	cfg.Workers = -1
+	if err := cfg.Validate(); err == nil {
+		t.Error("negative Workers accepted")
+	}
+	cfg = base()
+	cfg.MeasureWorkers = -1
+	if err := cfg.Validate(); err == nil {
+		t.Error("negative MeasureWorkers accepted")
+	}
 	// A slot length that rounds to no slot per checkpoint would freeze
 	// every user.
 	for _, slotS := range []float64{0, 1300, math.NaN()} {

@@ -7,12 +7,12 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"math"
 	"time"
 
 	"trimcaching/internal/modellib"
 	"trimcaching/internal/placement"
+	"trimcaching/internal/pool"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/scenario"
 	"trimcaching/internal/stats"
@@ -92,7 +92,6 @@ type trialOutcome struct {
 	hit     []float64
 	avgHit  []float64
 	seconds []float64
-	err     error
 }
 
 // Run executes the experiment point and aggregates per-algorithm summaries.
@@ -100,41 +99,23 @@ func Run(cfg TrialConfig) ([]AlgoResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Topologies {
-		workers = cfg.Topologies
-	}
-
 	root := rng.New(cfg.Seed)
 	outcomes := make([]trialOutcome, cfg.Topologies)
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				outcomes[t] = runTrial(cfg, root.SplitIndex("trial", t))
-			}
-		}()
+	err := pool.Run(pool.Size(cfg.Workers, cfg.Topologies), cfg.Topologies, pool.Func(func(_, t int) error {
+		var err error
+		if outcomes[t], err = runTrial(cfg, root.SplitIndex("trial", t)); err != nil {
+			return fmt.Errorf("sim: trial %d: %w", t, err)
+		}
+		return nil
+	}))
+	if err != nil {
+		return nil, err
 	}
-	for t := 0; t < cfg.Topologies; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
 
 	accHit := make([]stats.Accumulator, len(cfg.Algorithms))
 	accAvg := make([]stats.Accumulator, len(cfg.Algorithms))
 	accSec := make([]stats.Accumulator, len(cfg.Algorithms))
 	for t := range outcomes {
-		if outcomes[t].err != nil {
-			return nil, fmt.Errorf("sim: trial %d: %w", t, outcomes[t].err)
-		}
 		for a := range cfg.Algorithms {
 			accHit[a].Add(outcomes[t].hit[a])
 			accAvg[a].Add(outcomes[t].avgHit[a])
@@ -155,21 +136,18 @@ func Run(cfg TrialConfig) ([]AlgoResult, error) {
 
 // runTrial builds one random instance, places with every algorithm, and
 // evaluates all placements under the same fading realizations.
-func runTrial(cfg TrialConfig, src *rng.Source) trialOutcome {
+func runTrial(cfg TrialConfig, src *rng.Source) (trialOutcome, error) {
 	out := trialOutcome{
-		hit:     make([]float64, len(cfg.Algorithms)),
 		avgHit:  make([]float64, len(cfg.Algorithms)),
 		seconds: make([]float64, len(cfg.Algorithms)),
 	}
 	ins, err := scenario.Generate(cfg.Library, cfg.Scenario, src.Split("instance"))
 	if err != nil {
-		out.err = err
-		return out
+		return out, err
 	}
 	eval, err := placement.NewEvaluator(ins)
 	if err != nil {
-		out.err = err
-		return out
+		return out, err
 	}
 	caps := placement.UniformCapacities(ins.NumServers(), cfg.CapacityBytes)
 	for m := range caps {
@@ -184,27 +162,18 @@ func runTrial(cfg TrialConfig, src *rng.Source) trialOutcome {
 		p, err := alg.Place(eval, caps)
 		out.seconds[a] = time.Since(start).Seconds()
 		if err != nil {
-			out.err = fmt.Errorf("%s: %w", alg.Name(), err)
-			return out
+			return out, fmt.Errorf("%s: %w", alg.Name(), err)
 		}
 		if err := eval.CheckFeasible(p, caps); err != nil {
-			out.err = fmt.Errorf("%s: %w", alg.Name(), err)
-			return out
+			return out, fmt.Errorf("%s: %w", alg.Name(), err)
 		}
 		placements[a] = p
 		if out.avgHit[a], err = eval.HitRatio(p); err != nil {
-			out.err = err
-			return out
+			return out, err
 		}
 	}
-
-	hits, err := EvaluateUnderFading(eval, placements, cfg.Realizations, src.Split("fading"))
-	if err != nil {
-		out.err = err
-		return out
-	}
-	copy(out.hit, hits)
-	return out
+	out.hit, err = EvaluateUnderFading(eval, placements, cfg.Realizations, src.Split("fading"))
+	return out, err
 }
 
 // EvaluateUnderFading measures each placement's expected hit ratio over the
@@ -221,15 +190,9 @@ func EvaluateUnderFading(eval *placement.Evaluator, placements []*placement.Plac
 // that evaluate repeatedly over same-sized instances (one call per mobility
 // checkpoint) should hold a session and reuse its buffers instead.
 func EvaluateUnderFadingWorkers(eval *placement.Evaluator, placements []*placement.Placement, realizations, workers int, src *rng.Source) ([]float64, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Clamp before building the one-shot session so no unused per-worker
-	// buffers are allocated for small realization counts.
-	if realizations > 0 && workers > realizations {
-		workers = realizations
-	}
-	return NewFadingSession(eval.Instance(), workers).Evaluate(eval, placements, realizations, src)
+	// Size the one-shot session to the realization count, so no unused
+	// per-worker buffers are allocated for small counts.
+	return NewFadingSession(eval.Instance(), pool.Size(workers, realizations)).Evaluate(eval, placements, realizations, src)
 }
 
 // FadingSession owns the scratch a Monte-Carlo fading evaluation needs —
@@ -279,9 +242,7 @@ type evalContext struct {
 // NewFadingSession allocates a session for instances with ins's dimensions
 // and the given worker count (0 means GOMAXPROCS).
 func NewFadingSession(ins *scenario.Instance, workers int) *FadingSession {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = pool.Size(workers, math.MaxInt)
 	s := &FadingSession{
 		numServers: ins.NumServers(),
 		numUsers:   ins.NumUsers(),
@@ -329,7 +290,7 @@ func (s *FadingSession) Evaluate(eval *placement.Evaluator, placements []*placem
 // Checkpoint loops that evaluate every slot should pass a persistent buffer
 // so the steady state performs no allocation at all.
 func (s *FadingSession) EvaluateInto(dst []float64, eval *placement.Evaluator, placements []*placement.Placement, realizations int, src *rng.Source) ([]float64, error) {
-	ins, hr, workers, err := s.prepare(eval, placements, realizations)
+	ins, hr, err := s.prepare(eval, placements, realizations)
 	if err != nil {
 		return nil, err
 	}
@@ -347,15 +308,10 @@ func (s *FadingSession) EvaluateInto(dst []float64, eval *placement.Evaluator, p
 		// Auto: split the realizations evenly across the workers, so the
 		// pool stays fully used while each worker amortizes its request
 		// sweep over the largest possible block.
-		block = (realizations + workers - 1) / workers
+		block = (realizations + s.workers - 1) / s.workers
 	}
-	if block > realizations {
-		block = realizations
-	}
+	block = min(block, realizations)
 	blocks := (realizations + block - 1) / block
-	if workers > blocks {
-		workers = blocks
-	}
 	s.ctx = evalContext{
 		s:            s,
 		ins:          ins,
@@ -367,7 +323,7 @@ func (s *FadingSession) EvaluateInto(dst []float64, eval *placement.Evaluator, p
 		placements:   len(placements),
 		total:        ins.TotalMass(),
 	}
-	err = s.run(workers, blocks, &s.ctx)
+	err = pool.Run(s.workers, blocks, &s.ctx)
 	s.ctx = evalContext{} // drop the borrowed eval/src references
 	if err != nil {
 		return nil, err
@@ -375,8 +331,8 @@ func (s *FadingSession) EvaluateInto(dst []float64, eval *placement.Evaluator, p
 	return s.reduce(dst, hr, len(placements), realizations), nil
 }
 
-// score evaluates realization block b on worker w through one fused sweep.
-func (c *evalContext) score(w, b int) error {
+// Do evaluates realization block b on worker w through one fused sweep.
+func (c *evalContext) Do(w, b int) error {
 	s := c.s
 	r0 := b * c.block
 	n := c.block
@@ -416,7 +372,7 @@ func (c *evalContext) score(w, b int) error {
 // buffers and gain matrices are allocated on first use, so fused-only
 // sessions never pay for them.
 func (s *FadingSession) EvaluateUnfused(eval *placement.Evaluator, placements []*placement.Placement, realizations int, src *rng.Source) ([]float64, error) {
-	ins, hr, workers, err := s.prepare(eval, placements, realizations)
+	ins, hr, err := s.prepare(eval, placements, realizations)
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +387,7 @@ func (s *FadingSession) EvaluateUnfused(eval *placement.Evaluator, placements []
 			}
 		}
 	}
-	err = s.run(workers, realizations, scoreFunc(func(w, r int) error {
+	err = pool.Run(s.workers, realizations, pool.Func(func(w, r int) error {
 		gains := s.gains[w]
 		scenario.SampleGainsInto(gains, src.SplitIndex("real", r))
 		reach, err := ins.FadedReach(gains, s.bufs[w])
@@ -456,87 +412,28 @@ func (s *FadingSession) EvaluateUnfused(eval *placement.Evaluator, placements []
 // prepare validates the instance and every placement against the session
 // dimensions and sizes the per-realization score table
 // hr[r*len(placements)+a].
-func (s *FadingSession) prepare(eval *placement.Evaluator, placements []*placement.Placement, realizations int) (*scenario.Instance, []float64, int, error) {
+func (s *FadingSession) prepare(eval *placement.Evaluator, placements []*placement.Placement, realizations int) (*scenario.Instance, []float64, error) {
 	if realizations <= 0 {
-		return nil, nil, 0, fmt.Errorf("sim: realizations must be positive, got %d", realizations)
+		return nil, nil, fmt.Errorf("sim: realizations must be positive, got %d", realizations)
 	}
 	ins := eval.Instance()
 	if ins.NumServers() != s.numServers || ins.NumUsers() != s.numUsers || ins.NumModels() != s.numModels {
-		return nil, nil, 0, fmt.Errorf("sim: instance dims %dx%dx%d, session %dx%dx%d",
+		return nil, nil, fmt.Errorf("sim: instance dims %dx%dx%d, session %dx%dx%d",
 			ins.NumServers(), ins.NumUsers(), ins.NumModels(), s.numServers, s.numUsers, s.numModels)
 	}
 	for a, p := range placements {
 		if p == nil {
-			return nil, nil, 0, fmt.Errorf("sim: placement %d is nil", a)
+			return nil, nil, fmt.Errorf("sim: placement %d is nil", a)
 		}
 		if p.NumServers() != s.numServers || p.NumModels() != s.numModels {
-			return nil, nil, 0, fmt.Errorf("sim: placement %d dims %dx%d, instance %dx%d",
+			return nil, nil, fmt.Errorf("sim: placement %d dims %dx%d, instance %dx%d",
 				a, p.NumServers(), p.NumModels(), s.numServers, s.numModels)
 		}
-	}
-	workers := s.workers
-	if workers > realizations {
-		workers = realizations
 	}
 	if need := realizations * len(placements); cap(s.hr) < need {
 		s.hr = make([]float64, need)
 	}
-	return ins, s.hr[:realizations*len(placements)], workers, nil
-}
-
-// scorer evaluates one task (a realization, or a realization block) on a
-// given worker slot. The fused path implements it on *evalContext so the
-// hot loop dispatches through a pre-built pointer rather than a closure.
-type scorer interface {
-	score(w, t int) error
-}
-
-// scoreFunc adapts a closure to the scorer interface (reference paths only;
-// the conversion allocates).
-type scoreFunc func(w, t int) error
-
-func (f scoreFunc) score(w, t int) error { return f(w, t) }
-
-// run dispatches tasks (realizations, or realization blocks) on a bounded
-// worker pool; the first error wins and the rest of the round drains. A
-// single-worker run executes inline — no channel, no goroutine — so the
-// Workers:1 checkpoint loop stays allocation-free.
-func (s *FadingSession) run(workers, tasks int, sc scorer) error {
-	if workers <= 1 {
-		for t := 0; t < tasks; t++ {
-			if err := sc.score(0, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := range next {
-				if err := sc.score(w, r); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-		}(w)
-	}
-	for t := 0; t < tasks; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
+	return ins, s.hr[:realizations*len(placements)], nil
 }
 
 // MemoryBytes returns the heap bytes the session owns: per-worker fused
