@@ -10,6 +10,85 @@ import (
 	"time"
 )
 
+// goldenKeys lists, per row kind, the deterministic fields of a smoke report
+// that testdata/smoke.golden.json pins. Timings, throughputs and speedups
+// are wall-clock; workers follows NumCPU in the multicore section; and a
+// scale row's allocs_per_checkpoint is a Mallocs delta that can read a few
+// allocations high.
+var goldenKeys = map[string][]string{
+	"shard": {"shards", "hit_ratio_mean", "handoffs", "grows"},
+	"serve": {"shards", "hit_ratio_mean", "handoffs", "requests", "p50_latency_ns", "p95_latency_ns", "p99_latency_ns"},
+	"scale": {"users", "shards", "hit_ratio_mean", "handoffs", "grows"},
+}
+
+// checkSmokeGolden compares the deterministic fields of a -smoke -shard or
+// -smoke -serve report (section "shard" or "serve") with that section of
+// testdata/smoke.golden.json. Refresh with UPDATE_GOLDENS=1 go test
+// ./cmd/benchdyn -run SmokeRun.
+func checkSmokeGolden(t *testing.T, section string, data []byte) {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	// pick keeps keys of one row, or of every row of a list.
+	var pick func(v any, keys []string) any
+	pick = func(v any, keys []string) any {
+		if list, ok := v.([]any); ok {
+			rows := make([]any, len(list))
+			for i, row := range list {
+				rows[i] = pick(row, keys)
+			}
+			return rows
+		}
+		obj, _ := v.(map[string]any)
+		row := map[string]any{}
+		for _, k := range keys {
+			row[k] = obj[k]
+		}
+		return row
+	}
+	keys := goldenKeys[section]
+	mc, _ := doc["multicore"].(map[string]any)
+	got := map[string]any{
+		"unsharded": pick(doc["unsharded"], keys),
+		"sharded":   pick(doc["sharded"], keys),
+		"multicore": map[string]any{"unsharded": pick(mc["unsharded"], keys), "sharded": pick(mc["sharded"], keys)},
+	}
+	if section == "shard" {
+		got["scale"] = pick(doc["scale"], goldenKeys["scale"])
+	}
+	path := filepath.Join("testdata", "smoke.golden.json")
+	golden := map[string]any{}
+	if raw, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatal(err)
+		}
+	} else if os.Getenv("UPDATE_GOLDENS") == "" {
+		t.Fatalf("missing golden (regenerate with UPDATE_GOLDENS=1): %v", err)
+	}
+	if os.Getenv("UPDATE_GOLDENS") != "" {
+		golden[section] = got
+		out, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s section of %s", section, path)
+		return
+	}
+	gotJSON, _ := json.MarshalIndent(got, "", "  ")
+	wantJSON, _ := json.MarshalIndent(golden[section], "", "  ")
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("smoke golden drift in %s section %q\n--- got ---\n%s\n--- want ---\n%s", path, section, gotJSON, wantJSON)
+	}
+}
+
 // TestSmokeRunEmitsValidReport drives the whole benchmark pipeline at toy
 // scale and checks the emitted artifact parses and passes the documented
 // schema (run itself validates before writing; this pins the contract from
@@ -328,6 +407,7 @@ func TestServeSmokeRunEmitsValidReport(t *testing.T) {
 	if err := validateServeReport(data); err != nil {
 		t.Fatalf("emitted serve report fails schema: %v", err)
 	}
+	checkSmokeGolden(t, "serve", data)
 	var rep serveReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
@@ -382,6 +462,7 @@ func TestShardSmokeRunEmitsValidReport(t *testing.T) {
 	if err := validateShardReport(data); err != nil {
 		t.Fatalf("emitted shard report fails schema: %v", err)
 	}
+	checkSmokeGolden(t, "shard", data)
 	var rep shardReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
