@@ -24,16 +24,25 @@
 //     commit heap carried across checkpoints vs the same solve with the
 //     heap rebuilt from all M·I pairs each time.
 //
-// The emitted JSON is validated against the documented schema
+// -shard and -serve instead run one population sweep (sweep.go): the
+// unsharded engine against the sharded engine at 1/2/4/8 cells at K = 100k,
+// scored by the fading measurement into BENCH_shard.json (with the
+// memory-accounted scale rows of scale.go) or by trace-driven serving into
+// BENCH_serve.json.
+//
+// Every report is validated against the documented schema
 // (docs/BENCHMARKS.md) before it is written: missing sections, zero-op
 // phases, and non-finite speedups fail the run, so the perf plumbing
-// cannot rot silently. -smoke runs the whole pipeline on a toy scenario in
-// seconds for CI.
+// cannot rot silently. -smoke runs each pipeline on a toy scenario in
+// seconds for CI. Progress lines go to stderr: an output path of - puts the
+// JSON alone on stdout, and a file path prints one summary line there.
 //
 // Usage:
 //
 //	benchdyn -checkpoints 12 -out BENCH_dynamics.json
 //	benchdyn -smoke -out -
+//	benchdyn -shard -shardout BENCH_shard.json
+//	benchdyn -smoke -serve -serveout - | jq .speedup
 package main
 
 import (
@@ -128,13 +137,16 @@ type report struct {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdyn:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+// run parses args and writes the chosen report. Progress lines go to
+// stderr, so stdout carries the JSON alone when the report's output path
+// is -, and otherwise one summary line.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchdyn", flag.ContinueOnError)
 	checkpoints := fs.Int("checkpoints", 12, "checkpoints per measured round (the §VII-E timeline has 12)")
 	rounds := fs.Int("rounds", 4, "measured rounds per phase; the fastest round is reported (under -smoke, 5 or more also enforce the blocked-measurement speed gate)")
@@ -161,29 +173,39 @@ func run(args []string, stdout io.Writer) error {
 	if *checkpoints <= 0 || *rounds <= 0 {
 		return fmt.Errorf("checkpoints and rounds must be positive, got %d and %d", *checkpoints, *rounds)
 	}
-	if *serveBench {
-		// The serving sweep shares the shard benchmark's scenario dims.
-		users, servers, models := *shardUsers, *shardServers, *shardModels
-		counts := []int{1, 2, 4, 8}
-		if *smoke {
-			set := map[string]bool{}
-			fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			if !set["shardusers"] {
-				users = 600
-			}
-			if !set["shardservers"] {
-				servers = 12
-			}
-			if !set["shardmodels"] {
-				models = 48
-			}
-			counts = []int{1, 2}
+	if *shardBench && *serveBench {
+		return fmt.Errorf("-shard and -serve each write their own report; pass one of them")
+	}
+	counts := []int{1, 2, 4, 8}
+	if *smoke {
+		// Toy dims proving the pipeline and schema in seconds; explicitly
+		// set flags keep their values.
+		smokeDefaults := map[string]string{
+			"checkpoints": "2", "rounds": "1",
+			"shardusers": "600", "shardservers": "12", "shardmodels": "48",
+			"scaleusers": "2000", "scaleservers": "16", "scalemodels": "24", "scaleshards": "4", "scalecheckpoints": "2",
 		}
-		return runServe(stdout, users, servers, models, *serveRate, *serveCheckpoints, counts, *serveOut)
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		for name, v := range smokeDefaults {
+			if !set[name] {
+				if err := fs.Set(name, v); err != nil {
+					return err
+				}
+			}
+		}
+		counts = []int{1, 2}
+	}
+	// The serving sweep shares the shard benchmark's scenario dims.
+	spec := sweepSpec{users: *shardUsers, servers: *shardServers, models: *shardModels, checkpoints: *shardCheckpoints, counts: counts}
+	if *serveBench {
+		if !(*serveRate > 0) { // NaN included
+			return fmt.Errorf("serve request rate must be positive, got %v", *serveRate)
+		}
+		spec.checkpoints, spec.rate = *serveCheckpoints, *serveRate
+		return runSweep(stdout, stderr, spec, nil, *serveOut)
 	}
 	if *shardBench {
-		users, servers, models := *shardUsers, *shardServers, *shardModels
-		counts := []int{1, 2, 4, 8}
 		scale := scaleSpec{
 			Users:       *scaleUsers,
 			Servers:     *scaleServers,
@@ -191,50 +213,11 @@ func run(args []string, stdout io.Writer) error {
 			Shards:      *scaleShards,
 			Checkpoints: *scaleCheckpoints,
 		}
-		if *smoke {
-			// Toy dims proving the pipeline and schema in seconds.
-			set := map[string]bool{}
-			fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			if !set["shardusers"] {
-				users = 600
-			}
-			if !set["shardservers"] {
-				servers = 12
-			}
-			if !set["shardmodels"] {
-				models = 48
-			}
-			counts = []int{1, 2}
-			if !set["scaleusers"] {
-				scale.Users = 2000
-			}
-			if !set["scaleservers"] {
-				scale.Servers = 16
-			}
-			if !set["scalemodels"] {
-				scale.Models = 24
-			}
-			if !set["scaleshards"] {
-				scale.Shards = 4
-			}
-			if !set["scalecheckpoints"] {
-				scale.Checkpoints = 2
-			}
-		}
-		return runShard(stdout, users, servers, models, *shardCheckpoints, counts, []scaleSpec{scale}, *shardOut)
+		return runSweep(stdout, stderr, spec, []scaleSpec{scale}, *shardOut)
 	}
 	newConfig := dynamics.NewLoRAScaleConfig
 	if *smoke {
 		newConfig = dynamics.NewSmokeScaleConfig
-		// Shrink the defaults to seconds, but honor explicitly set flags.
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["checkpoints"] {
-			*checkpoints = 2
-		}
-		if !set["rounds"] {
-			*rounds = 1
-		}
 	}
 
 	var rep report
@@ -345,24 +328,32 @@ func run(args []string, stdout io.Writer) error {
 	rep.Speedup = rep.Refresh.Speedup
 	rep.SpeedupDefinition = "per-checkpoint instance refresh (delta reachability update + evaluator reuse) vs full rebuild; replace and timeline_end_to_end report the forced-re-solve and measurement-included views; measurement and resolve isolate the fused fading kernel and the persistent commit heap"
 
+	return writeReport(stdout, *out, rep, validateReport,
+		fmt.Sprintf("refresh %.2fx, replace %.2fx, timeline %.2fx, measurement %.2fx, resolve %.2fx",
+			rep.Refresh.Speedup, rep.Replace.Speedup, rep.Timeline.Speedup,
+			rep.Measurement.Speedup, rep.Resolve.Speedup))
+}
+
+// writeReport marshals rep and validates the bytes against the documented
+// schema. With out "-" it writes the JSON alone to stdout; otherwise it
+// writes the file and then prints summary and the path to stdout.
+func writeReport(stdout io.Writer, out string, rep any, validate func([]byte) error, summary string) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
-	if err := validateReport(data); err != nil {
+	if err := validate(data); err != nil {
 		return fmt.Errorf("emitted report fails schema validation: %w", err)
 	}
-	if *out == "-" {
+	if out == "-" {
 		_, err = stdout.Write(data)
 		return err
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "refresh %.2fx, replace %.2fx, timeline %.2fx, measurement %.2fx, resolve %.2fx -> %s\n",
-		rep.Refresh.Speedup, rep.Replace.Speedup, rep.Timeline.Speedup,
-		rep.Measurement.Speedup, rep.Resolve.Speedup, *out)
+	fmt.Fprintf(stdout, "%s -> %s\n", summary, out)
 	return nil
 }
 
@@ -588,17 +579,24 @@ var reportSchema = []fieldSpec{
 // encoder rejects NaN and ±Inf at marshal time, so a NaN speedup fails
 // the run there, and json.Unmarshal cannot produce them from valid JSON.
 func validateReport(data []byte) error {
+	_, err := checkReport(data, reportSchema)
+	return err
+}
+
+// checkReport decodes a report and checks its top-level schema fields and
+// its speedup_definition string.
+func checkReport(data []byte, schema []fieldSpec) (map[string]any, error) {
 	var doc map[string]any
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return err
+		return nil, err
 	}
-	if err := checkFields(doc, reportSchema); err != nil {
-		return err
+	if err := checkFields(doc, schema); err != nil {
+		return nil, err
 	}
 	if _, ok := doc["speedup_definition"].(string); !ok {
-		return fmt.Errorf("speedup_definition: missing or not a string")
+		return nil, fmt.Errorf("speedup_definition: missing or not a string")
 	}
-	return nil
+	return doc, nil
 }
 
 // checkFields validates one decoded JSON object against a schema table:

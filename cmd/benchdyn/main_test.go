@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,7 +100,7 @@ func TestSmokeRunEmitsValidReport(t *testing.T) {
 	}
 	out := filepath.Join(t.TempDir(), "bench.json")
 	var stdout bytes.Buffer
-	if err := run([]string{"-smoke", "-out", out}, &stdout); err != nil {
+	if err := run([]string{"-smoke", "-out", out}, &stdout, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(stdout.String(), "refresh") {
@@ -397,8 +398,11 @@ func TestServeSmokeRunEmitsValidReport(t *testing.T) {
 	}
 	out := filepath.Join(t.TempDir(), "serve.json")
 	var stdout bytes.Buffer
-	if err := run([]string{"-smoke", "-serve", "-serveout", out}, &stdout); err != nil {
+	if err := run([]string{"-smoke", "-serve", "-serveout", out}, &stdout, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+	if want := "serve speedup"; !strings.HasPrefix(stdout.String(), want) || strings.Count(stdout.String(), "\n") != 1 {
+		t.Fatalf("stdout is not the one %q summary line: %q", want, stdout.String())
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -408,7 +412,7 @@ func TestServeSmokeRunEmitsValidReport(t *testing.T) {
 		t.Fatalf("emitted serve report fails schema: %v", err)
 	}
 	checkSmokeGolden(t, "serve", data)
-	var rep serveReport
+	var rep sweepReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +456,11 @@ func TestShardSmokeRunEmitsValidReport(t *testing.T) {
 	}
 	out := filepath.Join(t.TempDir(), "shard.json")
 	var stdout bytes.Buffer
-	if err := run([]string{"-smoke", "-shard", "-shardout", out}, &stdout); err != nil {
+	if err := run([]string{"-smoke", "-shard", "-shardout", out}, &stdout, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+	if want := "shard speedup"; !strings.HasPrefix(stdout.String(), want) || strings.Count(stdout.String(), "\n") != 1 {
+		t.Fatalf("stdout is not the one %q summary line: %q", want, stdout.String())
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -463,7 +470,7 @@ func TestShardSmokeRunEmitsValidReport(t *testing.T) {
 		t.Fatalf("emitted shard report fails schema: %v", err)
 	}
 	checkSmokeGolden(t, "shard", data)
-	var rep shardReport
+	var rep sweepReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -508,5 +515,80 @@ func TestShardSmokeRunEmitsValidReport(t *testing.T) {
 	if int64(sc.BytesPerUser*float64(sc.Users)+0.5) != sc.FootprintTotalBytes {
 		t.Errorf("bytes_per_user %v inconsistent with footprint total %d over %d users",
 			sc.BytesPerUser, sc.FootprintTotalBytes, sc.Users)
+	}
+}
+
+// TestStdoutOutIsJSONOnly runs every section with its output path set to -
+// and decodes stdout whole into the section's report type: progress lines
+// go to stderr, so benchdyn -shard -shardout - | jq .speedup parses.
+func TestStdoutOutIsJSONOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke benchmark run in -short mode")
+	}
+	cases := []struct {
+		args []string
+		rep  any
+	}{
+		{[]string{"-out", "-"}, &report{}},
+		{[]string{"-shard", "-shardout", "-"}, &sweepReport{}},
+		{[]string{"-serve", "-serveout", "-"}, &sweepReport{}},
+	}
+	for _, c := range cases {
+		var stdout bytes.Buffer
+		if err := run(append([]string{"-smoke"}, c.args...), &stdout, io.Discard); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if err := json.Unmarshal(stdout.Bytes(), c.rep); err != nil {
+			t.Errorf("%v: stdout is not one JSON report: %v\n%s", c.args, err, stdout.String())
+		}
+	}
+}
+
+// TestRunRejectsBadFlags pins the flag combinations run refuses before any
+// work: -shard with -serve would silently run only one of them.
+func TestRunRejectsBadFlags(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		args []string
+		want []string // substrings of the error
+	}{
+		{[]string{"-shard", "-serve"}, []string{"-shard", "-serve"}},
+		{[]string{"-serve", "-serverate", "0"}, []string{"rate"}},
+		{[]string{"-serve", "-serverate", "NaN"}, []string{"rate"}},
+		{[]string{"-checkpoints", "0"}, []string{"checkpoints"}},
+		{[]string{"-shard", "-shardcheckpoints", "0"}, []string{"shard checkpoints"}},
+	}
+	for _, c := range cases {
+		args := append([]string{"-smoke", "-out", filepath.Join(dir, "d.json"),
+			"-shardout", filepath.Join(dir, "sh.json"), "-serveout", filepath.Join(dir, "se.json")}, c.args...)
+		err := run(args, io.Discard, io.Discard)
+		if err == nil {
+			t.Errorf("%v: run succeeded, want an error", c.args)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%v: error %q does not name %q", c.args, err, w)
+			}
+		}
+	}
+}
+
+// TestCheckedInArtifactsValidate runs each checked-in BENCH_*.json through
+// its section's validator: a schema change must keep every report written
+// before it valid.
+func TestCheckedInArtifactsValidate(t *testing.T) {
+	for name, validate := range map[string]func([]byte) error{
+		"BENCH_dynamics.json": validateReport,
+		"BENCH_shard.json":    validateShardReport,
+		"BENCH_serve.json":    validateServeReport,
+	} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := validate(data); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -110,7 +110,7 @@ var scaleRunSchema = []fieldSpec{
 // runScale executes one scale row: build the coordinator-backed sharded
 // engine, warm up one checkpoint, then time the rest while counting heap
 // allocations, and report the accounted footprint.
-func runScale(stdout io.Writer, spec scaleSpec) (scaleRun, error) {
+func runScale(stderr io.Writer, spec scaleSpec) (scaleRun, error) {
 	workers := runtime.NumCPU()
 	if workers < 2 {
 		workers = 2
@@ -125,7 +125,7 @@ func runScale(stdout io.Writer, spec scaleSpec) (scaleRun, error) {
 	if err != nil {
 		return scaleRun{}, err
 	}
-	fmt.Fprintf(stdout, "scale K=%d: engine built in %v\n", spec.Users, time.Since(buildStart).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "scale K=%d: engine built in %v\n", spec.Users, time.Since(buildStart).Round(time.Millisecond))
 	// Two warm-up checkpoints, not the sweep's one: the first absorbs the
 	// flip-index build, the second lets the pooled handoff and refresh
 	// buffers grow to the walk's high-water mark, so the timed window
@@ -172,7 +172,7 @@ func runScale(stdout io.Writer, spec scaleSpec) (scaleRun, error) {
 		Footprint:           f,
 		PeakRSSBytes:        peakRSSBytes(m1.Sys),
 	}
-	fmt.Fprintf(stdout,
+	fmt.Fprintf(stderr,
 		"scale K=%d M=%d I=%d shards=%d workers=%d: %v/checkpoint, %.0f users/s, %.1f B/user, %.1f allocs/checkpoint, peak RSS %d MiB\n",
 		spec.Users, spec.Servers, spec.Models, spec.Shards, workers,
 		time.Duration(run.CheckpointNs), run.ThroughputUsersPerS, run.BytesPerUser,
