@@ -18,18 +18,22 @@ type figuresArtifact struct {
 	Figures []figureRecord `json:"figures"`
 }
 
-// figureRecord is one experiment's series, timing series left out. Notes
-// are kept only for tables without timing series: the others' notes quote
-// runtimes.
+// figureRecord is one experiment's table: its title, axis labels and
+// precision, and its series, timing series left out. Notes are kept only
+// for tables without timing series: the others' notes quote runtimes.
 type figureRecord struct {
-	Name   string         `json:"name"`
-	Series []stats.Series `json:"series"`
-	Notes  []string       `json:"notes,omitempty"`
+	Name    string         `json:"name"`
+	Title   string         `json:"title"`
+	XLabel  string         `json:"xLabel"`
+	YLabel  string         `json:"yLabel"`
+	Decimal int            `json:"decimal"`
+	Series  []stats.Series `json:"series"`
+	Notes   []string       `json:"notes,omitempty"`
 }
 
-// runFigures runs every registered experiment at opt and keeps the series
-// that do not measure wall-clock time, plus the notes of tables that have
-// no such series.
+// runFigures runs every registered experiment at opt and keeps each
+// table's title, labels and precision, the series that do not measure
+// wall-clock time, and the notes of tables that have no such series.
 func runFigures(t *testing.T, opt Options) []figureRecord {
 	t.Helper()
 	var recs []figureRecord
@@ -38,7 +42,10 @@ func runFigures(t *testing.T, opt Options) []figureRecord {
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
-		rec := figureRecord{Name: r.Name, Series: []stats.Series{}, Notes: tbl.Notes}
+		rec := figureRecord{
+			Name: r.Name, Title: tbl.Title, XLabel: tbl.XLabel, YLabel: tbl.YLabel, Decimal: tbl.Decimal,
+			Series: []stats.Series{}, Notes: tbl.Notes,
+		}
 		for _, s := range tbl.Series {
 			if s.Timing {
 				rec.Notes = nil
@@ -61,10 +68,10 @@ func marshalFigures(t *testing.T, art figuresArtifact) []byte {
 }
 
 // TestFigureGoldens pins every figure and ablation of the paper's
-// evaluation to the last bit: the non-timing series of all registered
-// experiments at tinyOptions, and the notes of tables without timing
-// series (replacement counts, degradations), byte-compared against the
-// checked-in golden.
+// evaluation to the last bit: the titles, axis labels, precision and
+// non-timing series of all registered experiments at tinyOptions, and the
+// notes of tables without timing series (replacement counts,
+// degradations), byte-compared against the checked-in golden.
 // A second run at one worker must reproduce the same bytes, so the pin
 // also covers run-to-run determinism and independence from the trial
 // schedule. Refresh with
