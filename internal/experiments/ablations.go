@@ -10,13 +10,10 @@ import (
 	"trimcaching/internal/stats"
 )
 
-// AblationEpsilon sweeps TrimCaching Spec's rounding parameter ε and
+// ablationEpsilon sweeps TrimCaching Spec's rounding parameter ε and
 // reports both hit ratio and placement runtime: the Prop. 4 trade-off
 // between solution quality and DP cost.
-func AblationEpsilon(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func ablationEpsilon(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err
@@ -54,64 +51,32 @@ func AblationEpsilon(opt Options) (*stats.Table, error) {
 	}, nil
 }
 
-// AblationZipf sweeps the request-popularity skew: flatter popularity makes
+// ablationZipf sweeps the request-popularity skew: flatter popularity makes
 // caching harder and parameter sharing more valuable.
-func AblationZipf(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func ablationZipf(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err
 	}
-	exponents := []float64{0.4, 0.6, 0.8, 1.0, 1.2}
-	var series []stats.Series
-	for pi, s := range exponents {
+	algs := []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}}
+	var points []sweepPoint
+	for _, s := range []float64{0.4, 0.6, 0.8, 1.0, 1.2} {
 		sc := paperScenario(defaultServers, defaultUsers)
 		sc.Workload.ZipfExponent = s
-		trial := sim.TrialConfig{
-			Library:       lib,
-			Scenario:      sc,
-			CapacityBytes: int64(0.5 * GB),
-			Algorithms:    []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}},
-			Topologies:    opt.Topologies,
-			Realizations:  opt.Realizations,
-			Workers:       opt.Workers,
-			Seed:          rng.SaltSeed(opt.Seed, fmt.Sprintf("ablate-zipf/%v", s)),
-		}
-		results, err := sim.Run(trial)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablate-zipf s=%v: %w", s, err)
-		}
-		if pi == 0 {
-			series = make([]stats.Series, len(results))
-			for a, r := range results {
-				series[a].Label = r.Name
-			}
-		}
-		for a, r := range results {
-			series[a].Append(s, r.HitRatio)
-		}
+		points = append(points, sweepPoint{x: s, cfg: trial(opt, lib, sc, 0.5, algs, fmt.Sprintf("ablate-zipf/%v", s))})
 	}
-	return &stats.Table{
-		Title:  "Ablation: cache hit ratio vs Zipf exponent",
-		XLabel: "zipf exponent",
-		YLabel: "cache hit ratio",
-		Series: series,
-		Notes:  []string{fmt.Sprintf("M=%d, K=%d, Q=0.5GB, I=%d", defaultServers, defaultUsers, lib.NumModels())},
-	}, nil
+	return runSweep("Ablation: cache hit ratio vs Zipf exponent", "zipf exponent", points, []string{
+		fmt.Sprintf("M=%d, K=%d, Q=0.5GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
+	})
 }
 
-// AblationSharing sweeps the frozen (shared) fraction of the downstream
+// ablationSharing sweeps the frozen (shared) fraction of the downstream
 // models: the storage-efficiency lever the paper's Fig. 1 motivates. Freeze
 // ranges are scaled from shallow (little sharing) to the paper's ranges.
-func AblationSharing(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	scales := []float64{0.25, 0.5, 0.75, 1.0}
-	var series []stats.Series
-	for pi, scale := range scales {
+func ablationSharing(opt Options) (*stats.Table, error) {
+	algs := []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}}
+	var points []sweepPoint
+	for _, scale := range []float64{0.25, 0.5, 0.75, 1.0} {
 		ranges := map[libgen.ResNetVariant]libgen.FreezeRange{}
 		for _, fam := range []libgen.ResNetVariant{libgen.ResNet18, libgen.ResNet34, libgen.ResNet50} {
 			fr, err := libgen.PaperFreezeRange(fam)
@@ -138,49 +103,20 @@ func AblationSharing(opt Options) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		trial := sim.TrialConfig{
-			Library:       lib,
-			Scenario:      paperScenario(defaultServers, defaultUsers),
-			CapacityBytes: int64(0.5 * GB),
-			Algorithms:    []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}},
-			Topologies:    opt.Topologies,
-			Realizations:  opt.Realizations,
-			Workers:       opt.Workers,
-			Seed:          rng.SaltSeed(opt.Seed, fmt.Sprintf("ablate-sharing/%v", scale)),
-		}
-		results, err := sim.Run(trial)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablate-sharing scale=%v: %w", scale, err)
-		}
-		if pi == 0 {
-			series = make([]stats.Series, len(results))
-			for a, r := range results {
-				series[a].Label = r.Name
-			}
-		}
-		sharedFrac := lib.Stats().MeanSharedFrac
-		for a, r := range results {
-			series[a].Append(sharedFrac, r.HitRatio)
-		}
+		points = append(points, sweepPoint{
+			x:   lib.Stats().MeanSharedFrac,
+			cfg: trial(opt, lib, paperScenario(defaultServers, defaultUsers), 0.5, algs, fmt.Sprintf("ablate-sharing/%v", scale)),
+		})
 	}
-	return &stats.Table{
-		Title:  "Ablation: cache hit ratio vs mean shared-parameter fraction",
-		XLabel: "shared fraction",
-		YLabel: "cache hit ratio",
-		Series: series,
-		Notes: []string{
-			"freeze depths scaled from 25% to 100% of the paper's ranges",
-			fmt.Sprintf("M=%d, K=%d, Q=0.5GB", defaultServers, defaultUsers),
-		},
-	}, nil
+	return runSweep("Ablation: cache hit ratio vs mean shared-parameter fraction", "shared fraction", points, []string{
+		"freeze depths scaled from 25% to 100% of the paper's ranges",
+		fmt.Sprintf("M=%d, K=%d, Q=0.5GB", defaultServers, defaultUsers),
+	})
 }
 
-// AblationLazy compares the naive Algorithm 3 rescan against the lazy
+// ablationLazy compares the naive Algorithm 3 rescan against the lazy
 // (Minoux) variant: identical quality, much lower runtime.
-func AblationLazy(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func ablationLazy(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err

@@ -10,7 +10,7 @@
 // plus ablations that probe the design choices (ε, Zipf skew, shared
 // fraction, lazy vs naive greedy). Absolute numbers need not match the
 // paper's testbed, but the shape — who wins, by what factor, where the
-// crossovers fall — is the reproduction target (see EXPERIMENTS.md).
+// crossovers fall — is the reproduction target (see DESIGN.md).
 package experiments
 
 import (
@@ -109,7 +109,7 @@ func generalLibrary(opt Options, models int) (*modellib.Library, error) {
 // ~1 Gb/s. Without this contention factor the relay path (eq. 5) costs only
 // tens of milliseconds over a direct hit, one cached copy anywhere serves
 // the whole network, and per-server storage never binds — which contradicts
-// every capacity-sensitive curve in Figs. 4–5. See EXPERIMENTS.md.
+// every capacity-sensitive curve in Figs. 4–5. See DESIGN.md.
 const effectiveBackhaulBps = 1e9
 
 // paperScenario returns the §VII-A deployment distribution.
@@ -144,34 +144,43 @@ type Runner struct {
 	Name string
 	// Description is a one-line summary shown by `trimcaching list`.
 	Description string
-	// Run executes the experiment.
+	// Run checks its Options and executes the experiment.
 	Run func(Options) (*stats.Table, error)
 }
 
 // All returns every experiment runner, sorted by name.
 func All() []Runner {
 	rs := []Runner{
-		{Name: "fig1", Description: "accuracy vs frozen bottom layers (substituted fine-tuning model)", Run: Fig1},
-		{Name: "fig4a", Description: "special case: cache hit ratio vs storage capacity Q", Run: Fig4a},
-		{Name: "fig4b", Description: "special case: cache hit ratio vs number of edge servers M", Run: Fig4b},
-		{Name: "fig4c", Description: "special case: cache hit ratio vs number of users K", Run: Fig4c},
-		{Name: "fig5a", Description: "general case: cache hit ratio vs storage capacity Q", Run: Fig5a},
-		{Name: "fig5b", Description: "general case: cache hit ratio vs number of edge servers M", Run: Fig5b},
-		{Name: "fig5c", Description: "general case: cache hit ratio vs number of users K", Run: Fig5c},
-		{Name: "fig6a", Description: "special case: hit ratio and runtime vs exhaustive optimum", Run: Fig6a},
-		{Name: "fig6b", Description: "general case: Spec vs Gen hit ratio and runtime", Run: Fig6b},
-		{Name: "fig7", Description: "cache hit ratio over 2 h of user mobility", Run: Fig7},
-		{Name: "ablate-epsilon", Description: "ablation: Spec quality/runtime vs rounding epsilon", Run: AblationEpsilon},
-		{Name: "ablate-zipf", Description: "ablation: TrimCaching gain vs request skew", Run: AblationZipf},
-		{Name: "ablate-sharing", Description: "ablation: TrimCaching gain vs shared-parameter fraction", Run: AblationSharing},
-		{Name: "ablate-lazy", Description: "ablation: lazy vs naive greedy runtime", Run: AblationLazy},
-		{Name: "ablate-ratio", Description: "ablation: greedy variants (gain vs gain/cost vs +refine)", Run: AblationRatio},
-		{Name: "fig7-replace", Description: "extension: frozen placement vs threshold replacement under mobility", Run: Fig7Replace},
-		{Name: "ablate-deadline", Description: "ablation: hit ratio vs QoS deadline scale", Run: AblationDeadline},
-		{Name: "ablate-shadowing", Description: "ablation: hit ratio vs log-normal shadowing", Run: AblationShadowing},
-		{Name: "ablate-hetero", Description: "ablation: hit ratio vs capacity heterogeneity", Run: AblationHetero},
-		{Name: "ablate-layout", Description: "ablation: hit ratio vs server deployment layout", Run: AblationLayout},
-		{Name: "serve-load", Description: "extension: event-driven QoS hit ratio vs request load", Run: ServeLoad},
+		{Name: "fig1", Description: "accuracy vs frozen bottom layers (substituted fine-tuning model)", Run: fig1},
+		{Name: "fig4a", Description: "special case: cache hit ratio vs storage capacity Q", Run: figPanel(axisQ, true)},
+		{Name: "fig4b", Description: "special case: cache hit ratio vs number of edge servers M", Run: figPanel(axisM, true)},
+		{Name: "fig4c", Description: "special case: cache hit ratio vs number of users K", Run: figPanel(axisK, true)},
+		{Name: "fig5a", Description: "general case: cache hit ratio vs storage capacity Q", Run: figPanel(axisQ, false)},
+		{Name: "fig5b", Description: "general case: cache hit ratio vs number of edge servers M", Run: figPanel(axisM, false)},
+		{Name: "fig5c", Description: "general case: cache hit ratio vs number of users K", Run: figPanel(axisK, false)},
+		{Name: "fig6a", Description: "special case: hit ratio and runtime vs exhaustive optimum", Run: fig6a},
+		{Name: "fig6b", Description: "general case: Spec vs Gen hit ratio and runtime", Run: fig6b},
+		{Name: "fig7", Description: "cache hit ratio over 2 h of user mobility", Run: fig7},
+		{Name: "ablate-epsilon", Description: "ablation: Spec quality/runtime vs rounding epsilon", Run: ablationEpsilon},
+		{Name: "ablate-zipf", Description: "ablation: TrimCaching gain vs request skew", Run: ablationZipf},
+		{Name: "ablate-sharing", Description: "ablation: TrimCaching gain vs shared-parameter fraction", Run: ablationSharing},
+		{Name: "ablate-lazy", Description: "ablation: lazy vs naive greedy runtime", Run: ablationLazy},
+		{Name: "ablate-ratio", Description: "ablation: greedy variants (gain vs gain/cost vs +refine)", Run: ablationRatio},
+		{Name: "fig7-replace", Description: "extension: frozen placement vs threshold replacement under mobility", Run: fig7Replace},
+		{Name: "ablate-deadline", Description: "ablation: hit ratio vs QoS deadline scale", Run: ablationDeadline},
+		{Name: "ablate-shadowing", Description: "ablation: hit ratio vs log-normal shadowing", Run: ablationShadowing},
+		{Name: "ablate-hetero", Description: "ablation: hit ratio vs capacity heterogeneity", Run: ablationHetero},
+		{Name: "ablate-layout", Description: "ablation: hit ratio vs server deployment layout", Run: ablationLayout},
+		{Name: "serve-load", Description: "extension: event-driven QoS hit ratio vs request load", Run: serveLoad},
+	}
+	for i := range rs {
+		run := rs[i].Run
+		rs[i].Run = func(opt Options) (*stats.Table, error) {
+			if err := opt.Validate(); err != nil {
+				return nil, err
+			}
+			return run(opt)
+		}
 	}
 	sort.Slice(rs, func(a, b int) bool { return rs[a].Name < rs[b].Name })
 	return rs

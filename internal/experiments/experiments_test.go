@@ -18,6 +18,20 @@ func tinyOptions() Options {
 	return opt
 }
 
+// runTiny runs the registered experiment name at tinyOptions.
+func runTiny(t *testing.T, name string) *stats.Table {
+	t.Helper()
+	r, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := r.Run(tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 func TestOptionsValidate(t *testing.T) {
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatal(err)
@@ -67,20 +81,25 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
+	// Every runner the registry hands out checks its options first.
+	bad := tinyOptions()
+	bad.Topologies = 0
+	for _, r := range all {
+		if _, err := r.Run(bad); err == nil {
+			t.Fatalf("%s ran with invalid options", r.Name)
+		}
+	}
 }
 
 func TestFig4aShape(t *testing.T) {
-	tbl, err := Fig4a(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig4a")
 	if len(tbl.Series) != 4 {
 		t.Fatalf("%d series", len(tbl.Series))
 	}
 	byName := map[string]int{}
 	for a, s := range tbl.Series {
 		byName[s.Label] = a
-		if len(s.X) != len(capacitySweepGB) {
+		if len(s.X) != len(panelAxes[axisQ].sweep) {
 			t.Fatalf("%s has %d points", s.Label, len(s.X))
 		}
 	}
@@ -110,11 +129,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig4cDecreasingInUsers(t *testing.T) {
-	opt := tinyOptions()
-	tbl, err := Fig4c(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig4c")
 	spec := tbl.Series[0]
 	first, last := spec.Points[0].Mean, spec.Points[len(spec.Points)-1].Mean
 	// Paper: more users share the spectrum, so the hit ratio declines.
@@ -124,10 +139,7 @@ func TestFig4cDecreasingInUsers(t *testing.T) {
 }
 
 func TestFig5aShape(t *testing.T) {
-	tbl, err := Fig5a(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig5a")
 	if len(tbl.Series) != 3 {
 		t.Fatalf("%d series", len(tbl.Series))
 	}
@@ -150,19 +162,16 @@ func TestFig5aShape(t *testing.T) {
 // experiment before comparing solver times.
 const timingRuns = 5
 
-// fastestTimes runs a two-series (hit ratio, runtime) experiment timingRuns
-// times at tinyOptions and returns the hit series of the first run and, per
+// fastestTimes runs a two-series (hit ratio, runtime) registered experiment
+// timingRuns times at tinyOptions and returns the hit series of the first run and, per
 // algorithm, the fastest mean runtime over the runs. Hit ratios are seeded
 // and repeat exactly; solver times of tens of microseconds do not, since one
 // preemption on a shared host can invert an ordering, and the minimum
 // filters that out.
-func fastestTimes(t *testing.T, experiment func(Options) (*stats.Table, error)) (hits, times stats.Series) {
+func fastestTimes(t *testing.T, name string) (hits, times stats.Series) {
 	t.Helper()
 	for r := 0; r < timingRuns; r++ {
-		tbl, err := experiment(tinyOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
+		tbl := runTiny(t, name)
 		if len(tbl.Series) != 2 {
 			t.Fatalf("%d series", len(tbl.Series))
 		}
@@ -180,7 +189,7 @@ func fastestTimes(t *testing.T, experiment func(Options) (*stats.Table, error)) 
 }
 
 func TestFig6aOrdering(t *testing.T) {
-	hits, times := fastestTimes(t, Fig6a)
+	hits, times := fastestTimes(t, "fig6a")
 	// Runtime ordering: Gen < Spec < exhaustive.
 	if !(times.Points[0].Mean < times.Points[1].Mean && times.Points[1].Mean < times.Points[2].Mean) {
 		t.Fatalf("runtime ordering violated: %v", times.Points)
@@ -195,7 +204,7 @@ func TestFig6aOrdering(t *testing.T) {
 }
 
 func TestFig6bGenMuchFaster(t *testing.T) {
-	hits, times := fastestTimes(t, Fig6b)
+	hits, times := fastestTimes(t, "fig6b")
 	genTime, specTime := times.Points[0].Mean, times.Points[1].Mean
 	// The paper reports Gen ~3,900x faster in the general case; require at
 	// least two orders of magnitude.
@@ -209,11 +218,7 @@ func TestFig6bGenMuchFaster(t *testing.T) {
 }
 
 func TestFig7Robustness(t *testing.T) {
-	opt := tinyOptions()
-	tbl, err := Fig7(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig7")
 	if len(tbl.Series) != 2 {
 		t.Fatalf("%d series", len(tbl.Series))
 	}
@@ -237,10 +242,7 @@ func TestFig7Robustness(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	tbl, err := Fig1(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig1")
 	if len(tbl.Series) != 2 {
 		t.Fatalf("%d series", len(tbl.Series))
 	}
@@ -258,31 +260,21 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestAblationEpsilonRuns(t *testing.T) {
-	tbl, err := AblationEpsilon(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ablate-epsilon")
 	if len(tbl.Series) != 2 || len(tbl.Series[0].X) != 5 {
 		t.Fatalf("unexpected shape: %d series", len(tbl.Series))
 	}
 }
 
 func TestAblationZipfRuns(t *testing.T) {
-	tbl, err := AblationZipf(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ablate-zipf")
 	if len(tbl.Series) != 2 {
 		t.Fatalf("%d series", len(tbl.Series))
 	}
 }
 
 func TestAblationSharingGainGrowsWithSharing(t *testing.T) {
-	opt := tinyOptions()
-	tbl, err := AblationSharing(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ablate-sharing")
 	gen, ind := tbl.Series[0], tbl.Series[1]
 	// The TrimCaching advantage at the paper's sharing level must exceed
 	// the advantage at the lowest sharing level.
@@ -300,7 +292,7 @@ func TestAblationSharingGainGrowsWithSharing(t *testing.T) {
 }
 
 func TestAblationLazyMatchesAndFaster(t *testing.T) {
-	hits, times := fastestTimes(t, AblationLazy)
+	hits, times := fastestTimes(t, "ablate-lazy")
 	if diff := hits.Points[0].Mean - hits.Points[1].Mean; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("lazy and naive hit ratios differ: %v", hits.Points)
 	}

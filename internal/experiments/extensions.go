@@ -8,14 +8,11 @@ import (
 	"trimcaching/internal/stats"
 )
 
-// AblationRatio compares Algorithm 3 (absolute marginal gain) with the
+// ablationRatio compares Algorithm 3 (absolute marginal gain) with the
 // cost-benefit greedy (gain per incremental byte) and the refine post-pass
 // across the capacity sweep — probing whether the paper's plain greedy
 // leaves quality on the table.
-func AblationRatio(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func ablationRatio(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err
@@ -26,10 +23,10 @@ func AblationRatio(opt Options) (*stats.Table, error) {
 		placement.RefinedAlgorithm{Base: placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}}},
 	}
 	var points []sweepPoint
-	for _, q := range capacitySweepGB {
+	for _, q := range panelAxes[axisQ].sweep {
 		points = append(points, sweepPoint{
 			x:   q,
-			cfg: figTrial(opt, lib, defaultServers, defaultUsers, q, algs, fmt.Sprintf("ablate-ratio/q=%v", q)),
+			cfg: trial(opt, lib, paperScenario(defaultServers, defaultUsers), q, algs, fmt.Sprintf("ablate-ratio/q=%v", q)),
 		})
 	}
 	return runSweep("Ablation: greedy variants (gain vs gain/cost vs +refine)",
@@ -38,15 +35,12 @@ func AblationRatio(opt Options) (*stats.Table, error) {
 		})
 }
 
-// Fig7Replace extends Fig. 7 with the §IV replacement remark: comparing a
+// fig7Replace extends Fig. 7 with the §IV replacement remark: comparing a
 // frozen placement against a policy that re-places when the measured hit
 // ratio degrades 5% below its post-placement baseline. The two policies are
 // two tracks of one timeline per topology, so they see the same topology,
 // walk and fading. Reports both timelines and the replacement count.
-func Fig7Replace(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func fig7Replace(opt Options) (*stats.Table, error) {
 	labels := []string{"frozen placement", "replace on 5% degradation"}
 	series, replacements, err := runFig7(opt, "fig7-replace", []dynamics.Track{
 		{Algorithm: genAlgorithm(), Trigger: dynamics.NeverTrigger{}},

@@ -8,15 +8,12 @@ import (
 	"trimcaching/internal/stats"
 )
 
-// Fig1 reproduces Fig. 1: inference accuracy of fine-tuned ResNet-50 models
+// fig1 reproduces Fig. 1: inference accuracy of fine-tuned ResNet-50 models
 // versus the number of frozen bottom layers, for the "transportation" and
 // "animal" downstream tasks. The real figure requires GPU fine-tuning on
 // CIFAR-100; this driver uses the calibrated synthetic transfer-accuracy
 // model of internal/finetune (substitution documented in DESIGN.md).
-func Fig1(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func fig1(opt Options) (*stats.Table, error) {
 	frozenCounts := []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 97, 107}
 	const testN = 2000 // simulated test-set size per evaluation
 	root := rng.New(rng.SaltSeed(opt.Seed, "fig1"))

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"trimcaching/internal/modellib"
 	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
+	"trimcaching/internal/scenario"
 	"trimcaching/internal/sim"
 	"trimcaching/internal/stats"
 )
@@ -48,175 +50,91 @@ func runSweep(title, xLabel string, points []sweepPoint, notes []string) (*stats
 	}, nil
 }
 
-// capacitySweepGB is the paper's Q axis: 0.5 to 1.5 GB.
-var capacitySweepGB = []float64{0.5, 0.75, 1.0, 1.25, 1.5}
-
-// serverSweep is the paper's M axis.
-var serverSweep = []int{6, 8, 10, 12, 14}
-
-// userSweep is the paper's K axis.
-var userSweep = []int{10, 20, 30, 40, 50}
+// trial builds the sim.TrialConfig of one sweep point: algs placed from lib
+// with qGB of storage per server on deployments drawn from sc, at opt's
+// fidelity, seeded by opt.Seed salted with salt.
+func trial(opt Options, lib *modellib.Library, sc scenario.GenConfig, qGB float64, algs []placement.Algorithm, salt string) sim.TrialConfig {
+	return sim.TrialConfig{
+		Library:       lib,
+		Scenario:      sc,
+		CapacityBytes: int64(qGB * GB),
+		Algorithms:    algs,
+		Topologies:    opt.Topologies,
+		Realizations:  opt.Realizations,
+		Workers:       opt.Workers,
+		Seed:          rng.SaltSeed(opt.Seed, salt),
+	}
+}
 
 // Defaults held fixed on the non-swept axes (captions of Figs. 4–5; K is
-// not stated in the paper and documented as 30 in EXPERIMENTS.md).
+// not stated in the paper and documented as 30 in DESIGN.md).
 const (
 	defaultServers = 10
 	defaultUsers   = 30
 	defaultQGB     = 1.0
 )
 
-// figTrial builds the common sim.TrialConfig for Figs. 4–5.
-func figTrial(opt Options, lib *modellib.Library, m, k int, qGB float64, algs []placement.Algorithm, pointSalt string) sim.TrialConfig {
-	return sim.TrialConfig{
-		Library:       lib,
-		Scenario:      paperScenario(m, k),
-		CapacityBytes: int64(qGB * GB),
-		Algorithms:    algs,
-		Topologies:    opt.Topologies,
-		Realizations:  opt.Realizations,
-		Workers:       opt.Workers,
-		Seed:          rng.SaltSeed(opt.Seed, pointSalt),
-	}
+// The axes of Figs. 4–5, in panel order: (a) sweeps Q, (b) M and (c) K.
+const (
+	axisQ = iota
+	axisM
+	axisK
+)
+
+// panelAxes holds each axis of Figs. 4–5: its symbol, its x label, the
+// title's phrase for it, its unit in the notes, the paper's sweep, and the
+// value it holds while another axis is swept.
+var panelAxes = [...]struct {
+	symbol, label, phrase, unit string
+	sweep                       []float64
+	fixed                       float64
+}{
+	axisQ: {"Q", "Q (GB)", "edge server capacity", " GB", []float64{0.5, 0.75, 1.0, 1.25, 1.5}, defaultQGB},
+	axisM: {"M", "M", "number of edge servers", "", []float64{6, 8, 10, 12, 14}, defaultServers},
+	axisK: {"K", "K", "number of users", "", []float64{10, 20, 30, 40, 50}, defaultUsers},
 }
 
-// specialAlgs is the Fig. 4 algorithm set.
-func specialAlgs(opt Options) []placement.Algorithm {
-	return []placement.Algorithm{specAlgorithm(opt), genAlgorithm(), placement.IndependentAlgorithm{}, placement.PopularityAlgorithm{}}
-}
-
-// generalAlgs is the Fig. 5 algorithm set.
-func generalAlgs() []placement.Algorithm {
-	return []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}, placement.PopularityAlgorithm{}}
-}
-
-// Fig4a reproduces Fig. 4(a): special case, hit ratio vs Q (M=10, I=30).
-func Fig4a(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
+// figPanel returns the runner of one panel of Figs. 4–5: hit ratio vs the
+// axis ax, the other two held at their captions' values. The general case
+// (Fig. 5) places a Table I library with Gen and the two baselines; the
+// special case (Fig. 4) places a special-case library with Spec as well.
+func figPanel(ax int, special bool) func(Options) (*stats.Table, error) {
+	return func(opt Options) (*stats.Table, error) {
+		fig, kind, eps := 5, "general", ""
+		algs := []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}, placement.PopularityAlgorithm{}}
+		var lib *modellib.Library
+		var err error
+		if special {
+			fig, kind, eps = 4, "special", fmt.Sprintf(", eps=%v", opt.Epsilon)
+			algs = append([]placement.Algorithm{specAlgorithm(opt)}, algs...)
+			lib, err = specialLibrary(opt)
+		} else {
+			lib, err = generalLibrary(opt, opt.LibraryModels)
+		}
+		if err != nil {
+			return nil, err
+		}
+		var dims [len(panelAxes)]float64
+		var fixed []string
+		for a, axis := range panelAxes {
+			dims[a] = axis.fixed
+			if a != ax {
+				fixed = append(fixed, fmt.Sprintf("%s=%v%s", axis.symbol, axis.fixed, axis.unit))
+			}
+		}
+		swept, letter := panelAxes[ax], 'a'+rune(ax)
+		var points []sweepPoint
+		for _, x := range swept.sweep {
+			dims[ax] = x
+			salt := fmt.Sprintf("fig%d%c/%s=%v", fig, letter, strings.ToLower(swept.symbol), x)
+			points = append(points, sweepPoint{
+				x:   x,
+				cfg: trial(opt, lib, paperScenario(int(dims[axisM]), int(dims[axisK])), dims[axisQ], algs, salt),
+			})
+		}
+		return runSweep(fmt.Sprintf("Fig. %d(%c) %s case: cache hit ratio vs %s", fig, letter, kind, swept.phrase),
+			swept.label, points, []string{
+				fmt.Sprintf("%s, I=%d%s", strings.Join(fixed, ", "), lib.NumModels(), eps),
+			})
 	}
-	lib, err := specialLibrary(opt)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
-	for _, q := range capacitySweepGB {
-		points = append(points, sweepPoint{
-			x:   q,
-			cfg: figTrial(opt, lib, defaultServers, defaultUsers, q, specialAlgs(opt), fmt.Sprintf("fig4a/q=%v", q)),
-		})
-	}
-	return runSweep("Fig. 4(a) special case: cache hit ratio vs edge server capacity",
-		"Q (GB)", points, []string{
-			fmt.Sprintf("M=%d, K=%d, I=%d, eps=%v", defaultServers, defaultUsers, lib.NumModels(), opt.Epsilon),
-		})
-}
-
-// Fig4b reproduces Fig. 4(b): special case, hit ratio vs M (Q=1GB, I=30).
-func Fig4b(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	lib, err := specialLibrary(opt)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
-	for _, m := range serverSweep {
-		points = append(points, sweepPoint{
-			x:   float64(m),
-			cfg: figTrial(opt, lib, m, defaultUsers, defaultQGB, specialAlgs(opt), fmt.Sprintf("fig4b/m=%d", m)),
-		})
-	}
-	return runSweep("Fig. 4(b) special case: cache hit ratio vs number of edge servers",
-		"M", points, []string{
-			fmt.Sprintf("Q=%v GB, K=%d, I=%d, eps=%v", defaultQGB, defaultUsers, lib.NumModels(), opt.Epsilon),
-		})
-}
-
-// Fig4c reproduces Fig. 4(c): special case, hit ratio vs K (Q=1GB, M=10).
-func Fig4c(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	lib, err := specialLibrary(opt)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
-	for _, k := range userSweep {
-		points = append(points, sweepPoint{
-			x:   float64(k),
-			cfg: figTrial(opt, lib, defaultServers, k, defaultQGB, specialAlgs(opt), fmt.Sprintf("fig4c/k=%d", k)),
-		})
-	}
-	return runSweep("Fig. 4(c) special case: cache hit ratio vs number of users",
-		"K", points, []string{
-			fmt.Sprintf("Q=%v GB, M=%d, I=%d, eps=%v", defaultQGB, defaultServers, lib.NumModels(), opt.Epsilon),
-		})
-}
-
-// Fig5a reproduces Fig. 5(a): general case, hit ratio vs Q.
-func Fig5a(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	lib, err := generalLibrary(opt, opt.LibraryModels)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
-	for _, q := range capacitySweepGB {
-		points = append(points, sweepPoint{
-			x:   q,
-			cfg: figTrial(opt, lib, defaultServers, defaultUsers, q, generalAlgs(), fmt.Sprintf("fig5a/q=%v", q)),
-		})
-	}
-	return runSweep("Fig. 5(a) general case: cache hit ratio vs edge server capacity",
-		"Q (GB)", points, []string{
-			fmt.Sprintf("M=%d, K=%d, I=%d", defaultServers, defaultUsers, lib.NumModels()),
-		})
-}
-
-// Fig5b reproduces Fig. 5(b): general case, hit ratio vs M.
-func Fig5b(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	lib, err := generalLibrary(opt, opt.LibraryModels)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
-	for _, m := range serverSweep {
-		points = append(points, sweepPoint{
-			x:   float64(m),
-			cfg: figTrial(opt, lib, m, defaultUsers, defaultQGB, generalAlgs(), fmt.Sprintf("fig5b/m=%d", m)),
-		})
-	}
-	return runSweep("Fig. 5(b) general case: cache hit ratio vs number of edge servers",
-		"M", points, []string{
-			fmt.Sprintf("Q=%v GB, K=%d, I=%d", defaultQGB, defaultUsers, lib.NumModels()),
-		})
-}
-
-// Fig5c reproduces Fig. 5(c): general case, hit ratio vs K.
-func Fig5c(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	lib, err := generalLibrary(opt, opt.LibraryModels)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
-	for _, k := range userSweep {
-		points = append(points, sweepPoint{
-			x:   float64(k),
-			cfg: figTrial(opt, lib, defaultServers, k, defaultQGB, generalAlgs(), fmt.Sprintf("fig5c/k=%d", k)),
-		})
-	}
-	return runSweep("Fig. 5(c) general case: cache hit ratio vs number of users",
-		"K", points, []string{
-			fmt.Sprintf("Q=%v GB, M=%d, I=%d", defaultQGB, defaultServers, lib.NumModels()),
-		})
 }

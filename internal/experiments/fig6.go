@@ -51,12 +51,9 @@ func runAlgoComparison(title string, trial sim.TrialConfig) (*stats.Table, error
 	}, nil
 }
 
-// Fig6a reproduces Fig. 6(a): special case, Gen vs Spec vs exhaustive
+// fig6a reproduces Fig. 6(a): special case, Gen vs Spec vs exhaustive
 // optimum on the shrunk instance (Q = 0.1 GB, 9 models, ε = 0).
-func Fig6a(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func fig6a(opt Options) (*stats.Table, error) {
 	m, k, side := fig6Scenario()
 	poolOpt := opt
 	poolOpt.LibraryModels = 9
@@ -83,13 +80,10 @@ func Fig6a(opt Options) (*stats.Table, error) {
 	return runAlgoComparison("Fig. 6(a) special case: algorithms vs exhaustive optimum (M=2, K=6, Q=0.1GB, I=9, eps=0)", trial)
 }
 
-// Fig6b reproduces Fig. 6(b): general case, Gen vs Spec running time
+// fig6b reproduces Fig. 6(b): general case, Gen vs Spec running time
 // (Q = 0.2 GB, 27 models, ε = 0). In the general case Spec's shared-block
 // enumeration blows up, which is exactly the phenomenon this figure shows.
-func Fig6b(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func fig6b(opt Options) (*stats.Table, error) {
 	m, k, side := fig6Scenario()
 	lib, err := generalLibrary(opt, 27)
 	if err != nil {

@@ -22,14 +22,11 @@ const (
 	fig7CheckpointMin = 10
 )
 
-// Fig7 reproduces Fig. 7: models are placed once at t = 0 (Spec and Gen),
+// fig7 reproduces Fig. 7: models are placed once at t = 0 (Spec and Gen),
 // users then move per the pedestrian/bike/vehicle model, and the cache hit
 // ratio is re-evaluated under fading at each checkpoint without replacing
 // models. The paper reports only ~5-6% degradation over 2 h.
-func Fig7(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func fig7(opt Options) (*stats.Table, error) {
 	algs := []placement.Algorithm{specAlgorithm(opt), genAlgorithm()}
 	tracks := make([]dynamics.Track, len(algs))
 	for a, alg := range algs {

@@ -4,127 +4,61 @@ import (
 	"fmt"
 
 	"trimcaching/internal/placement"
-	"trimcaching/internal/rng"
-	"trimcaching/internal/sim"
 	"trimcaching/internal/stats"
 )
 
-// AblationDeadline sweeps the QoS latency budget: the fundamental trade-off
+// ablationDeadline sweeps the QoS latency budget: the fundamental trade-off
 // between storage efficiency and service latency that TrimCaching balances
 // (§I). Tight deadlines kill relayed downloads first, so local caching —
 // and therefore parameter sharing — matters most.
-func AblationDeadline(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func ablationDeadline(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err
 	}
+	algs := []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}}
+	var points []sweepPoint
 	// Deadline windows scaled around the paper's [0.5, 1] s.
-	scales := []float64{0.6, 0.8, 1.0, 1.4, 2.0}
-	var series []stats.Series
-	for pi, scale := range scales {
+	for _, scale := range []float64{0.6, 0.8, 1.0, 1.4, 2.0} {
 		sc := paperScenario(defaultServers, defaultUsers)
 		sc.Workload.DeadlineMinS = 0.5 * scale
 		sc.Workload.DeadlineMaxS = 1.0 * scale
-		trial := sim.TrialConfig{
-			Library:       lib,
-			Scenario:      sc,
-			CapacityBytes: int64(0.75 * GB),
-			Algorithms:    []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}},
-			Topologies:    opt.Topologies,
-			Realizations:  opt.Realizations,
-			Workers:       opt.Workers,
-			Seed:          rng.SaltSeed(opt.Seed, fmt.Sprintf("ablate-deadline/%v", scale)),
-		}
-		results, err := sim.Run(trial)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablate-deadline scale=%v: %w", scale, err)
-		}
-		if pi == 0 {
-			series = make([]stats.Series, len(results))
-			for a, r := range results {
-				series[a].Label = r.Name
-			}
-		}
-		for a, r := range results {
-			series[a].Append(scale, r.HitRatio)
-		}
+		points = append(points, sweepPoint{x: scale, cfg: trial(opt, lib, sc, 0.75, algs, fmt.Sprintf("ablate-deadline/%v", scale))})
 	}
-	return &stats.Table{
-		Title:  "Ablation: cache hit ratio vs QoS deadline scale",
-		XLabel: "deadline scale (x of [0.5,1]s)",
-		YLabel: "cache hit ratio",
-		Series: series,
-		Notes: []string{
-			fmt.Sprintf("M=%d, K=%d, Q=0.75GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
-		},
-	}, nil
+	return runSweep("Ablation: cache hit ratio vs QoS deadline scale", "deadline scale (x of [0.5,1]s)", points, []string{
+		fmt.Sprintf("M=%d, K=%d, Q=0.75GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
+	})
 }
 
-// AblationShadowing adds log-normal shadowing on top of the paper's channel
+// ablationShadowing adds log-normal shadowing on top of the paper's channel
 // model and measures how robust the TrimCaching advantage is to slow-fading
 // uncertainty the placement cannot see coming.
-func AblationShadowing(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func ablationShadowing(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err
 	}
-	sigmas := []float64{0, 4, 8}
-	var series []stats.Series
-	for pi, sigma := range sigmas {
+	algs := []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}}
+	var points []sweepPoint
+	for _, sigma := range []float64{0, 4, 8} {
 		sc := paperScenario(defaultServers, defaultUsers)
 		sc.Wireless = sc.Wireless.WithShadowing(sigma)
-		trial := sim.TrialConfig{
-			Library:       lib,
-			Scenario:      sc,
-			CapacityBytes: int64(0.75 * GB),
-			Algorithms:    []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}},
-			Topologies:    opt.Topologies,
-			Realizations:  opt.Realizations,
-			Workers:       opt.Workers,
-			Seed:          rng.SaltSeed(opt.Seed, fmt.Sprintf("ablate-shadowing/%v", sigma)),
-		}
-		results, err := sim.Run(trial)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablate-shadowing sigma=%v: %w", sigma, err)
-		}
-		if pi == 0 {
-			series = make([]stats.Series, len(results))
-			for a, r := range results {
-				series[a].Label = r.Name
-			}
-		}
-		for a, r := range results {
-			series[a].Append(sigma, r.HitRatio)
-		}
+		points = append(points, sweepPoint{x: sigma, cfg: trial(opt, lib, sc, 0.75, algs, fmt.Sprintf("ablate-shadowing/%v", sigma))})
 	}
-	return &stats.Table{
-		Title:  "Ablation: cache hit ratio vs log-normal shadowing",
-		XLabel: "shadowing std (dB)",
-		YLabel: "cache hit ratio",
-		Series: series,
-		Notes: []string{
-			fmt.Sprintf("M=%d, K=%d, Q=0.75GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
-		},
-	}, nil
+	return runSweep("Ablation: cache hit ratio vs log-normal shadowing", "shadowing std (dB)", points, []string{
+		fmt.Sprintf("M=%d, K=%d, Q=0.75GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
+	})
 }
 
-// AblationHetero compares uniform capacities against heterogeneous ones
+// ablationHetero compares uniform capacities against heterogeneous ones
 // with the same total storage: skewed capacity makes coordination — and the
 // Spec algorithm's per-server sub-problems — work harder.
-func AblationHetero(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func ablationHetero(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err
 	}
+	algs := []placement.Algorithm{specAlgorithm(opt), genAlgorithm(), placement.IndependentAlgorithm{}}
 	// Each factor set has mean 1 so total network storage is constant.
 	profiles := []struct {
 		skew    float64
@@ -134,40 +68,13 @@ func AblationHetero(opt Options) (*stats.Table, error) {
 		{0.5, []float64{0.5, 1.5}},
 		{0.9, []float64{0.1, 1.9}},
 	}
-	var series []stats.Series
-	for pi, prof := range profiles {
-		trial := sim.TrialConfig{
-			Library:         lib,
-			Scenario:        paperScenario(defaultServers, defaultUsers),
-			CapacityBytes:   int64(0.75 * GB),
-			CapacityFactors: prof.factors,
-			Algorithms:      []placement.Algorithm{specAlgorithm(opt), genAlgorithm(), placement.IndependentAlgorithm{}},
-			Topologies:      opt.Topologies,
-			Realizations:    opt.Realizations,
-			Workers:         opt.Workers,
-			Seed:            rng.SaltSeed(opt.Seed, fmt.Sprintf("ablate-hetero/%v", prof.skew)),
-		}
-		results, err := sim.Run(trial)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablate-hetero skew=%v: %w", prof.skew, err)
-		}
-		if pi == 0 {
-			series = make([]stats.Series, len(results))
-			for a, r := range results {
-				series[a].Label = r.Name
-			}
-		}
-		for a, r := range results {
-			series[a].Append(prof.skew, r.HitRatio)
-		}
+	var points []sweepPoint
+	for _, prof := range profiles {
+		cfg := trial(opt, lib, paperScenario(defaultServers, defaultUsers), 0.75, algs, fmt.Sprintf("ablate-hetero/%v", prof.skew))
+		cfg.CapacityFactors = prof.factors
+		points = append(points, sweepPoint{x: prof.skew, cfg: cfg})
 	}
-	return &stats.Table{
-		Title:  "Ablation: cache hit ratio vs capacity heterogeneity",
-		XLabel: "capacity skew (0 = uniform; total storage constant)",
-		YLabel: "cache hit ratio",
-		Series: series,
-		Notes: []string{
-			fmt.Sprintf("M=%d, K=%d, mean Q=0.75GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
-		},
-	}, nil
+	return runSweep("Ablation: cache hit ratio vs capacity heterogeneity", "capacity skew (0 = uniform; total storage constant)", points, []string{
+		fmt.Sprintf("M=%d, K=%d, mean Q=0.75GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
+	})
 }

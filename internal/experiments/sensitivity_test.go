@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestAblationDeadlineShape(t *testing.T) {
-	tbl, err := AblationDeadline(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ablate-deadline")
 	if len(tbl.Series) != 2 || len(tbl.Series[0].X) != 5 {
 		t.Fatalf("unexpected shape")
 	}
@@ -20,10 +17,7 @@ func TestAblationDeadlineShape(t *testing.T) {
 }
 
 func TestAblationShadowingShape(t *testing.T) {
-	tbl, err := AblationShadowing(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ablate-shadowing")
 	if len(tbl.Series) != 2 || len(tbl.Series[0].X) != 3 {
 		t.Fatal("unexpected shape")
 	}
@@ -38,10 +32,7 @@ func TestAblationShadowingShape(t *testing.T) {
 }
 
 func TestAblationHeteroShape(t *testing.T) {
-	tbl, err := AblationHetero(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ablate-hetero")
 	if len(tbl.Series) != 3 || len(tbl.Series[0].X) != 3 {
 		t.Fatal("unexpected shape")
 	}
@@ -55,10 +46,7 @@ func TestAblationHeteroShape(t *testing.T) {
 }
 
 func TestAblationRatioShape(t *testing.T) {
-	tbl, err := AblationRatio(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ablate-ratio")
 	if len(tbl.Series) != 3 {
 		t.Fatalf("%d series", len(tbl.Series))
 	}
@@ -73,11 +61,7 @@ func TestAblationRatioShape(t *testing.T) {
 }
 
 func TestFig7ReplaceShape(t *testing.T) {
-	opt := tinyOptions()
-	tbl, err := Fig7Replace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "fig7-replace")
 	if len(tbl.Series) != 2 {
 		t.Fatalf("%d series", len(tbl.Series))
 	}

@@ -7,73 +7,38 @@ import (
 	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/scenario"
-	"trimcaching/internal/sim"
 	"trimcaching/internal/stats"
 	"trimcaching/internal/topology"
 	"trimcaching/internal/trace"
 )
 
-// AblationLayout compares the paper's uniform random server deployment
+// ablationLayout compares the paper's uniform random server deployment
 // against a planned grid and an unplanned Poisson point process, holding
 // everything else fixed.
-func AblationLayout(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func ablationLayout(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err
 	}
-	layouts := []topology.Layout{topology.LayoutUniform, topology.LayoutGrid, topology.LayoutPPP}
-	var series []stats.Series
-	for pi, layout := range layouts {
+	algs := []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}}
+	var points []sweepPoint
+	for pi, layout := range []topology.Layout{topology.LayoutUniform, topology.LayoutGrid, topology.LayoutPPP} {
 		sc := paperScenario(defaultServers, defaultUsers)
 		sc.Topology.ServerLayout = layout
-		trial := sim.TrialConfig{
-			Library:       lib,
-			Scenario:      sc,
-			CapacityBytes: int64(0.75 * GB),
-			Algorithms:    []placement.Algorithm{genAlgorithm(), placement.IndependentAlgorithm{}},
-			Topologies:    opt.Topologies,
-			Realizations:  opt.Realizations,
-			Workers:       opt.Workers,
-			Seed:          rng.SaltSeed(opt.Seed, fmt.Sprintf("ablate-layout/%v", layout)),
-		}
-		results, err := sim.Run(trial)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablate-layout %v: %w", layout, err)
-		}
-		if pi == 0 {
-			series = make([]stats.Series, len(results))
-			for a, r := range results {
-				series[a].Label = r.Name
-			}
-		}
-		for a, r := range results {
-			series[a].Append(float64(pi+1), r.HitRatio)
-		}
+		points = append(points, sweepPoint{x: float64(pi + 1), cfg: trial(opt, lib, sc, 0.75, algs, fmt.Sprintf("ablate-layout/%v", layout))})
 	}
-	return &stats.Table{
-		Title:  "Ablation: cache hit ratio vs server deployment layout",
-		XLabel: "layout# (1=uniform, 2=grid, 3=ppp)",
-		YLabel: "cache hit ratio",
-		Series: series,
-		Notes: []string{
-			fmt.Sprintf("M=%d, K=%d, Q=0.75GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
-		},
-	}, nil
+	return runSweep("Ablation: cache hit ratio vs server deployment layout", "layout# (1=uniform, 2=grid, 3=ppp)", points, []string{
+		fmt.Sprintf("M=%d, K=%d, Q=0.75GB, I=%d", defaultServers, defaultUsers, lib.NumModels()),
+	})
 }
 
-// ServeLoad sweeps the request arrival rate through the event-driven
+// serveLoad sweeps the request arrival rate through the event-driven
 // serving simulator: under contention every server's spectrum is
 // processor-shared by its active downloads, so QoS hit ratios fall as load
 // rises — faster for placements that push traffic onto relays and the
 // cloud. This is an end-to-end systems view the paper's closed-form
 // objective abstracts away.
-func ServeLoad(opt Options) (*stats.Table, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+func serveLoad(opt Options) (*stats.Table, error) {
 	lib, err := specialLibrary(opt)
 	if err != nil {
 		return nil, err

@@ -3,20 +3,14 @@ package experiments
 import "testing"
 
 func TestAblationLayoutShape(t *testing.T) {
-	tbl, err := AblationLayout(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "ablate-layout")
 	if len(tbl.Series) != 2 || len(tbl.Series[0].X) != 3 {
 		t.Fatal("unexpected shape")
 	}
 }
 
 func TestServeLoadShape(t *testing.T) {
-	tbl, err := ServeLoad(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTiny(t, "serve-load")
 	if len(tbl.Series) != 3 || len(tbl.Series[0].X) != 5 {
 		t.Fatal("unexpected shape")
 	}
