@@ -83,31 +83,24 @@ func TestServeTraceConservation(t *testing.T) {
 
 func TestServeTraceLoneDownloadRate(t *testing.T) {
 	// With a single request and no fading, the download must complete at
-	// the full-bandwidth rate: latency = bits/(se*B) + inference.
-	ins, eval := buildServing(t, 32)
-	caps := placement.UniformCapacities(ins.NumServers(), 1<<31)
-	p, err := placement.TrimCachingGen(eval, caps, placement.GenOptions{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a (user, model) pair cached on a covering server.
-	var user, model = -1, -1
+	// the full-bandwidth rate: latency = bits/(log2(1+SNR)*B) + inference.
+	ins, _ := buildServing(t, 32)
+	topo := ins.Topology()
+	user := -1
 	for k := 0; k < ins.NumUsers() && user < 0; k++ {
-		for _, m := range ins.Topology().ServersCovering(k) {
-			for i := 0; i < ins.NumModels(); i++ {
-				if p.Has(m, i) {
-					user, model = k, i
-					break
-				}
-			}
-			if user >= 0 {
-				break
-			}
+		if len(topo.ServersCovering(k)) > 0 {
+			user = k
 		}
 	}
 	if user < 0 {
-		t.Skip("no direct-servable pair in this draw")
+		t.Fatal("no covered user in this draw")
 	}
+	// Cache model 0 on one server covering the user, so it is the only
+	// direct source.
+	const model = 0
+	server := topo.ServersCovering(user)[0]
+	p := placement.NewPlacement(ins.NumServers(), ins.NumModels())
+	p.Set(server, model)
 	tr := &trace.Trace{DurationS: 100, Requests: []trace.Request{{TimeS: 1, User: user, Model: model}}}
 	cfg := DefaultEventConfig()
 	cfg.Fading = false
@@ -118,8 +111,16 @@ func TestServeTraceLoneDownloadRate(t *testing.T) {
 	if res.Direct != 1 {
 		t.Fatalf("expected one direct download: %+v", res)
 	}
-	if res.MeanLatency <= 0 {
-		t.Fatalf("no latency recorded: %+v", res)
+	w := ins.Wireless()
+	snr, err := w.SNR(topo.Distance(server, user), topo.Load(server))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := 8 * float64(ins.Library().ModelSize(model))
+	want := bits/(math.Log2(1+snr)*w.BandwidthHz) + ins.Workload().InferS(user, model)
+	// MeanLatency is a time.Duration, so it is exact to a nanosecond only.
+	if got := res.MeanLatency.Seconds(); math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("lone download latency %vs, want %vs", got, want)
 	}
 	// A lone flow gets the whole 400 MHz: even a ResNet-50 finishes well
 	// under a second of airtime plus inference.
