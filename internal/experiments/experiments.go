@@ -1,5 +1,5 @@
-// Package experiments contains one driver per table/figure in the paper's
-// evaluation (§VII), each regenerating the corresponding rows/series:
+// Package experiments regenerates the rows/series of each table/figure in
+// the paper's evaluation (§VII), one registry entry per figure or panel:
 //
 //	Fig. 1   — accuracy vs frozen bottom layers (motivating figure)
 //	Fig. 4   — special case: hit ratio vs Q / M / K (Spec, Gen, Independent)

@@ -8,7 +8,7 @@ import "sort"
 // deduplication) and ignoring what other servers cache. Traditional
 // popularity-based placement behaves this way, and it brackets the paper's
 // Independent Caching baseline from below (coordinated greedy brackets it
-// from above); see EXPERIMENTS.md.
+// from above); see DESIGN.md.
 func PopularityCaching(e *Evaluator, capacities []int64) (*Placement, error) {
 	s, err := newGreedyState(e, capacities, false)
 	if err != nil {

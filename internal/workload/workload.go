@@ -14,7 +14,7 @@ import (
 type Config struct {
 	// ZipfExponent is the skew s of the request popularity law. The paper
 	// cites Zipf [43] without the exponent; 0.8 is the conventional choice
-	// for content popularity and is documented in EXPERIMENTS.md.
+	// for content popularity and is documented in DESIGN.md.
 	ZipfExponent float64 `json:"zipfExponent"`
 	// PerUserPermutation randomizes each user's popularity ranking. When
 	// false every user shares the global rank order.
@@ -31,11 +31,11 @@ type Config struct {
 }
 
 // DefaultConfig returns the documented §VII-A demand parameters. The Zipf
-// ranking is global (all users share the popularity order): with per-user
-// permutations the aggregate popularity flattens and capacity-sensitivity
-// disappears, contradicting Figs. 4–5; with the global ranking the
-// Independent baseline duplicates the same top models on every server and
-// reproduces the paper's numbers (see EXPERIMENTS.md).
+// ranking is global (all users share the popularity order), so the
+// Independent baseline duplicates the same top models on every server;
+// per-user permutations would flatten the aggregate popularity, which
+// mostly hurts the uncoordinated Popularity baseline. DESIGN.md has the
+// measurements.
 func DefaultConfig() Config {
 	return Config{
 		ZipfExponent:       0.8,
