@@ -6,12 +6,13 @@
 //	trimcaching <experiment> [flags]
 //	trimcaching all [flags]
 //
-// Experiments: fig1, fig4a, fig4b, fig4c, fig5a, fig5b, fig5c, fig6a,
-// fig6b, fig7, ablate-epsilon, ablate-zipf, ablate-sharing, ablate-lazy.
+// `trimcaching list` names every experiment: the paper's figures and the
+// ablations.
 //
 // Flags mirror §VII-A fidelity knobs: -topologies (paper: 100),
 // -realizations (paper: >1000), -seed, -epsilon, -models, -pool, -workers,
-// and -out to tee results to a file.
+// plus -out to tee results to a file and -chart to draw an ASCII chart
+// under each table.
 package main
 
 import (
@@ -113,5 +114,5 @@ func usage(w io.Writer) {
 	for _, r := range experiments.All() {
 		fmt.Fprintf(w, "  %-16s %s\n", r.Name, r.Description)
 	}
-	fmt.Fprintln(w, "flags: -topologies -realizations -workers -seed -epsilon -models -pool -out")
+	fmt.Fprintln(w, "flags: -topologies -realizations -workers -seed -epsilon -models -pool -out -chart")
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"trimcaching/internal/experiments"
 )
 
 func TestRunList(t *testing.T) {
@@ -13,9 +15,13 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fig4a", "fig6b", "fig7", "ablate-epsilon", "usage"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("list output missing %q:\n%s", want, out.String())
+	want := []string{"usage", "-chart"}
+	for _, r := range experiments.All() {
+		want = append(want, r.Name)
+	}
+	for _, w := range want {
+		if !strings.Contains(out.String(), w) {
+			t.Fatalf("list output missing %q:\n%s", w, out.String())
 		}
 	}
 }

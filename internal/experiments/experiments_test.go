@@ -163,11 +163,11 @@ func TestFig5aShape(t *testing.T) {
 const timingRuns = 5
 
 // fastestTimes runs a two-series (hit ratio, runtime) registered experiment
-// timingRuns times at tinyOptions and returns the hit series of the first run and, per
-// algorithm, the fastest mean runtime over the runs. Hit ratios are seeded
-// and repeat exactly; solver times of tens of microseconds do not, since one
-// preemption on a shared host can invert an ordering, and the minimum
-// filters that out.
+// timingRuns times at tinyOptions and returns the hit series of the first
+// run and, per algorithm, the fastest mean runtime over the runs. Hit
+// ratios are seeded and repeat exactly; solver times of tens of
+// microseconds do not, since one preemption on a shared host can invert an
+// ordering, and the minimum filters that out.
 func fastestTimes(t *testing.T, name string) (hits, times stats.Series) {
 	t.Helper()
 	for r := 0; r < timingRuns; r++ {
