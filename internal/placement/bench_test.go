@@ -3,6 +3,7 @@ package placement
 import (
 	"testing"
 
+	"trimcaching/internal/geom"
 	"trimcaching/internal/libgen"
 	"trimcaching/internal/modellib"
 	"trimcaching/internal/rng"
@@ -26,6 +27,11 @@ func BenchmarkGainEvaluation(b *testing.B) {
 	s, err := newGreedyState(e, UniformCapacities(10, gb), true)
 	if err != nil {
 		b.Fatal(err)
+	}
+	// Mark user 0's request for every model served, so every gain runs the
+	// masked sum instead of reading the memoized u0.
+	for i := 0; i < 30; i++ {
+		s.coveredMask(i).Set(0)
 	}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -327,6 +333,42 @@ func BenchmarkGenLoRA(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if _, err := TrimCachingGen(e, caps, GenOptions{Lazy: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGenRepairAfterOutage is the write path of cmd/bench's
+// fault-churn workload at its shape: M = 36 servers on a grid, K = 500,
+// I = 1000 LoRA adapters, 2.06 GB caps that hold the 2 GB foundation and
+// six adapters. Each iteration takes the servers of one quadrant (a
+// quarter of them) down, or brings them back up, and runs lazy Gen's warm
+// Repair, which absorbs the delta and re-solves.
+func BenchmarkGenRepairAfterOutage(b *testing.B) {
+	e := loraFaultEval(b, 36, 500, 1000, 1)
+	ins := e.Instance()
+	caps := UniformCapacities(ins.NumServers(), 2_060_000_000)
+	alg := GenAlgorithm{Options: GenOptions{Lazy: true}}
+	p, err := alg.Place(e, caps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	side := ins.Topology().Area().Side
+	quarter, err := ins.Topology().ServersIn(geom.RectRegion(0, 0, side/2, side/2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if 4*len(quarter) != ins.NumServers() {
+		b.Fatalf("quadrant holds %d of %d servers", len(quarter), ins.NumServers())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		d, err := ins.SetServersDown(quarter, n%2 == 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p, err = alg.Repair(e, caps, p, d); err != nil {
 			b.Fatal(err)
 		}
 	}

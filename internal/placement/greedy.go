@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	mbits "math/bits"
 
 	"trimcaching/internal/bitset"
@@ -22,6 +23,7 @@ type greedyState struct {
 	blockWords int
 	blockOn    []uint64 // blockOn[m*blockWords+w], bit j: server m caches block j (dedup mode)
 	used       []int64  // used[m]: bytes cached on server m
+	pops       int      // heap entries runLazyGreedy popped: the solve's unit of work
 }
 
 func newGreedyState(e *Evaluator, caps []int64, dedup bool) (*greedyState, error) {
@@ -63,12 +65,36 @@ func (s *greedyState) blockMask(m int) bitset.Set {
 }
 
 // gain returns the marginal cache-hit mass of adding x_{m,i}:
-// U(X ∪ {x_{m,i}}) − U(X), unnormalized (eq. 2 numerator).
+// U(X ∪ {x_{m,i}}) − U(X), unnormalized (eq. 2 numerator). While nothing
+// covers model i yet the value is exactly the evaluator's memoized
+// u0(m,i): the same sum over the same bits in the same order, since the
+// excluded words are all zero.
 func (s *greedyState) gain(m, i int) float64 {
 	if s.placed.Has(m, i) {
 		return 0
 	}
-	return s.e.maskMass(i, s.e.Instance().UserMask(m, i), s.coveredMask(i))
+	cov := s.coveredMask(i)
+	if !cov.Any() {
+		return s.e.BaseGain(m, i)
+	}
+	return s.e.maskMass(i, s.e.Instance().UserMask(m, i), cov)
+}
+
+// costFloor returns a lower bound on cost(m, i) for every model i not yet
+// on server m: min_i SpecificSize(i) with deduplication, since a model's
+// unshared blocks reach a server only by committing that model there, and
+// min_i D_i without.
+func (s *greedyState) costFloor() int64 {
+	lib := s.e.Instance().Library()
+	floor := int64(math.MaxInt64)
+	for i := 0; i < lib.NumModels(); i++ {
+		c := lib.ModelSize(i)
+		if s.dedup {
+			c = lib.SpecificSize(i)
+		}
+		floor = min(floor, c)
+	}
+	return floor
 }
 
 // cost returns the incremental storage of adding model i to server m:
@@ -247,24 +273,52 @@ func (h *candidateHeap) pop() candidate {
 // at LoRA scale re-pushed thousands of dead candidates per commit and
 // dominated the solve; the exact-placement-equality tests pin that
 // dropping them changes nothing.)
+//
+// The loop ends once no server is open. Server m is open while the heap
+// still holds one of its candidates and its free room caps[m] − used[m] is
+// at least costFloor. A closed server can take no further commit — every
+// candidate left on it costs more than its room, and room only shrinks —
+// so once all are closed the placement is final, and the remaining pops
+// could only re-key or drop entries of the solve's working copy. With a
+// floor of 0 the exit never fires.
 func runLazyGreedy(s *greedyState) {
 	h := s.e.commitHeap()
-	for len(h) > 0 {
-		c := h.pop()
-		g := s.gain(int(c.m), int(c.i))
-		if g <= gainTolerance {
-			continue // gains never grow back; drop permanently
+	left := make([]int32, len(s.used)) // left[m]: server m's entries in h
+	for _, c := range h {
+		left[c.m]++
+	}
+	floor := s.costFloor()
+	isOpen := func(m int) bool { return left[m] > 0 && s.caps[m]-s.used[m] >= floor }
+	open := 0
+	for m := range left {
+		if isOpen(m) {
+			open++
 		}
-		if len(h) > 0 && g < h[0].key {
+	}
+	pops := 0
+	for open > 0 {
+		c := h.pop()
+		pops++
+		m, i := int(c.m), int(c.i)
+		g := s.gain(m, i)
+		if g > gainTolerance && len(h) > 0 && g < h[0].key {
 			c.key = g
 			h.push(c)
 			continue
 		}
-		// Certified: g is the maximum true gain among heap candidates.
-		if s.fits(int(c.m), int(c.i)) {
-			s.commit(int(c.m), int(c.i))
+		// The entry leaves the heap: dropped when its gain is gone (gains
+		// never grow back), otherwise certified — g is the maximum true
+		// gain among heap candidates — and committed if it fits.
+		was := isOpen(m)
+		left[m]--
+		if g > gainTolerance && s.fits(m, i) {
+			s.commit(m, i)
+		}
+		if was && !isOpen(m) {
+			open--
 		}
 	}
+	s.pops = pops
 }
 
 // GenOptions configures TrimCaching Gen.

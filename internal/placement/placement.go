@@ -300,6 +300,12 @@ func (e *Evaluator) syncProbs() {
 // re-keyed to their fresh BaseGain, inserted, or removed — every
 // surviving key is still exactly u0, so a warm solve pops the identical
 // sequence a cold build would.
+//
+// Both refills visit pairs model-major, model outer and server inner, so
+// the BaseGain sums of one model read its probability row and its M user
+// masks (model-major in the instance) while they are in cache. The order
+// entries enter in cannot change the pop order: candLess is a strict total
+// order.
 func (e *Evaluator) commitHeap() candidateHeap {
 	M, I := e.ins.NumServers(), e.ins.NumModels()
 	e.syncBase()
@@ -311,8 +317,8 @@ func (e *Evaluator) commitHeap() candidateHeap {
 		}
 		e.heapStale.Zero()
 		e.heapEnt = e.heapEnt[:0]
-		for m := 0; m < M; m++ {
-			for i := 0; i < I; i++ {
+		for i := 0; i < I; i++ {
+			for m := 0; m < M; m++ {
 				if g := e.BaseGain(m, i); g > gainTolerance {
 					e.heapEnt = append(e.heapEnt, candidate{key: g, m: int32(m), i: int32(i)})
 				}
@@ -331,20 +337,24 @@ func (e *Evaluator) commitHeap() candidateHeap {
 // syncHeap absorbs the accumulated delta marks into the persistent commit
 // heap: every stale pair is re-keyed to its (possibly recomputed)
 // BaseGain, added when it newly clears the gain tolerance, or removed when
-// it no longer does. Heap order and the position index are restored
-// wholesale — O(M·I), tiny next to the gain recomputation itself.
+// it no longer does. Stale pairs are visited model-major, like the full
+// build. Heap order and the position index are restored wholesale —
+// O(M·I), tiny next to the gain recomputation itself.
 func (e *Evaluator) syncHeap() {
-	I := e.ins.NumModels()
-	for w, v := range e.heapStale {
-		for ; v != 0; v &= v - 1 {
-			p := w<<6 | mbits.TrailingZeros64(v)
-			g := e.BaseGain(p/I, p%I)
+	M, I := e.ins.NumServers(), e.ins.NumModels()
+	for i := 0; i < I; i++ {
+		for m := 0; m < M; m++ {
+			p := m*I + i
+			if !e.heapStale.Has(p) {
+				continue
+			}
+			g := e.BaseGain(m, i)
 			pos := e.heapPos[p]
 			switch {
 			case g > gainTolerance && pos >= 0:
 				e.heapEnt[pos].key = g
 			case g > gainTolerance:
-				e.heapEnt = append(e.heapEnt, candidate{key: g, m: int32(p / I), i: int32(p % I)})
+				e.heapEnt = append(e.heapEnt, candidate{key: g, m: int32(m), i: int32(i)})
 				e.heapPos[p] = int32(len(e.heapEnt) - 1)
 			case pos >= 0:
 				last := len(e.heapEnt) - 1
