@@ -22,19 +22,9 @@ func ablationEpsilon(opt Options) (*stats.Table, error) {
 	hit := stats.Series{Label: "Spec hit ratio"}
 	secs := stats.Series{Label: "Spec time (s)", Timing: true}
 	for _, eps := range epsilons {
-		trial := sim.TrialConfig{
-			Library:       lib,
-			Scenario:      paperScenario(defaultServers, defaultUsers),
-			CapacityBytes: int64(0.5 * GB), // binding so the DP matters
-			Algorithms: []placement.Algorithm{
-				placement.SpecAlgorithm{Options: placement.SpecOptions{Epsilon: eps, MaxCombos: 1 << 20}},
-			},
-			Topologies:   opt.Topologies,
-			Realizations: opt.Realizations,
-			Workers:      opt.Workers,
-			Seed:         rng.SaltSeed(opt.Seed, "ablate-epsilon"),
-		}
-		results, err := sim.Run(trial)
+		// Q = 0.5 GB is binding, so the DP matters.
+		algs := []placement.Algorithm{placement.SpecAlgorithm{Options: placement.SpecOptions{Epsilon: eps, MaxCombos: 1 << 20}}}
+		results, err := sim.Run(trial(opt, lib, paperScenario(defaultServers, defaultUsers), 0.5, algs, "ablate-epsilon"))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablate-epsilon eps=%v: %w", eps, err)
 		}
@@ -121,20 +111,11 @@ func ablationLazy(opt Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	trial := sim.TrialConfig{
-		Library:       lib,
-		Scenario:      paperScenario(defaultServers, defaultUsers),
-		CapacityBytes: int64(defaultQGB * GB),
-		Algorithms: []placement.Algorithm{
-			placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
-			placement.GenAlgorithm{Options: placement.GenOptions{}},
-		},
-		Topologies:   opt.Topologies,
-		Realizations: opt.Realizations,
-		Workers:      opt.Workers,
-		Seed:         rng.SaltSeed(opt.Seed, "ablate-lazy"),
+	algs := []placement.Algorithm{
+		placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
+		placement.GenAlgorithm{Options: placement.GenOptions{}},
 	}
-	results, err := sim.Run(trial)
+	results, err := sim.Run(trial(opt, lib, paperScenario(defaultServers, defaultUsers), defaultQGB, algs, "ablate-lazy"))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ablate-lazy: %w", err)
 	}

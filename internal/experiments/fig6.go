@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"trimcaching/internal/placement"
-	"trimcaching/internal/rng"
 	"trimcaching/internal/sim"
 	"trimcaching/internal/stats"
 )
@@ -19,8 +18,8 @@ func fig6Scenario() (numServers, numUsers int, areaSideM float64) {
 // runAlgoComparison runs the algorithms on a single experiment point and
 // renders hit ratio plus average running time per algorithm — the two bar
 // groups of Fig. 6.
-func runAlgoComparison(title string, trial sim.TrialConfig) (*stats.Table, error) {
-	results, err := sim.Run(trial)
+func runAlgoComparison(title string, cfg sim.TrialConfig) (*stats.Table, error) {
+	results, err := sim.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", title, err)
 	}
@@ -63,21 +62,13 @@ func fig6a(opt Options) (*stats.Table, error) {
 	}
 	sc := paperScenario(m, k)
 	sc.Topology.AreaSideM = side
-	trial := sim.TrialConfig{
-		Library:       lib,
-		Scenario:      sc,
-		CapacityBytes: int64(0.1 * GB),
-		Algorithms: []placement.Algorithm{
-			placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
-			placement.SpecAlgorithm{Options: placement.SpecOptions{Epsilon: 0, MaxCombos: 1 << 20}},
-			placement.OptimalAlgorithm{},
-		},
-		Topologies:   opt.Topologies,
-		Realizations: opt.Realizations,
-		Workers:      opt.Workers,
-		Seed:         rng.SaltSeed(opt.Seed, "fig6a"),
+	algs := []placement.Algorithm{
+		placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
+		placement.SpecAlgorithm{Options: placement.SpecOptions{Epsilon: 0, MaxCombos: 1 << 20}},
+		placement.OptimalAlgorithm{},
 	}
-	return runAlgoComparison("Fig. 6(a) special case: algorithms vs exhaustive optimum (M=2, K=6, Q=0.1GB, I=9, eps=0)", trial)
+	return runAlgoComparison("Fig. 6(a) special case: algorithms vs exhaustive optimum (M=2, K=6, Q=0.1GB, I=9, eps=0)",
+		trial(opt, lib, sc, 0.1, algs, "fig6a"))
 }
 
 // fig6b reproduces Fig. 6(b): general case, Gen vs Spec running time
@@ -91,18 +82,10 @@ func fig6b(opt Options) (*stats.Table, error) {
 	}
 	sc := paperScenario(m, k)
 	sc.Topology.AreaSideM = side
-	trial := sim.TrialConfig{
-		Library:       lib,
-		Scenario:      sc,
-		CapacityBytes: int64(0.2 * GB),
-		Algorithms: []placement.Algorithm{
-			placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
-			placement.SpecAlgorithm{Options: placement.SpecOptions{Epsilon: 0, MaxCombos: 1 << 22}},
-		},
-		Topologies:   opt.Topologies,
-		Realizations: opt.Realizations,
-		Workers:      opt.Workers,
-		Seed:         rng.SaltSeed(opt.Seed, "fig6b"),
+	algs := []placement.Algorithm{
+		placement.GenAlgorithm{Options: placement.GenOptions{Lazy: true}},
+		placement.SpecAlgorithm{Options: placement.SpecOptions{Epsilon: 0, MaxCombos: 1 << 22}},
 	}
-	return runAlgoComparison("Fig. 6(b) general case: TrimCaching Gen vs Spec (M=2, K=6, Q=0.2GB, I=27, eps=0)", trial)
+	return runAlgoComparison("Fig. 6(b) general case: TrimCaching Gen vs Spec (M=2, K=6, Q=0.2GB, I=27, eps=0)",
+		trial(opt, lib, sc, 0.2, algs, "fig6b"))
 }
