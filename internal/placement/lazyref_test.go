@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"trimcaching/internal/geom"
@@ -187,15 +188,17 @@ const (
 	opUp
 	opCapacity
 	opMove
+	opSwap // users take a donor's workload rows: ReviseUsers' revised list
+	opPark // users' probability rows park at zero or restore: the massOnly list
 	numOps
 )
 
 // faultOp is one instance update of a repair script.
 type faultOp struct {
 	kind   int
-	mask   byte   // opDown/opUp: bit m%8 selects server m; opMove: bit k%8 selects user k; opCapacity: the server, mod M
+	mask   byte   // opDown/opUp: bit m%8 selects server m; opMove/opSwap/opPark: bit k%8 selects user k; opCapacity: the server, mod M
 	budget int64  // opCapacity: bytes; negative restores the configured capacity
-	seed   uint64 // opMove: the new positions' draw
+	seed   uint64 // opMove: the new positions' draw; opSwap: the donors' offset
 }
 
 // repairFixture is an evaluator with the live capacities of a repair
@@ -205,6 +208,8 @@ type repairFixture struct {
 	caps0 []int64
 	caps  []int64
 	prev  [2]*Placement // Gen, Independent
+	zero  []float64     // opPark's parked probability row
+	rows0 [][]float64   // opPark's restored rows: each user's probability row at the start
 }
 
 var repairAlgs = [2]WarmStartAlgorithm{GenAlgorithm{Options: GenOptions{Lazy: true}}, IndependentAlgorithm{}}
@@ -214,6 +219,11 @@ var repairAlgs = [2]WarmStartAlgorithm{GenAlgorithm{Options: GenOptions{Lazy: tr
 func newRepairFixture(t testing.TB, e *Evaluator, caps []int64, tally *refTally) *repairFixture {
 	t.Helper()
 	fx := &repairFixture{e: e, caps0: caps, caps: append([]int64(nil), caps...)}
+	w := e.Instance().Workload()
+	fx.zero = make([]float64, w.NumModels())
+	for k := 0; k < w.NumUsers(); k++ {
+		fx.rows0 = append(fx.rows0, w.ProbRow(k))
+	}
 	for a, alg := range repairAlgs {
 		p, err := alg.Place(e, fx.caps)
 		if err != nil {
@@ -265,6 +275,33 @@ func (fx *repairFixture) apply(t testing.TB, op faultOp) *scenario.Delta {
 			}
 		}
 		d, err = ins.ReviseUsers(nil, nil, moved, pos)
+	case opSwap, opPark:
+		w, K := ins.Workload(), ins.NumUsers()
+		var users []int
+		for k := 0; k < K; k++ {
+			if op.mask>>(k%8)&1 == 0 {
+				continue
+			}
+			users = append(users, k)
+			if op.kind == opSwap {
+				donor := (k + 1 + int(op.seed%uint64(K-1))) % K
+				err = w.SetUserRows(k, w.ProbRow(donor), w.DeadlineRow(donor), w.InferRow(donor))
+			} else {
+				row := fx.zero
+				if slices.Max(w.ProbRow(k)) == 0 {
+					row = fx.rows0[k]
+				}
+				err = w.SetUserProbRow(k, row)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if op.kind == opSwap {
+			d, err = ins.ReviseUsers(users, nil, nil, nil)
+		} else {
+			d, err = ins.ReviseUsers(nil, users, nil, nil)
+		}
 	default:
 		t.Fatalf("unknown op kind %d", op.kind)
 	}
@@ -321,7 +358,8 @@ func randomOp(src *rng.Source, unit int64) faultOp {
 // placements, and the pop bounds of checkAgainstReference, on special-case
 // and LoRA instances, at capacities where every server fills and where
 // none does, cold and after warm repairs that follow random outages,
-// recoveries, capacity changes and user moves.
+// recoveries, capacity changes, user moves, workload row swaps and
+// mass-only parks and restores.
 func TestLazyGreedyMatchesReference(t *testing.T) {
 	type fixture struct {
 		name string
@@ -389,20 +427,26 @@ func (r *byteReader) next() byte {
 // FuzzRepairMatchesReference decodes bytes into a tiny instance — a
 // special-case or LoRA library, 1–6 servers, 2–20 users, a uniform
 // capacity from zero through several model sizes to unbounded — and up to
-// 8 outages, recoveries, capacity changes and user moves. After each op a
+// 8 outages, recoveries, capacity changes, user moves, row swaps and
+// mass-only parks or restores. After each op a
 // warm Repair of Gen and Independent must equal a cold Place on a fresh
 // evaluator and the test-only reference (checkAgainstReference). Run it
 // with go test -run '^$' -fuzz FuzzRepairMatchesReference -fuzztime 10s
 // ./internal/placement.
 func FuzzRepairMatchesReference(f *testing.F) {
 	// seed, lora, M, K, models, capacity, ops count, then 4 bytes per op:
-	// kind (down, up, capacity, move), mask or server, budget, move seed.
+	// kind (down, up, capacity, move, swap, park), mask or server, budget,
+	// move or donor seed.
 	f.Add([]byte{20, 0, 3, 12, 2, 40, 4, 2, 1, 20, 0, 3, 255, 0, 9, 0, 3, 0, 0, 1, 3, 0, 0})
 	f.Add([]byte{21, 1, 4, 16, 10, 33, 4, 0, 0x0f, 0, 0, 3, 0xff, 0, 4, 1, 0x0f, 0, 0, 2, 2, 31, 0})
 	// Every server down, then a move and a recovery.
 	f.Add([]byte{22, 1, 5, 18, 12, 34, 3, 0, 0xff, 0, 0, 3, 0xaa, 0, 7, 1, 0xff, 0, 0})
 	// Capacity 0 everywhere, then one server gets room back.
 	f.Add([]byte{23, 0, 4, 14, 3, 0, 3, 3, 0x55, 0, 5, 2, 1, 255, 0, 2, 2, 60, 0})
+	// Row swaps around a move.
+	f.Add([]byte{24, 1, 4, 16, 8, 33, 3, 4, 0x5a, 0, 3, 3, 0xff, 0, 5, 4, 0x0f, 0, 9})
+	// Mass-only parks, a capacity cut, the restores, then every user parked.
+	f.Add([]byte{25, 0, 3, 12, 2, 40, 4, 5, 0x33, 0, 0, 2, 0, 20, 0, 5, 0x33, 0, 0, 5, 0xff, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := byteReader(data)
 		seed := uint64(r.next())

@@ -3,6 +3,7 @@ package placement
 import (
 	"testing"
 
+	"trimcaching/internal/bitset"
 	"trimcaching/internal/geom"
 	"trimcaching/internal/libgen"
 	"trimcaching/internal/rng"
@@ -59,7 +60,11 @@ func reviseEvalFixture(t *testing.T) (*scenario.Instance, *workload.Workload, *w
 
 // TestEvaluatorRevisionDelta revises workload rows across several deltas
 // and pins the delta-tracking evaluator's gains and lazy-greedy solutions
-// bit-identical to a fresh evaluator on the mutated instance.
+// bit-identical to a fresh evaluator on the mutated instance. The first
+// rounds revise in one delta each; the last two apply two and then three
+// deltas back to back — a park, a bind and a mass-only swap — before the
+// next BaseGain or Repair call, so the probability table must catch up
+// with every revision at once when the next solve reads it.
 func TestEvaluatorRevisionDelta(t *testing.T) {
 	ins, aliased, parent, users := reviseEvalFixture(t)
 	eval, err := NewEvaluator(ins)
@@ -72,12 +77,19 @@ func TestEvaluatorRevisionDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := make([]float64, ins.NumModels())
+	M, I := ins.NumServers(), ins.NumModels()
+	zero := make([]float64, I)
 	walk := rng.New(12)
 	area := ins.Topology().Area()
 	pos := append([]geom.Point(nil), users...)
 
-	for round := 0; round < 3; round++ {
+	// revision is one ReviseUsers call: the row swaps made just before it
+	// and the users it revises in full or in mass only.
+	type revision struct {
+		swap              func() error
+		revised, massOnly []int
+	}
+	for round, deltas := range []int{1, 1, 1, 2, 3} {
 		var moved []int
 		var movedPos []geom.Point
 		for k := round % 2; k < len(pos); k += 2 {
@@ -90,32 +102,68 @@ func TestEvaluatorRevisionDelta(t *testing.T) {
 		if park == bind {
 			bind = (bind + 1) % len(pos)
 		}
-		if err := aliased.SetUserRows(park, zero, zero, zero); err != nil {
-			t.Fatal(err)
-		}
 		donor := (bind + 5) % len(pos)
-		if err := aliased.SetUserRows(bind, parent.ProbRow(donor), parent.DeadlineRow(donor), parent.InferRow(donor)); err != nil {
-			t.Fatal(err)
+		flip := (11 + round) % len(pos)
+		for flip == park || flip == bind {
+			flip = (flip + 1) % len(pos)
 		}
-		delta, err := ins.ReviseUsers([]int{park, bind}, nil, moved, movedPos)
-		if err != nil {
-			t.Fatal(err)
+		parkRows := func() error { return aliased.SetUserRows(park, zero, zero, zero) }
+		bindRows := func() error {
+			return aliased.SetUserRows(bind, parent.ProbRow(donor), parent.DeadlineRow(donor), parent.InferRow(donor))
 		}
-		if err := eval.ApplyDelta(delta); err != nil {
-			t.Fatal(err)
+		// The mass-only swap surges the flipped user's demand: every user
+		// shares one popularity row, so another user's row would change
+		// nothing.
+		surge := make([]float64, I)
+		for i, p := range parent.ProbRow(flip) {
+			surge[i] = 1.5 * p
+		}
+		var calls []revision
+		switch deltas {
+		case 1:
+			calls = []revision{{func() error {
+				if err := parkRows(); err != nil {
+					return err
+				}
+				return bindRows()
+			}, []int{park, bind}, nil}}
+		default:
+			calls = []revision{{parkRows, []int{park}, nil}, {bindRows, []int{bind}, nil}}
+			if deltas == 3 {
+				calls = append(calls, revision{func() error { return aliased.SetUserProbRow(flip, surge) }, nil, []int{flip}})
+			}
+		}
+		pairs := bitset.New(M * I)
+		for j, c := range calls {
+			if err := c.swap(); err != nil {
+				t.Fatal(err)
+			}
+			var mv []int
+			var mp []geom.Point
+			if j == 0 {
+				mv, mp = moved, movedPos
+			}
+			delta, err := ins.ReviseUsers(c.revised, c.massOnly, mv, mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eval.ApplyDelta(delta); err != nil {
+				t.Fatal(err)
+			}
+			pairs.Or(delta.Pairs)
 		}
 		freshEval, err := NewEvaluator(ins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for m := 0; m < ins.NumServers(); m++ {
-			for i := 0; i < ins.NumModels(); i++ {
+		for m := 0; m < M; m++ {
+			for i := 0; i < I; i++ {
 				if got, want := eval.BaseGain(m, i), freshEval.BaseGain(m, i); got != want {
-					t.Fatalf("round %d: base gain (%d,%d) %v, fresh %v", round, m, i, got, want)
+					t.Fatalf("round %d (%d deltas): base gain (%d,%d) %v, fresh %v", round, deltas, m, i, got, want)
 				}
 			}
 		}
-		warm, err := alg.Repair(eval, caps, prev, &scenario.Delta{Gen: ins.Generation(), Pairs: delta.Pairs})
+		warm, err := alg.Repair(eval, caps, prev, &scenario.Delta{Gen: ins.Generation(), Pairs: pairs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,9 +171,9 @@ func TestEvaluatorRevisionDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for m := 0; m < ins.NumServers(); m++ {
+		for m := 0; m < M; m++ {
 			if !warm.Models(m).Equal(cold.Models(m)) {
-				t.Fatalf("round %d: warm placement differs from cold on server %d", round, m)
+				t.Fatalf("round %d (%d deltas): warm placement differs from cold on server %d", round, deltas, m)
 			}
 		}
 		prev = warm

@@ -109,8 +109,6 @@ func (ins *Instance) SetServerCapacity(m int, bits int64) (*Delta, error) {
 		ins.gen++
 		ins.updDelta.Gen = ins.gen
 		ins.updDelta.Users = ins.updUsers[:0]
-		ins.updDelta.Revised = nil
-		ins.updDelta.RevGen = ins.revGen
 		return &ins.updDelta, nil
 	}
 
@@ -154,8 +152,6 @@ func (ins *Instance) SetServerCapacity(m int, bits int64) (*Delta, error) {
 	ins.gen++
 	ins.updDelta.Gen = ins.gen
 	ins.updDelta.Users = ins.updUsers[:0]
-	ins.updDelta.Revised = nil
-	ins.updDelta.RevGen = ins.revGen
 	return &ins.updDelta, nil
 }
 
@@ -166,8 +162,6 @@ func (ins *Instance) noopDelta() *Delta {
 	ins.resetPairs()
 	ins.updDelta.Gen = ins.gen
 	ins.updDelta.Users = ins.updUsers[:0]
-	ins.updDelta.Revised = nil
-	ins.updDelta.RevGen = ins.revGen
 	return &ins.updDelta
 }
 

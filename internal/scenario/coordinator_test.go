@@ -60,13 +60,11 @@ func TestGenerateCoordinatorDrawIdentity(t *testing.T) {
 				t.Fatalf("user %d model %d prob %v, want %v", k, i, gotRow[i], wantRow[i])
 			}
 		}
-		I := full.NumModels()
-		if !slices.Equal(coord.minDirRate[k*I:(k+1)*I], full.minDirRate[k*I:(k+1)*I]) ||
-			!slices.Equal(coord.minRelRate[k*I:(k+1)*I], full.minRelRate[k*I:(k+1)*I]) {
+		wd, wr, wdt, wrt := full.UserRankRows(k)
+		gd, gr, gdt, grt := coord.UserRankRows(k)
+		if !slices.Equal(gdt, wdt) || !slices.Equal(grt, wrt) {
 			t.Fatalf("user %d thresholds diverged", k)
 		}
-		wd, wr := full.UserRankRows(k)
-		gd, gr := coord.UserRankRows(k)
 		if !slices.Equal(gd, wd) {
 			t.Fatalf("user %d direct rank order diverged", k)
 		}

@@ -308,11 +308,10 @@ func TestRankIndexBuiltAtConstruction(t *testing.T) {
 	ins := buildInstance(t, 6, 12, 3, 50)
 	I := ins.NumModels()
 	for k := 0; k < ins.NumUsers(); k++ {
-		do, ro := ins.UserRankRows(k)
+		do, ro, dt, rt := ins.UserRankRows(k)
 		if len(do) != I || len(ro) != I {
 			t.Fatalf("user %d: rank rows %d/%d, want %d", k, len(do), len(ro), I)
 		}
-		dt, rt := ins.minDirRate[k*I:(k+1)*I], ins.minRelRate[k*I:(k+1)*I]
 		for j := 1; j < I; j++ {
 			if dt[do[j]] < dt[do[j-1]] || rt[ro[j]] < rt[ro[j-1]] {
 				t.Fatalf("user %d: thresholds not ascending through the order at rank %d", k, j)

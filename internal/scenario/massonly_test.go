@@ -49,8 +49,8 @@ func TestReviseUsersMassOnlyMatchesFullRebind(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		massDelta, err := massIns.ReviseUsers(nil, revised, nil, nil)
-		if err != nil {
+		revGen := massIns.RevisionGeneration()
+		if _, err := massIns.ReviseUsers(nil, revised, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fullIns.ReviseUsers(revised, nil, nil, nil); err != nil {
@@ -64,16 +64,10 @@ func TestReviseUsersMassOnlyMatchesFullRebind(t *testing.T) {
 		}
 		sameInstanceState(t, "mass-only vs fresh build", massIns, fresh)
 
-		// The revision delta must name every revised user so evaluators
-		// refresh their gain rows.
-		inDelta := make(map[int]bool, len(massDelta.Revised))
-		for _, k := range massDelta.Revised {
-			inDelta[k] = true
-		}
-		for _, k := range revised {
-			if !inDelta[k] {
-				t.Fatalf("round %d: revised user %d missing from delta", round, k)
-			}
+		// The revision must advance the revision generation, so evaluators
+		// refresh their probability tables before the next solve.
+		if got := massIns.RevisionGeneration(); got != revGen+1 {
+			t.Fatalf("round %d: revision generation %d after a mass-only revision, want %d", round, got, revGen+1)
 		}
 
 		// Total mass is the canonical ascending resummation, not an

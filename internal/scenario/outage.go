@@ -113,8 +113,6 @@ func (ins *Instance) SetServersDown(servers []int, down bool) (*Delta, error) {
 	if toggled == 0 {
 		ins.updDelta.Gen = ins.gen
 		ins.updDelta.Users = ins.updUsers[:0]
-		ins.updDelta.Revised = nil
-		ins.updDelta.RevGen = ins.revGen
 		return &ins.updDelta, nil
 	}
 
@@ -209,7 +207,5 @@ func (ins *Instance) SetServersDown(servers []int, down bool) (*Delta, error) {
 	ins.gen++
 	ins.updDelta.Gen = ins.gen
 	ins.updDelta.Users = dirtyUsers
-	ins.updDelta.Revised = nil
-	ins.updDelta.RevGen = ins.revGen
 	return &ins.updDelta, nil
 }

@@ -37,7 +37,7 @@ func TestLibraryLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	do, ro := ins.UserRankRows(0)
+	do, ro, _, _ := ins.UserRankRows(0)
 	for _, order := range [][]uint16{do, ro} {
 		seen := make([]bool, maxModels)
 		for _, i := range order {

@@ -146,12 +146,12 @@ func TestReviseUsersMatchesFreshBuild(t *testing.T) {
 		if err := aliased.SetUserProbRow(flipUser, flipProb); err != nil {
 			t.Fatal(err)
 		}
-		delta, err := ins.ReviseUsers([]int{parkUser, bindUser}, []int{flipUser}, moved, movedPos)
-		if err != nil {
+		revGen := ins.RevisionGeneration()
+		if _, err := ins.ReviseUsers([]int{parkUser, bindUser}, []int{flipUser}, moved, movedPos); err != nil {
 			t.Fatal(err)
 		}
-		if delta.RevGen != ins.RevisionGeneration() {
-			t.Errorf("round %d: delta rev gen %d, instance %d", round, delta.RevGen, ins.RevisionGeneration())
+		if got := ins.RevisionGeneration(); got != revGen+1 {
+			t.Errorf("round %d: revision generation %d, want %d", round, got, revGen+1)
 		}
 		fresh, err := ins.Rebuild(pos)
 		if err != nil {

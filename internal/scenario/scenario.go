@@ -57,8 +57,9 @@ type Instance struct {
 	// userHasMass[k] caches whether user k's probability row carries any
 	// request mass. Zero-mass users (shard-layer ghosts and parked slots)
 	// contribute exactly nothing to any mass sum, so the fused measurement
-	// kernels skip them outright — a bitwise no-op on the result.
-	// Maintained by ReviseUsers; rows must not change behind its back.
+	// kernels and the TotalMass resum skip them outright — a bitwise no-op
+	// on the result. Maintained by ReviseUsers; rows must not change behind
+	// its back.
 	userHasMass []bool
 
 	// Threshold form of the QoS verdicts (eqs. 3–5): server m can serve
@@ -67,7 +68,8 @@ type Instance struct {
 	// can satisfy). The thresholds depend only on the workload, library,
 	// and backhaul — never on positions — so they survive user movement
 	// and turn the per-realization reachability fill into one compare per
-	// entry, with no divisions.
+	// entry, with no divisions. A rank provider (NewRanked) may copy a
+	// user's rows instead of dividing them out (fillUserRows).
 	minDirRate []float64 // minDirRate[k*I+i] = sizeBits / (deadline − infer)
 	minRelRate []float64 // minRelRate[k*I+i] = sizeBits / (deadline − infer − sizeBits/backhaul)
 
@@ -91,8 +93,7 @@ type Instance struct {
 	// bits it changed into its own touched array; OR is order-free, so
 	// results are bit-identical for any worker count. revGen counts
 	// ReviseUsers calls that swapped workload rows, so caches derived from
-	// probabilities (the evaluator's transposed table) can detect missed
-	// revisions.
+	// probabilities (the evaluator's transposed table) know to refresh.
 	gen           int
 	revGen        int
 	updDirty      []bool   // per-user dirty flag scratch
@@ -103,7 +104,6 @@ type Instance struct {
 	updMaxWorkers int        // caller-imposed update worker bound; 0 = GOMAXPROCS
 	updRun        updRun     // the update phase's pool task, reused
 	rankBuf       []rankPair // per-user rank rebuild scratch (ReviseUsers)
-	updRevised    []int      // Delta.Revised scratch
 	updDelta      Delta      // the reused delta returned by ReviseUsers
 	moveScratch   *topology.MoveScratch
 
@@ -122,33 +122,37 @@ type Instance struct {
 	flipDirOrder []uint16 // flipDirOrder[k*I+j]: model at rank j of user k's direct thresholds
 	flipRelOrder []uint16
 
-	// rankProvider optionally supplies precomputed rank rows instead of the
-	// O(I log I) per-user sort (see NewRanked).
+	// rankProvider optionally supplies a user's precomputed threshold and
+	// rank rows instead of the per-user divisions and O(I log I) sort (see
+	// NewRanked).
 	rankProvider RankProvider
 }
 
 // maxModels is the largest library the uint16 rank orders can index.
 const maxModels = 1 << 16
 
-// RankProvider fills user k's rank rows (dirOrder and relOrder, each I
-// long) from an external source and reports whether it did. The filled
-// rows must sort the user's current thresholds exactly as buildRankRow
-// would — the shard layer satisfies this by copying the global instance's
-// rows for the bound user, whose thresholds are identical by construction.
-// Returning false falls back to the sort.
-type RankProvider func(k int, dirOrder, relOrder []uint16) bool
+// RankProvider fills user k's QoS rate thresholds (minDir and minRel) and
+// their rank rows (dirOrder and relOrder), each I long, from an external
+// source and reports whether it did. The filled rows must equal, bit for
+// bit, what the instance would compute from the user's current deadline
+// and inference rows, and sort them exactly as buildRankRow would — the
+// shard layer satisfies this by copying the global instance's rows for the
+// bound user, whose rows are identical by construction. Returning false
+// falls back to the divisions and the sort.
+type RankProvider func(k int, dirOrder, relOrder []uint16, minDir, minRel []float64) bool
 
 // New validates the components and precomputes rates, latencies, and I1.
 func New(topo *topology.Topology, lib *modellib.Library, work *workload.Workload, wcfg wireless.Config) (*Instance, error) {
 	return newInstance(topo, lib, work, wcfg, nil, nil, false)
 }
 
-// NewRanked is New with a rank provider installed before the threshold
-// rank index is built, so the construction-time index fills through copies
-// instead of per-user sorts. The shard layer builds cell instances this
-// way: a bound slot's thresholds equal its global user's, so its rank rows
-// come straight from the global index. The provider stays installed for
-// later rebinds: ReviseUsers refills a revised user's rows through it.
+// NewRanked is New with a rank provider installed before the thresholds
+// and their rank index are built, so the construction-time rows fill
+// through copies instead of per-user divisions and sorts. The shard layer
+// builds cell instances this way: a bound slot's thresholds equal its
+// global user's, so its threshold and rank rows come straight from the
+// global instance. The provider stays installed for later rebinds:
+// ReviseUsers refills a revised user's rows through it.
 func NewRanked(topo *topology.Topology, lib *modellib.Library, work *workload.Workload, wcfg wireless.Config, provider RankProvider) (*Instance, error) {
 	return newInstance(topo, lib, work, wcfg, nil, provider, false)
 }
@@ -241,14 +245,6 @@ func newInstance(topo *topology.Topology, lib *modellib.Library, work *workload.
 	}
 	ins.minDirRate = make([]float64, K*I)
 	ins.minRelRate = make([]float64, K*I)
-	for k := 0; k < K; k++ {
-		for i := 0; i < I; i++ {
-			slack := work.DeadlineS(k, i) - work.InferS(k, i)
-			ins.minDirRate[k*I+i] = rateThreshold(ins.sizeBits[i], slack)
-			ins.minRelRate[k*I+i] = rateThreshold(ins.sizeBits[i], slack-ins.sizeBits[i]/wcfg.BackhaulBps)
-		}
-	}
-
 	ins.serverWords = bitset.Words(M)
 	ins.userWords = bitset.Words(K)
 	if !coordinator {
@@ -258,23 +254,35 @@ func newInstance(topo *topology.Topology, lib *modellib.Library, work *workload.
 		ins.updFullRow = make([]uint64, ins.serverWords)
 		bitset.Set(ins.updFullRow).SetAll(M)
 		ins.reachSrv = make([]uint64, K*I*ins.serverWords)
-		ins.fillReach(ins.avgRate, ins.bestRelay, ins.reachSrv)
 		ins.reachUsr = make([]uint64, M*I*ins.userWords)
 		ins.usrStale = true
 	}
-	ins.totalMass = work.TotalMass()
 	ins.userHasMass = make([]bool, K)
 	for k := 0; k < K; k++ {
 		ins.userHasMass[k] = rowHasMass(work.ProbRow(k))
 	}
-	// The threshold rank index is position-independent, and every fused
-	// measurement sweep now reads its verdict sets as rank prefixes,
-	// so it is built here rather than lazily on the first delta update —
-	// fresh instances, rebuild-mode engines, and newly sliced shard cells
-	// all measure through it from their first realization. An installed
-	// provider (NewRanked) fills rows by copying instead of sorting.
+	ins.totalMass = ins.massSum()
+	// The thresholds and their rank index are position-independent. Every
+	// fused measurement sweep reads its verdict sets as rank prefixes, so
+	// the index is built here — fresh instances, rebuild-mode engines, and
+	// newly sliced shard cells all measure through it from their first
+	// realization. An installed provider (NewRanked) fills rows by copying
+	// instead of dividing and sorting; its sort scratch stays for the
+	// rebinds that will reuse it. The reach fill reads the thresholds, so it
+	// runs last.
+	ins.flipDirOrder = make([]uint16, K*I)
+	ins.flipRelOrder = make([]uint16, K*I)
 	ins.rankProvider = provider
-	ins.buildFlipIndex()
+	pairs := make([]rankPair, I)
+	if provider != nil {
+		ins.rankBuf = pairs
+	}
+	for k := 0; k < K; k++ {
+		ins.fillUserRows(k, pairs)
+	}
+	if !coordinator {
+		ins.fillReach(ins.avgRate, ins.bestRelay, ins.reachSrv)
+	}
 	return ins, nil
 }
 
@@ -286,6 +294,23 @@ func rowHasMass(row []float64) bool {
 		}
 	}
 	return false
+}
+
+// massSum returns Σ p_{k,i} in construction order — ascending users, each
+// row in model order — adding only the rows of users with request mass. A
+// skipped row has no positive entry, so it could add only +0 to the
+// non-negative running sum: the result has the same bits as the full sum.
+func (ins *Instance) massSum() float64 {
+	var total float64
+	for k, has := range ins.userHasMass {
+		if !has {
+			continue
+		}
+		for _, p := range ins.work.ProbRow(k) {
+			total += p
+		}
+	}
+	return total
 }
 
 // fillReach computes the word-packed I1 indicator under the given per-link
@@ -406,10 +431,12 @@ func (ins *Instance) RevisionGeneration() int { return ins.revGen }
 func (ins *Instance) Shadowed() bool { return ins.shadow != nil }
 
 // Delta describes what one ReviseUsers call changed, in the form the
-// warm-start machinery consumes. The delta returned by ReviseUsers — struct
-// and slices — is owned by the instance and reused: it is valid until the
-// next update call, and callers that hold deltas across updates must copy
-// what they keep.
+// warm-start machinery consumes. Probability rows are not described: a
+// call that swapped any advances RevisionGeneration, and caches derived
+// from probabilities refresh when they next see it. The delta returned by
+// ReviseUsers — struct and slices — is owned by the instance and reused:
+// it is valid until the next update call, and callers that hold deltas
+// across updates must copy what they keep.
 type Delta struct {
 	// Gen is the instance generation this delta produced.
 	Gen int
@@ -425,13 +452,6 @@ type Delta struct {
 	// or not: the mask may be unchanged while the probability under it is
 	// not.
 	Pairs bitset.Set
-	// Revised lists the users whose workload rows were swapped before this
-	// delta (ReviseUsers), in caller order. Probability-derived caches
-	// refresh exactly these columns.
-	Revised []int
-	// RevGen is the instance's revision generation after this delta (the
-	// ReviseUsers call count; see RevisionGeneration).
-	RevGen int
 }
 
 // Rebuild returns a fresh instance with the same servers, library,
@@ -480,18 +500,21 @@ func (ins *Instance) Rebuild(users []geom.Point) (*Instance, error) {
 // It also revises workload rows: revised lists users whose rows in the
 // instance's workload were swapped (via workload.SetUserRows) since the last
 // update. For each revised user the QoS rate thresholds and their rank rows
-// are recomputed from the new deadline and inference rows before the
-// movement pass, the reachability rows are recomputed unconditionally (a
+// are refilled before the movement pass — copied through the rank provider
+// when it has the user, recomputed from the new deadline and inference rows
+// otherwise — the reachability rows are recomputed unconditionally (a
 // threshold change invalidates the rate-crossing flip search), and every
 // pair the user's reach rows touch is reported in Delta.Pairs — the masks
 // may be unchanged while the request mass under them is not. massOnly lists
 // users whose probability row alone was swapped (workload.SetUserProbRow)
 // while their deadline and inference rows stayed bound: thresholds, rank
 // rows, and reachability need no work beyond any movement the user also has,
-// so only the gain invalidation and probability-cache refresh apply — the
-// cheap path for the shard layer's ownership flips and parkings. TotalMass
-// is recomputed in construction order whenever any row changed, so a revised
-// instance stays bit-identical to a fresh build over the same workload.
+// so only the gain invalidation applies — the cheap path for the shard
+// layer's ownership flips and parkings. Either list advances
+// RevisionGeneration, which tells probability-derived caches to refresh.
+// TotalMass is resummed in construction order over the users with mass
+// whenever any row changed, so a revised instance stays bit-identical to a
+// fresh build over the same workload.
 // Revised users need not appear in moved; movement semantics for moved users
 // are those of a pure move. This is the shard layer's handoff seam:
 // cross-cell movement becomes paired calls — park and zero the slot in the
@@ -524,9 +547,12 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 	}
 
 	ins.ensureUpdScratch()
+	if len(revised) > 0 && ins.rankBuf == nil {
+		ins.rankBuf = make([]rankPair, I)
+	}
 	dirty := ins.updDirty
 	for _, k := range revised {
-		ins.reviseThresholds(k)
+		ins.fillUserRows(k, ins.rankBuf)
 		dirty[k] = true
 		ins.updForce[k] = true
 	}
@@ -574,7 +600,6 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 			touched[j] |= word
 		}
 	}
-	var revCopy []int
 	if len(revised)+len(massOnly) > 0 {
 		// A revised user's request mass changed under masks that may not
 		// have: every pair its reach rows touch carries a stale gain.
@@ -592,12 +617,10 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 		for _, k := range massOnly {
 			markRows(k)
 		}
-		// Full resum in construction order: a revised instance's TotalMass
-		// stays bit-identical to a fresh build over the same workload.
-		ins.totalMass = ins.work.TotalMass()
+		// Resum in construction order: a revised instance's TotalMass stays
+		// bit-identical to a fresh build over the same workload.
+		ins.totalMass = ins.massSum()
 		ins.revGen++
-		ins.updRevised = append(append(ins.updRevised[:0], revised...), massOnly...)
-		revCopy = ins.updRevised
 	}
 	ins.foldTouchedPairs(ins.resetPairs(), touched)
 	if len(dirtyUsers) > 0 {
@@ -611,8 +634,6 @@ func (ins *Instance) ReviseUsers(revised, massOnly []int, moved []int, pos []geo
 	// requires a copy.
 	ins.updDelta.Gen = ins.gen
 	ins.updDelta.Users = dirtyUsers
-	ins.updDelta.Revised = revCopy
-	ins.updDelta.RevGen = ins.revGen
 	return &ins.updDelta, nil
 }
 
@@ -639,22 +660,6 @@ func (r *updRun) Do(_, s int) error {
 		}
 	}
 	return nil
-}
-
-// reviseThresholds recomputes user k's QoS rate thresholds and rank rows
-// from the workload's current deadline and inference rows — the per-user
-// slice of the construction-time loop, re-run after a row swap.
-func (ins *Instance) reviseThresholds(k int) {
-	I := ins.NumModels()
-	for i := 0; i < I; i++ {
-		slack := ins.work.DeadlineS(k, i) - ins.work.InferS(k, i)
-		ins.minDirRate[k*I+i] = rateThreshold(ins.sizeBits[i], slack)
-		ins.minRelRate[k*I+i] = rateThreshold(ins.sizeBits[i], slack-ins.sizeBits[i]/ins.wcfg.BackhaulBps)
-	}
-	if ins.rankBuf == nil {
-		ins.rankBuf = make([]rankPair, I)
-	}
-	ins.fillRankRows(k)
 }
 
 // ensureUpdScratch allocates the per-user dirty/force flag scratch shared
@@ -754,36 +759,26 @@ func (ins *Instance) updateUser(k int, oldCovering []int, w *updWorker) error {
 	return nil
 }
 
-// buildFlipIndex builds, at construction, each user's models ordered by
-// ascending direct and relay rate thresholds. The thresholds are
-// position-independent, so the index never invalidates; only a workload
-// row swap (reviseThresholds) rewrites a user's rows. An installed rank
-// provider short-circuits the per-user sorts.
-func (ins *Instance) buildFlipIndex() {
-	K, I := ins.NumUsers(), ins.NumModels()
-	ins.flipDirOrder = make([]uint16, K*I)
-	ins.flipRelOrder = make([]uint16, K*I)
-	if ins.rankProvider != nil {
-		ins.rankBuf = make([]rankPair, I)
-		for k := 0; k < K; k++ {
-			ins.fillRankRows(k)
-		}
+// fillUserRows fills user k's QoS rate thresholds and their rank rows —
+// the models by ascending direct and relay threshold — through the rank
+// provider when it has the user. Otherwise it divides the thresholds out of
+// the workload's deadline and inference rows and sorts them, with pairs as
+// the I-element sort scratch. Construction runs it for every user and
+// ReviseUsers for every rebound one. The thresholds are
+// position-independent, so only a workload row swap rewrites a user's rows.
+func (ins *Instance) fillUserRows(k int, pairs []rankPair) {
+	do, ro, minDir, minRel := ins.UserRankRows(k)
+	if ins.rankProvider != nil && ins.rankProvider(k, do, ro, minDir, minRel) {
 		return
 	}
-	buildRanks(ins.flipDirOrder, ins.minDirRate, K, I)
-	buildRanks(ins.flipRelOrder, ins.minRelRate, K, I)
-}
-
-// fillRankRows fills user k's rank rows through the provider when it can,
-// sorting otherwise. The flip index and rankBuf must exist.
-func (ins *Instance) fillRankRows(k int) {
-	I := ins.NumModels()
-	do, ro := ins.UserRankRows(k)
-	if ins.rankProvider != nil && ins.rankProvider(k, do, ro) {
-		return
+	deadline, infer := ins.work.DeadlineRow(k), ins.work.InferRow(k)
+	for i, size := range ins.sizeBits {
+		slack := deadline[i] - infer[i]
+		minDir[i] = rateThreshold(size, slack)
+		minRel[i] = rateThreshold(size, slack-size/ins.wcfg.BackhaulBps)
 	}
-	buildRankRow(do, ins.minDirRate[k*I:(k+1)*I], ins.rankBuf)
-	buildRankRow(ro, ins.minRelRate[k*I:(k+1)*I], ins.rankBuf)
+	buildRankRow(do, minDir, pairs)
+	buildRankRow(ro, minRel, pairs)
 }
 
 // SetUpdateWorkers bounds the parallel user-update phase of ReviseUsers,
@@ -795,11 +790,13 @@ func (ins *Instance) fillRankRows(k int) {
 func (ins *Instance) SetUpdateWorkers(n int) { ins.updMaxWorkers = n }
 
 // UserRankRows returns user k's rank rows — models by ascending direct and
-// relay rate threshold. The index exists from construction. The slices
-// alias internal state; treat as read-only.
-func (ins *Instance) UserRankRows(k int) (dirOrder, relOrder []uint16) {
+// relay rate threshold — and the model-order threshold rows they sort. The
+// rows exist from construction. The slices alias internal state; treat as
+// read-only.
+func (ins *Instance) UserRankRows(k int) (dirOrder, relOrder []uint16, minDir, minRel []float64) {
 	I := ins.NumModels()
-	return ins.flipDirOrder[k*I : (k+1)*I], ins.flipRelOrder[k*I : (k+1)*I]
+	return ins.flipDirOrder[k*I : (k+1)*I], ins.flipRelOrder[k*I : (k+1)*I],
+		ins.minDirRate[k*I : (k+1)*I], ins.minRelRate[k*I : (k+1)*I]
 }
 
 // rankPair is one (threshold, model) entry of the rank index build.
@@ -808,21 +805,13 @@ type rankPair struct {
 	i uint16
 }
 
-// buildRanks fills, per user, the model permutation sorted by ascending
-// threshold. Ties order arbitrarily: every consumer (flip ranges, rank
-// prefix cutoffs) selects by value boundary, so equal-threshold models are
-// always taken as a block. Sorting (value, index) pairs through
-// slices.SortFunc keeps the comparator inlined — sort.Slice's
-// reflection-based swapper tripled the one-time index cost at LoRA scale.
-func buildRanks(order []uint16, thresholds []float64, K, I int) {
-	pairs := make([]rankPair, I)
-	for k := 0; k < K; k++ {
-		buildRankRow(order[k*I:(k+1)*I], thresholds[k*I:(k+1)*I], pairs)
-	}
-}
-
-// buildRankRow fills one user's rank row from its threshold row; pairs is
-// an I-element scratch.
+// buildRankRow fills one user's rank row — the model permutation sorted by
+// ascending threshold — from its threshold row; pairs is an I-element
+// scratch. Ties order arbitrarily: every consumer (flip ranges, rank prefix
+// cutoffs) selects by value boundary, so equal-threshold models are always
+// taken as a block. Sorting (value, index) pairs through slices.SortFunc
+// keeps the comparator inlined — sort.Slice's reflection-based swapper
+// tripled the one-time index cost at LoRA scale.
 func buildRankRow(order []uint16, thresholds []float64, pairs []rankPair) {
 	for j := range pairs {
 		pairs[j] = rankPair{v: thresholds[j], i: uint16(j)}
@@ -1017,7 +1006,7 @@ func (ins *Instance) MemoryFootprint() memprof.Footprint {
 	f.Topology = ins.topo.MemoryBytes()
 	f.Scratch = int64(cap(ins.updDirty)+cap(ins.updForce)+cap(ins.userHasMass)+cap(ins.down)) * 1
 	f.Scratch += int64(cap(ins.capBits)+cap(ins.capBlock)) * 8
-	f.Scratch += int64(cap(ins.updUsers)+cap(ins.updRevised)) * 8
+	f.Scratch += int64(cap(ins.updUsers)) * 8
 	f.Scratch += int64(cap(ins.updFullRow)) * 8
 	f.Scratch += int64(cap(ins.rankBuf)) * 16
 	f.Scratch += int64(cap(ins.updDelta.Pairs)) * 8

@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"trimcaching/internal/dynamics"
@@ -157,4 +160,85 @@ func TestHandoffWorkerDeterminism(t *testing.T) {
 	if base.Handoffs == 0 {
 		t.Error("no handoffs in determinism scenario")
 	}
+}
+
+// TestBoundSlotRowsMatchGlobalUser pins the rank provider's contract over a
+// two-cell run with handoffs, ownership flips and grows: after
+// construction and after every checkpoint, each bound slot aliases its
+// global user's deadline and inference rows, and its QoS thresholds and
+// rank orders equal that user's in the global instance, bit for bit. Cells
+// copy those rows instead of recomputing them, so a provider that copied
+// another user's rows would show here.
+func TestBoundSlotRowsMatchGlobalUser(t *testing.T) {
+	cfg := smokeShardConfig(t, 2, 1, dynamics.Incremental)
+	cfg.SlotHeadroom = 1e-9
+	cfg.DurationMin = 80
+	e, err := NewEngine(cfg, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := cfg.Instance
+	gw := global.Workload()
+	sameBits := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	check := func(label string) {
+		t.Helper()
+		bound := 0
+		for c, sh := range e.cells {
+			ins := e.CellInstance(c)
+			w := ins.Workload()
+			for s, g := range sh.slots {
+				if g < 0 {
+					continue
+				}
+				bound++
+				if &w.DeadlineRow(s)[0] != &gw.DeadlineRow(int(g))[0] || &w.InferRow(s)[0] != &gw.InferRow(int(g))[0] {
+					t.Fatalf("%s: cell %d slot %d is not bound to user %d's deadline and inference rows", label, c, s, g)
+				}
+				do, ro, dt, rt := ins.UserRankRows(s)
+				gdo, gro, gdt, grt := global.UserRankRows(int(g))
+				if !sameBits(dt, gdt) || !sameBits(rt, grt) {
+					t.Fatalf("%s: cell %d slot %d thresholds differ from user %d's", label, c, s, g)
+				}
+				if !slices.Equal(do, gdo) || !slices.Equal(ro, gro) {
+					t.Fatalf("%s: cell %d slot %d rank orders differ from user %d's", label, c, s, g)
+				}
+			}
+		}
+		if bound < global.NumUsers() {
+			t.Fatalf("%s: %d bound slots for %d users", label, bound, global.NumUsers())
+		}
+	}
+	check("construction")
+	flips := 0
+	for cp := 1; cp <= e.Checkpoints(); cp++ {
+		// An ownership flip keeps the user's slot in the cell it comes to
+		// own: the slot was a ghost there, so only its probability row moves.
+		owner := slices.Clone(e.owner)
+		visible := make([][]int32, len(e.refs))
+		for k, refs := range e.refs {
+			for _, r := range refs {
+				visible[k] = append(visible[k], r.cell)
+			}
+		}
+		if _, err := e.Checkpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+		for k, c := range e.owner {
+			if c != owner[k] && slices.Contains(visible[k], c) {
+				flips++
+			}
+		}
+		check(fmt.Sprintf("checkpoint %d", cp))
+	}
+	if e.Handoffs() == 0 || flips == 0 || e.Grows() == 0 {
+		t.Fatalf("run saw %d handoffs, %d ownership flips and %d grows; each must be exercised", e.Handoffs(), flips, e.Grows())
+	}
+	t.Logf("handoffs=%d flips=%d grows=%d", e.Handoffs(), flips, e.Grows())
 }

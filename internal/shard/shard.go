@@ -586,25 +586,28 @@ func (e *Engine) buildCell(sh *cell, locals []int) error {
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	// A bound slot's QoS thresholds equal its global user's, so its rank
-	// rows are a copy of the global rank index rather than an O(I log I)
-	// sort — both at construction, where the rank index is now built
-	// eagerly for the fused kernel's rank-prefix masks, and on slot
-	// rebinds, the handoff path's hot spot. The provider is threaded
-	// through NewRanked so it serves the construction-time build too; it
-	// reads only immutable global rows and this cell's own slot table
-	// (mutated serially in plan), so parallel cells are race-free. Unbound
-	// (parked) slots fall back to the sort.
+	// A bound slot's deadline and inference rows are its global user's, so
+	// its QoS thresholds and their rank rows are copies of the global
+	// instance's rather than I divisions and an O(I log I) sort — both at
+	// construction, where the rank index is built eagerly for the fused
+	// kernel's rank-prefix masks, and on slot rebinds, the handoff path's
+	// hot spot. The provider is threaded through NewRanked so it serves the
+	// construction-time build too; it reads only immutable global rows and
+	// this cell's own slot table (mutated serially in plan), so parallel
+	// cells are race-free. Unbound (parked) slots fall back to the
+	// divisions and the sort.
 	var provider scenario.RankProvider
 	if e.cfg.Shards > 1 {
-		provider = func(slot int, do, ro []uint16) bool {
+		provider = func(slot int, do, ro []uint16, minDir, minRel []float64) bool {
 			g := sh.slots[slot]
 			if g < 0 {
 				return false
 			}
-			gdo, gro := ins.UserRankRows(int(g))
+			gdo, gro, gdir, grel := ins.UserRankRows(int(g))
 			copy(do, gdo)
 			copy(ro, gro)
+			copy(minDir, gdir)
+			copy(minRel, grel)
 			return true
 		}
 	}

@@ -215,17 +215,6 @@ func (w *Workload) InferS(k, i int) float64 { return w.inferS[k][i] }
 // slice aliases internal state; callers must treat it as read-only.
 func (w *Workload) InferRow(k int) []float64 { return w.inferS[k] }
 
-// TotalMass returns Σ_{k,i} p_{k,i}, the normalizer of eq. (2).
-func (w *Workload) TotalMass() float64 {
-	var total float64
-	for k := range w.prob {
-		for _, p := range w.prob[k] {
-			total += p
-		}
-	}
-	return total
-}
-
 // MemoryBytes returns the heap bytes the workload owns: row headers for
 // all three tables, plus the row data for workloads that own their rows.
 // Aliased slot tables (NewAliased) count headers only — their rows point

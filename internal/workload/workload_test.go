@@ -72,8 +72,8 @@ func TestProbRowsNormalized(t *testing.T) {
 				t.Fatalf("perm=%v user %d: probabilities sum to %v", perm, k, sum)
 			}
 		}
-		if math.Abs(w.TotalMass()-30) > 1e-6 {
-			t.Fatalf("total mass %v, want 30", w.TotalMass())
+		if total := totalMass(w); math.Abs(total-30) > 1e-6 {
+			t.Fatalf("total mass %v, want 30", total)
 		}
 	}
 }
